@@ -177,8 +177,18 @@ pub enum Request {
     Shutdown,
 }
 
-fn str_field(obj: &Json, key: &str) -> Option<String> {
-    obj.get(key).and_then(Json::as_str).map(str::to_string)
+/// Moves the string value of `key` out of a parsed object (leaving an
+/// empty string behind), so a multi-megabyte netlist is never copied
+/// again after decoding. `None` when absent or not a string; like
+/// [`Json::get`], the first field named `key` wins.
+fn take_str(obj: &mut Json, key: &str) -> Option<String> {
+    let Json::Obj(fields) = obj else {
+        return None;
+    };
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, Json::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
+    }
 }
 
 fn bool_field(obj: &Json, key: &str, default: bool) -> bool {
@@ -219,12 +229,12 @@ pub fn valid_trace_id(trace_id: &str) -> bool {
 /// or missing fields; [`ProtoError::validation`] (code 5) for illegal job
 /// ids or trace ids or unknown fault names.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let value = kraftwerk_trace::json::parse(line)
+    let mut value = kraftwerk_trace::json::parse(line)
         .map_err(|e| ProtoError::protocol(format!("malformed frame: {e}")))?;
-    let Some(kind) = value.get("type").and_then(Json::as_str) else {
+    let Some(kind) = take_str(&mut value, "type") else {
         return Err(ProtoError::protocol("frame has no `type` field"));
     };
-    match kind {
+    match kind.as_str() {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
@@ -232,14 +242,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             include_placement: bool_field(&value, "include_placement", false),
         }),
         "place" => {
-            let id = str_field(&value, "id")
+            let id = take_str(&mut value, "id")
                 .ok_or_else(|| ProtoError::protocol("place frame has no `id`"))?;
             if !valid_job_id(&id) {
                 return Err(ProtoError::validation(format!(
                     "illegal job id (want 1..={MAX_JOB_ID_LEN} chars of [A-Za-z0-9._-])"
                 )));
             }
-            let netlist_text = str_field(&value, "netlist")
+            let netlist_text = take_str(&mut value, "netlist")
                 .ok_or_else(|| ProtoError::protocol("place frame has no `netlist`"))?;
             let mode = match value.get("mode").and_then(Json::as_str) {
                 None => Mode::default(),
@@ -261,7 +271,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 .get("progress_every")
                 .and_then(Json::as_f64)
                 .map_or(0, |v| v.max(0.0) as usize);
-            let trace_id = match str_field(&value, "trace_id") {
+            let trace_id = match take_str(&mut value, "trace_id") {
                 None => None,
                 Some(t) => {
                     if !valid_trace_id(&t) {
@@ -487,6 +497,39 @@ mod tests {
                 .code,
             CODE_VALIDATION
         );
+    }
+
+    #[test]
+    fn near_cap_place_frame_decodes_in_linear_time() {
+        let cap = crate::ServeConfig::default().max_frame_bytes;
+        // Netlist-shaped text: short lines, so the frame alternates plain
+        // runs with `\n` escapes (one extra byte each on the wire).
+        let line = "cell c12345 4.25 1.0 std # padding\n";
+        let lines = (cap - 1024) / (line.len() + 1);
+        let netlist = line.repeat(lines);
+        let mut o = JsonObject::new();
+        o.str_field("type", "place");
+        o.str_field("id", "near-cap");
+        o.str_field("netlist", &netlist);
+        o.str_field("trace_id", "tr-near-cap");
+        let frame = o.finish();
+        assert!(
+            frame.len() <= cap && frame.len() > cap - 2048,
+            "frame is {} bytes, cap {cap}",
+            frame.len()
+        );
+        let started = std::time::Instant::now();
+        let Request::Place(req) = parse_request(&frame).expect("near-cap frame parses") else {
+            panic!("not a place request");
+        };
+        let elapsed = started.elapsed();
+        // A decoder quadratic in the frame size needs tens of minutes on
+        // this frame; a linear one takes milliseconds in release and well
+        // under a second in a debug build.
+        assert!(elapsed.as_secs_f64() < 5.0, "decode took {elapsed:?}");
+        assert_eq!(req.id, "near-cap");
+        assert_eq!(req.trace_id.as_deref(), Some("tr-near-cap"));
+        assert!(req.netlist_text == netlist, "netlist text changed in decode");
     }
 
     #[test]

@@ -3,8 +3,13 @@
 //! The workspace must build in offline sandboxes with no registry access,
 //! so this module replaces `serde_json` for the small amount of JSON the
 //! telemetry layer needs: escaping, shortest round-tripping number
-//! formatting, an object/array writer, and a recursive-descent parser used
-//! by tests and tools that read the emitted JSONL back.
+//! formatting, an object/array writer, and a recursive-descent parser.
+//!
+//! The parser is the placement daemon's request decoder (every `place`
+//! frame, netlist text included, goes through [`parse`]) as well as the
+//! reader for client result frames, journal recovery, and the emitted
+//! JSONL. Its cost is linear in the input length: a string's unescaped
+//! stretches are copied in bulk, so an 8 MiB frame decodes in one pass.
 //!
 //! Non-finite floats encode as `null` (JSON has no NaN/Infinity). Integers
 //! round-trip exactly up to 2^53; beyond that the parser (which reads every
@@ -195,6 +200,7 @@ impl Json {
 /// input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -208,6 +214,9 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing decoded runs without re-validating them.
+    text: &'a str,
+    /// The same input as bytes, for scanning.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -266,7 +275,8 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // The scanned bytes are ASCII, so `get` always finds a char boundary.
+        let text = self.text.get(start..self.pos).unwrap_or_default();
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -276,59 +286,67 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one step. Those stop bytes are ASCII, so both ends of the
+            // run fall on character boundaries of the input text.
+            let start = self.pos;
+            let rest = self.bytes.get(start..).unwrap_or_default();
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or("invalid utf-8 in string")?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("invalid low surrogate".into());
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code).ok_or("invalid \\u escape")?,
-                            );
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
+                Some(b'\\') => self.escape(&mut out)?,
                 Some(_) => {
-                    // Consume one UTF-8 scalar, however many bytes long.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(format!("raw control character at byte {}", self.pos));
                 }
             }
         }
+    }
+
+    /// Decodes the escape sequence at the cursor (a backslash) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        let esc = self.peek().ok_or("unterminated escape")?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{08}'),
+            b'f' => out.push('\u{0c}'),
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect \uXXXX low half.
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err("invalid low surrogate".into());
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -407,7 +425,7 @@ mod tests {
 
     #[test]
     fn escaping_round_trips() {
-        for s in [
+        let mut cases: Vec<String> = [
             "",
             "plain",
             "with \"quotes\" and \\backslashes\\",
@@ -416,10 +434,91 @@ mod tests {
             "unicode: grüße 力 🦀",
             "backspace\u{08} formfeed\u{0c}",
             "solidus / stays bare",
-        ] {
-            let json = escaped(s);
+        ]
+        .map(String::from)
+        .to_vec();
+        // Every escape kind write_escaped emits, each flanked by long plain
+        // runs whose first and last scalars are 1-, 2-, 3- and 4-byte UTF-8.
+        let escapes = ["\"", "\\", "\n", "\r", "\t", "\u{08}", "\u{0c}", "\u{01}", "\u{1f}"];
+        for edge in ["a", "é", "力", "🦀"] {
+            let run = format!("{edge}{}{edge}", "x".repeat(700));
+            let mut s = run.clone();
+            for esc in escapes {
+                s.push_str(esc);
+                s.push_str(&run);
+                s.push_str(esc);
+                s.push_str(esc);
+            }
+            cases.push(s);
+        }
+        for s in cases {
+            let json = escaped(&s);
             let back = parse(&json).expect("parse escaped string");
-            assert_eq!(back, Json::Str(s.to_string()), "through {json}");
+            assert_eq!(back, Json::Str(s), "through {json:.40}…");
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages_and_offsets() {
+        // A control byte ending a long run is reported at its own offset
+        // (the opening quote is byte 0).
+        let plain = format!("\"{}\u{01}\"", "a".repeat(10_000));
+        assert_eq!(parse(&plain), Err("raw control character at byte 10001".into()));
+        let wide = format!("\"{}\u{1f}tail\"", "力".repeat(3_000));
+        assert_eq!(parse(&wide), Err("raw control character at byte 9001".into()));
+        let long = "y".repeat(5_000);
+        for (bad, want) in [
+            (format!("\"{long}\\q\""), "bad escape at byte 5002"),
+            (format!("\"{long}"), "unterminated string"),
+            (format!("\"{long}\\"), "unterminated escape"),
+            (format!("\"{long}\\ud800\\u0041\""), "invalid low surrogate"),
+            (format!("\"{long}\\ud800x\""), "expected `\\` at byte 5007"),
+            (format!("\"{long}\\u12zz\""), "bad \\u escape"),
+            (format!("\"{long}\\u1"), "truncated \\u escape"),
+        ] {
+            assert_eq!(parse(&bad), Err(want.to_string()), "for {bad:.20}…");
+        }
+    }
+
+    /// Arbitrary strings of up to 400 scalars: ASCII (controls, quote and
+    /// backslash included) and 2-, 3- and 4-byte UTF-8, in mixed runs.
+    struct AnyString;
+
+    impl proptest::Strategy for AnyString {
+        type Value = String;
+
+        fn new_value(&self, runner: &mut proptest::TestRunner) -> String {
+            let len = runner.next_u64() % 400;
+            let mut s = String::new();
+            let mut scalars = 0;
+            while scalars < len {
+                let draw = runner.next_u64();
+                let (lo, hi) = match draw % 5 {
+                    0 => (0x00, 0x20),
+                    1 => (0x20, 0x80),
+                    2 => (0x80, 0x800),
+                    3 => (0x800, 0x1_0000),
+                    _ => (0x1_0000, 0x11_0000),
+                };
+                // Surrogates are not scalars; skip the draw.
+                if let Some(c) = char::from_u32(lo + ((draw >> 8) % u64::from(hi - lo)) as u32) {
+                    // Repeat some scalars so plain runs of varied length occur.
+                    for _ in 0..1 + (draw >> 40) % 8 {
+                        s.push(c);
+                        scalars += 1;
+                    }
+                }
+            }
+            s
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn write_escaped_then_parse_is_identity(s in AnyString) {
+            let json = escaped(&s);
+            proptest::prop_assert_eq!(parse(&json), Ok(Json::Str(s)));
         }
     }
 
@@ -497,6 +596,11 @@ mod tests {
             parse("\"\\u0041\\u00e9\\ud83e\\udd80\"").unwrap(),
             Json::Str("Aé🦀".into())
         );
+        // The same escapes, and `\/`, between long multi-byte runs.
+        let (a, b, c) = ("é".repeat(500), "力".repeat(500), "🦀".repeat(500));
+        let text = format!("\"{a}\\/{b}\\u00e9{c}\\ud83e\\udd80{a}\\u0041\"");
+        let want = format!("{a}/{b}é{c}🦀{a}A");
+        assert_eq!(parse(&text).unwrap(), Json::Str(want));
     }
 
     #[test]

@@ -21,6 +21,12 @@ KRAFTWERK_POISSON=spectral cargo test -q
 # its own too — it is the contract behind the panic audit below.
 cargo test -q --test robustness
 cargo clippy --all-targets -- -D warnings
+# The benchmark package (perfbench/, see BENCHMARK.json) has its own
+# [workspace], so the commands above neither build, lint nor test it; a
+# public-API change in a placer crate must not break it unnoticed, and its
+# drift test keeps BENCHMARK.json and the emitted metrics in step.
+cargo clippy --release --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+cargo test --release --manifest-path perfbench/Cargo.toml
 # No new unwrap()/expect()/panic! in library crates (allowlisted
 # invariants only — see scripts/panic-allowlist.txt).
 bash scripts/panic_audit.sh

@@ -112,6 +112,39 @@ fn oversized_netlist_is_rejected_and_stream_resyncs() {
 }
 
 #[test]
+fn near_cap_frame_is_decoded_promptly_and_daemon_keeps_serving() {
+    let cfg = ServeConfig::default();
+    let cap = cfg.max_frame_bytes;
+    let (handle, join) = start(cfg);
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    // ~8 MiB of netlist-shaped lines with no `kraftwerk-netlist 1` header:
+    // the frame is legal on the wire, so it must be decoded in full before
+    // the worker's netlist parser rejects it.
+    let line = "cell c12345 4.25 1.0 std # no header above\n";
+    let lines = (cap - 1024) / (line.len() + 1);
+    let netlist = line.repeat(lines);
+    let opts = quick();
+    let frame = place_frame("near-cap", &netlist, &opts);
+    assert!(frame.len() <= cap && frame.len() > cap - 2048, "frame is {} bytes", frame.len());
+    let started = std::time::Instant::now();
+    let out = c.place("near-cap", &netlist, &opts).expect("transport");
+    let elapsed = started.elapsed();
+    assert_eq!(out.status, "error");
+    assert_eq!(out.error_stage.as_deref(), Some("parse"));
+    assert_eq!(out.error_code, Some(4));
+    // A decoder quadratic in the frame size needs tens of minutes here.
+    assert!(elapsed < Duration::from_secs(20), "near-cap job took {elapsed:?}");
+    // The daemon keeps serving on the same connection.
+    let small = netlist_text("srv-after-near-cap", 20, 25, 4);
+    let out = c.place("after-near-cap", &small, &opts).expect("transport");
+    assert_eq!(out.status, "ok");
+    handle.shutdown();
+    let summary = join.join().expect("no panic").expect("clean run");
+    assert_eq!(summary.jobs_ok, 1);
+    assert_eq!(summary.jobs_failed, 1);
+}
+
+#[test]
 fn nan_numerics_in_netlist_fail_with_parse_class() {
     let (handle, join) = start(ServeConfig::default());
     let mut c = Client::connect(handle.addr()).expect("connect");
