@@ -80,7 +80,7 @@ impl Preconditioner for SessionPrecond {
 /// state across iterations.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    /// COO staging + CSR build scratch for system assembly.
+    /// Symmetric staging + CSR build scratch for system assembly.
     pub(crate) assembly: AssemblyScratch,
     /// The assembled system (matrices and linear terms, storage reused).
     pub(crate) asm: Assembled,
@@ -97,7 +97,7 @@ pub struct ScratchArena {
     pub(crate) diag_x: Vec<f64>,
     /// Cached diagonal of `asm.cy`, rebuilt with the assembly.
     pub(crate) diag_y: Vec<f64>,
-    /// Per-cell mean stiffness, sorted for the median estimate.
+    /// Per-cell mean stiffness, partially ordered for the median estimate.
     pub(crate) stiffness: Vec<f64>,
     /// Raw (unscaled) field force per movable cell.
     pub(crate) raw: Vec<Vector>,

@@ -13,12 +13,12 @@
 use crate::config::NetModel;
 use kraftwerk_geom::Point;
 use kraftwerk_netlist::{CellId, Netlist, Placement};
-use kraftwerk_sparse::{CooMatrix, CsrBuildScratch, CsrMatrix};
+use kraftwerk_sparse::{CsrBuildScratch, CsrMatrix, SymmetricStaging};
 
 /// Largest net degree ever expanded as a clique, regardless of the
-/// configured model or threshold. A k-pin clique stages `2k(k-1)` COO
-/// triplets per axis; past this cap (a 65k-pin clock net would stage
-/// ~17 G triplets) the assembly silently falls back to the star model,
+/// configured model or threshold. A k-pin clique stages `k(k-1)/2`
+/// couplings per axis; past this cap (a 65k-pin clock net would stage
+/// ~2 G couplings) the assembly silently falls back to the star model,
 /// which is linear in `k`.
 pub const CLIQUE_DEGREE_CAP: usize = 256;
 
@@ -44,14 +44,15 @@ pub struct Assembled {
     pub dy: Vec<f64>,
 }
 
-/// Reusable buffers for [`QuadraticSystem::assemble_into`]: the COO
-/// staging triplets, the CSR build scratch, and the per-net pin buffer.
-/// Holding one of these across placement iterations makes re-assembly
-/// allocation-free once the buffers have grown to the design's size.
+/// Reusable buffers for [`QuadraticSystem::assemble_into`]: the per-axis
+/// symmetric staging (dense diagonal plus one entry per coupling), the
+/// CSR build scratch, and the per-net pin buffer. Holding one of these
+/// across placement iterations makes re-assembly allocation-free once
+/// the buffers have grown to the design's size.
 #[derive(Debug, Default)]
 pub struct AssemblyScratch {
-    coo_x: CooMatrix,
-    coo_y: CooMatrix,
+    stage_x: SymmetricStaging,
+    stage_y: SymmetricStaging,
     csr_build: CsrBuildScratch,
     pins: Vec<PinInfo>,
 }
@@ -227,9 +228,9 @@ impl QuadraticSystem {
             assert_eq!(w.len(), netlist.num_nets(), "extra_weights length mismatch");
         }
         let n = self.num_movable();
-        let AssemblyScratch { coo_x, coo_y, csr_build, pins } = ws;
-        coo_x.reset(n);
-        coo_y.reset(n);
+        let AssemblyScratch { stage_x, stage_y, csr_build, pins } = ws;
+        stage_x.reset(n);
+        stage_y.reset(n);
         out.dx.clear();
         out.dx.resize(n, 0.0);
         out.dy.clear();
@@ -267,15 +268,15 @@ impl QuadraticSystem {
 
             if model == NetModel::B2B {
                 let w_base = w_net / (2.0 * (k as f64 - 1.0));
-                b2b_axis(coo_x, dx, pins, Axis::X, w_base, b2b_eps);
-                b2b_axis(coo_y, dy, pins, Axis::Y, w_base, b2b_eps);
+                b2b_axis(stage_x, dx, pins, Axis::X, w_base, b2b_eps);
+                b2b_axis(stage_y, dy, pins, Axis::Y, w_base, b2b_eps);
                 continue;
             }
 
             // The cap applies to every model: an over-threshold Hybrid net
             // already goes to the star, and a pure Clique past the cap
             // falls back to the star too rather than staging O(k²)
-            // triplets.
+            // couplings.
             let use_clique = match model {
                 NetModel::Clique => k <= CLIQUE_DEGREE_CAP,
                 NetModel::Star | NetModel::B2B => false,
@@ -289,8 +290,8 @@ impl QuadraticSystem {
                 for i in 0..k {
                     for j in (i + 1)..k {
                         add_edge(
-                            coo_x,
-                            coo_y,
+                            stage_x,
+                            stage_y,
                             dx,
                             dy,
                             pins[i],
@@ -314,8 +315,8 @@ impl QuadraticSystem {
                 };
                 for &pin in pins.iter() {
                     add_edge(
-                        coo_x,
-                        coo_y,
+                        stage_x,
+                        stage_y,
                         dx,
                         dy,
                         pin,
@@ -328,22 +329,20 @@ impl QuadraticSystem {
         }
 
         // Tiny center anchor: regularizes floating components. The anchor
-        // scale comes from the mean diagonal, which can be read off the
-        // staging triplets directly (duplicate diagonal entries sum to the
-        // deduplicated CSR diagonal), so the anchors go into the same COO
-        // and each axis converts exactly once — the old path round-tripped
-        // COO → CSR → COO → CSR per axis.
+        // scale comes from the mean diagonal, which the staging keeps as a
+        // running total, so the anchors go into the same staging and each
+        // axis converts to CSR exactly once.
         let center = netlist.core_region().center();
-        let delta_x = 1e-6 * (coo_x.diagonal_sum() / n.max(1) as f64 + 1.0);
-        let delta_y = 1e-6 * (coo_y.diagonal_sum() / n.max(1) as f64 + 1.0);
+        let delta_x = 1e-6 * (stage_x.diagonal_total() / n.max(1) as f64 + 1.0);
+        let delta_y = 1e-6 * (stage_y.diagonal_total() / n.max(1) as f64 + 1.0);
         for i in 0..n {
-            coo_x.push(i, i, 2.0 * delta_x);
+            stage_x.add_diagonal(i, 2.0 * delta_x);
             dx[i] -= 2.0 * delta_x * center.x;
-            coo_y.push(i, i, 2.0 * delta_y);
+            stage_y.add_diagonal(i, 2.0 * delta_y);
             dy[i] -= 2.0 * delta_y * center.y;
         }
-        out.cx.rebuild_from(coo_x, csr_build);
-        out.cy.rebuild_from(coo_y, csr_build);
+        out.cx.rebuild_from_staging(stage_x, csr_build);
+        out.cy.rebuild_from_staging(stage_y, csr_build);
     }
 
     /// The negative gradient `-(C p + d)` at the given coordinates — the
@@ -411,7 +410,7 @@ impl Axis {
 /// the minimum and the *last* pin achieving the maximum, so ties (fully
 /// overlapping pins) still yield two distinct endpoints and the edge set
 /// is identical at every thread count.
-fn b2b_axis(c: &mut CooMatrix, d: &mut [f64], pins: &[PinInfo], axis: Axis, w_base: f64, eps: f64) {
+fn b2b_axis(c: &mut SymmetricStaging, d: &mut [f64], pins: &[PinInfo], axis: Axis, w_base: f64, eps: f64) {
     let coord = |p: PinInfo| axis.of(p).1;
     let (mut lo, mut hi) = (0usize, 0usize);
     for i in 1..pins.len() {
@@ -441,8 +440,8 @@ fn b2b_axis(c: &mut CooMatrix, d: &mut [f64], pins: &[PinInfo], axis: Axis, w_ba
 /// Adds one two-point connection to both axis systems.
 #[allow(clippy::too_many_arguments)]
 fn add_edge(
-    cx: &mut CooMatrix,
-    cy: &mut CooMatrix,
+    cx: &mut SymmetricStaging,
+    cy: &mut SymmetricStaging,
     dx: &mut [f64],
     dy: &mut [f64],
     a: PinInfo,
@@ -463,10 +462,12 @@ fn add_edge(
 
 /// The cost term `w (u_a + o_a - u_b - o_b)²` on one axis, where `u` is a
 /// variable for movable pins and the absolute pin coordinate for fixed
-/// ones. Contributes `2w` entries to `C` and offset terms to `d`.
+/// ones. Contributes `2w` entries to `C` and offset terms to `d`. When
+/// both pins sit on the same movable cell the term is a constant (`u`
+/// cancels), so it contributes nothing.
 #[allow(clippy::too_many_arguments)]
 fn add_axis_edge(
-    c: &mut CooMatrix,
+    c: &mut SymmetricStaging,
     d: &mut [f64],
     a_mov: Option<u32>,
     b_mov: Option<u32>,
@@ -478,22 +479,23 @@ fn add_axis_edge(
 ) {
     let w2 = 2.0 * w;
     match (a_mov, b_mov) {
+        (Some(i), Some(j)) if i == j => {}
         (Some(i), Some(j)) => {
             let (i, j) = (i as usize, j as usize);
-            c.push(i, i, w2);
-            c.push(j, j, w2);
-            c.push_sym(i, j, -w2);
+            c.add_diagonal(i, w2);
+            c.add_diagonal(j, w2);
+            c.add_coupling(i, j, -w2);
             d[i] += w2 * (a_off - b_off);
             d[j] += w2 * (b_off - a_off);
         }
         (Some(i), None) => {
             let i = i as usize;
-            c.push(i, i, w2);
+            c.add_diagonal(i, w2);
             d[i] += w2 * (a_off - b_pos);
         }
         (None, Some(j)) => {
             let j = j as usize;
-            c.push(j, j, w2);
+            c.add_diagonal(j, w2);
             d[j] += w2 * (b_off - a_pos);
         }
         (None, None) => {}
@@ -842,7 +844,7 @@ mod tests {
     #[test]
     fn clique_past_the_degree_cap_falls_back_to_star() {
         // A net over CLIQUE_DEGREE_CAP pins must assemble linearly in k
-        // (the star expansion), not stage O(k²) triplets.
+        // (the star expansion), not stage O(k²) couplings.
         let k = CLIQUE_DEGREE_CAP + 1;
         let mut bld = NetlistBuilder::new();
         bld.core_region(Rect::new(0.0, 0.0, 100.0, 100.0));
@@ -906,6 +908,47 @@ mod tests {
         let nl = bld.build().unwrap();
         let sys = QuadraticSystem::new(&nl);
         assert!(!sys.assembly_is_static(NetModel::Clique, false));
+    }
+
+    /// pad(2,5) -- c -- pad(8,5), optionally plus a net listing `c` twice.
+    fn pads_and_cell(self_net: bool) -> Netlist {
+        let mut bld = NetlistBuilder::new();
+        bld.core_region(Rect::new(0.0, 0.0, 10.0, 10.0));
+        let c = bld.add_cell("c", Size::new(1.0, 1.0));
+        let p0 = bld.add_fixed_cell("p0", Size::new(0.5, 0.5), Point::new(2.0, 5.0));
+        let p1 = bld.add_fixed_cell("p1", Size::new(0.5, 0.5), Point::new(8.0, 5.0));
+        bld.add_net("n0", [(p0, PinDirection::Output), (c, PinDirection::Input)]);
+        bld.add_net("n1", [(c, PinDirection::Output), (p1, PinDirection::Input)]);
+        if self_net {
+            bld.add_net("loop", [(c, PinDirection::Output), (c, PinDirection::Input)]);
+        }
+        bld.build().unwrap()
+    }
+
+    #[test]
+    fn same_cell_couplings_leave_the_system_unchanged() {
+        // Both pins of the self-net sit on one cell: the term is a
+        // constant, so C and d must be exactly those of the netlist
+        // without it, for every model that couples pin pairs.
+        let plain = pads_and_cell(false);
+        let looped = pads_and_cell(true);
+        let sys = QuadraticSystem::new(&looped);
+        for (model, eps) in [
+            (NetModel::Clique, None),
+            (NetModel::Clique, Some(0.01)),
+            (NetModel::Hybrid { clique_threshold: 30 }, None),
+            (NetModel::B2B, None),
+        ] {
+            let a = sys.assemble(&plain, &plain.initial_placement(), None, model, eps);
+            let b = sys.assemble(&looped, &looped.initial_placement(), None, model, eps);
+            assert_eq!(a.cx, b.cx, "{model:?}");
+            assert_eq!(a.cy, b.cy, "{model:?}");
+            assert_eq!(a.dx, b.dx, "{model:?}");
+            assert_eq!(a.dy, b.dy, "{model:?}");
+            // The cell rests midway between the pads, not pulled toward 0.
+            let (xs, _) = solve_assembled(&sys, &b);
+            assert!((xs[0] - 5.0).abs() < 1e-4, "{model:?}: {}", xs[0]);
+        }
     }
 
     #[test]

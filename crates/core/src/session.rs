@@ -477,9 +477,9 @@ impl<'a> PlacementSession<'a> {
     /// density → force field → scale to `K(W+H)` → accumulate → re-solve.
     ///
     /// When a [`kraftwerk_trace`] sink is installed, each phase (density
-    /// map, Poisson solve, force assembly, CG x/y solves, metrics) runs
-    /// under a named span and the returned stats are also emitted as one
-    /// `iteration` event, so a
+    /// map, Poisson solve, force assembly, right-hand side, CG x/y solves,
+    /// metrics) runs under a named span and the returned stats are also
+    /// emitted as one `iteration` event, so a
     /// [`RunRecorder`](kraftwerk_trace::RunRecorder) yields one JSONL
     /// record per transformation with per-phase wall times attached.
     ///
@@ -488,9 +488,10 @@ impl<'a> PlacementSession<'a> {
     /// further heap allocation, and with the pure-clique net model (no
     /// linearization) the placement-independent system matrix, its
     /// diagonal, and the Jacobi preconditioners are assembled once and
-    /// cached. The x and y conjugate-gradient solves run concurrently when
-    /// more than one worker thread is configured; results are bitwise
-    /// identical at any thread count.
+    /// cached. The Poisson solve and the system assembly, and then the x
+    /// and y conjugate-gradient solves, run concurrently when more than
+    /// one worker thread is configured; results are bitwise identical at
+    /// any thread count.
     ///
     /// # Panics
     ///
@@ -582,112 +583,117 @@ impl<'a> PlacementSession<'a> {
         density_scope.finish();
         density_timer.finish();
 
-        // 2. Force field (eq. 9 / Poisson solve).
-        let field_timer = kraftwerk_trace::span("place.field_solve");
-        let field_scope = PhaseScope::begin("place.field_solve", tracing);
-        let field: &ForceField = match self.config.field_solver {
-            FieldSolverKind::Multigrid => {
-                let solver = MultigridSolver {
-                    // Force directions only need a few correct digits; the
-                    // default 1e-7 residual target would spend V-cycles on
-                    // accuracy the displacement cap throws away.
-                    tolerance: 1e-4,
-                    ..MultigridSolver::new()
+        // 2. + 3. Force field (eq. 9 / Poisson solve) and the quadratic
+        //    system of the current placement. Neither reads the other's
+        //    output (the solve reads the density map, the assembly the
+        //    placement) and they write disjoint arena slots, so they run
+        //    as the two branches of one join: concurrently when the worker
+        //    pool has more than one thread, inline (field first) at one.
+        //    The results are identical at any thread count.
+        let density: &ScalarMap = density;
+        let (iteration, field_solver) = (self.iteration, self.config.field_solver);
+        let (system, netlist, placement) = (&self.system, self.netlist, &self.placement);
+        let extra_weights = self.extra_weights.as_deref();
+        let (net_model, precond) = (self.config.net_model, self.config.precond);
+        let static_model = system.assembly_is_static(net_model, self.config.linearization);
+        // The two branches overlap in time, so they share one resource
+        // bracket (per-branch heap deltas would double-count each other).
+        let field_assembly_scope = PhaseScope::begin("place.field_assembly", tracing);
+        let (field, ()) = kraftwerk_par::join(
+            move || {
+                let timer = kraftwerk_trace::span("place.field_solve");
+                let slot = field_slot;
+                let field: &ForceField = match field_solver {
+                    FieldSolverKind::Multigrid => {
+                        let solver = MultigridSolver {
+                            // Force directions only need a few correct
+                            // digits; the default 1e-7 residual target
+                            // would spend V-cycles on accuracy the
+                            // displacement cap throws away.
+                            tolerance: 1e-4,
+                            ..MultigridSolver::new()
+                        };
+                        let out = slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                        solver.solve_reusing(density, mg, out);
+                        if snap_due {
+                            if let Some(phi) = solver.potential_map(density, mg) {
+                                emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
+                            }
+                        }
+                        out
+                    }
+                    FieldSolverKind::Spectral => {
+                        let solver = SpectralSolver::new();
+                        let out = slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                        solver.solve_reusing(density, spectral, out);
+                        if snap_due {
+                            if let Some(phi) = solver.potential_map(density, spectral) {
+                                emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
+                            }
+                        }
+                        out
+                    }
+                    FieldSolverKind::Hybrid => {
+                        let solver = kraftwerk_field::HybridSolver {
+                            // Same loosened residual target as the
+                            // multigrid arm.
+                            tolerance: 1e-4,
+                            ..kraftwerk_field::HybridSolver::new()
+                        };
+                        let out = slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                        solver.solve_reusing(density, hybrid, out);
+                        if snap_due {
+                            if let Some(phi) = solver.potential_map(density, hybrid) {
+                                emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
+                            }
+                        }
+                        out
+                    }
+                    FieldSolverKind::Direct => slot.insert(DirectSolver::new().solve(density)),
                 };
-                let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                solver.solve_reusing(density, mg, out);
-                if snap_due {
-                    if let Some(phi) = solver.potential_map(density, mg) {
-                        emit_grid_snapshot(
-                            kraftwerk_trace::SNAPSHOT_POTENTIAL,
-                            self.iteration,
-                            &phi,
-                        );
-                    }
+                timer.finish();
+                field
+            },
+            || {
+                // The assembly's diagonal is the per-cell stiffness the
+                // force scale must be expressed in. The pure clique model
+                // without linearization is placement-independent, so its
+                // matrix (and diagonal and preconditioner) survives across
+                // iterations until the net weights change.
+                let timer = kraftwerk_trace::span("place.force_assembly");
+                let rebuild = !(static_model && *asm_valid);
+                if rebuild {
+                    system.assemble_into(
+                        netlist,
+                        placement,
+                        extra_weights,
+                        net_model,
+                        lin_eps,
+                        asm,
+                        assembly,
+                    );
+                    *asm_valid = static_model;
+                    asm.cx.diagonal_into(diag_x);
+                    asm.cy.diagonal_into(diag_y);
                 }
-                out
-            }
-            FieldSolverKind::Spectral => {
-                let solver = SpectralSolver::new();
-                let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                solver.solve_reusing(density, spectral, out);
-                if snap_due {
-                    if let Some(phi) = solver.potential_map(density, spectral) {
-                        emit_grid_snapshot(
-                            kraftwerk_trace::SNAPSHOT_POTENTIAL,
-                            self.iteration,
-                            &phi,
-                        );
-                    }
+                // The watchdog ladder may demote the preconditioner
+                // mid-run; sync the slots before refreshing them against
+                // the current matrices.
+                let px_changed = px.set_kind(precond);
+                let py_changed = py.set_kind(precond);
+                if rebuild || px_changed || py_changed {
+                    px.refresh_from(&asm.cx);
+                    py.refresh_from(&asm.cy);
                 }
-                out
-            }
-            FieldSolverKind::Hybrid => {
-                let solver = kraftwerk_field::HybridSolver {
-                    // Same loosened residual target as the multigrid arm:
-                    // force directions only need a few correct digits.
-                    tolerance: 1e-4,
-                    ..kraftwerk_field::HybridSolver::new()
-                };
-                let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                solver.solve_reusing(density, hybrid, out);
-                if snap_due {
-                    if let Some(phi) = solver.potential_map(density, hybrid) {
-                        emit_grid_snapshot(
-                            kraftwerk_trace::SNAPSHOT_POTENTIAL,
-                            self.iteration,
-                            &phi,
-                        );
-                    }
-                }
-                out
-            }
-            FieldSolverKind::Direct => {
-                *field_slot = Some(DirectSolver::new().solve(density));
-                field_slot.as_ref().expect("field stored above")
-            }
-        };
+                timer.finish();
+            },
+        );
+        field_assembly_scope.finish();
         if tracing {
             // Deterministic per-solve summary (bitwise identical at any
             // thread count, unlike a wall-clock sample): the strongest
             // force the field produced this transformation.
             self.hists.field_magnitude.record(field.max_magnitude());
-        }
-        field_scope.finish();
-        field_timer.finish();
-
-        // 3. Assemble the current quadratic system; its diagonal is the
-        //    per-cell stiffness the force scale must be expressed in. The
-        //    pure clique model without linearization is placement-
-        //    independent, so its matrix (and diagonal and preconditioner)
-        //    survives across iterations until the net weights change.
-        let assembly_timer = kraftwerk_trace::span("place.force_assembly");
-        let assembly_scope = PhaseScope::begin("place.force_assembly", tracing);
-        let static_model = self
-            .system
-            .assembly_is_static(self.config.net_model, self.config.linearization);
-        let rebuild = !(static_model && *asm_valid);
-        if rebuild {
-            self.system.assemble_into(
-                self.netlist,
-                &self.placement,
-                self.extra_weights.as_deref(),
-                self.config.net_model,
-                lin_eps,
-                asm,
-                assembly,
-            );
-            *asm_valid = static_model;
-            asm.cx.diagonal_into(diag_x);
-            asm.cy.diagonal_into(diag_y);
-        }
-        // The watchdog ladder may demote the preconditioner mid-run; sync
-        // the slots before refreshing them against the current matrices.
-        let px_changed = px.set_kind(self.config.precond);
-        let py_changed = py.set_kind(self.config.precond);
-        if rebuild || px_changed || py_changed {
-            px.refresh_from(&asm.cx);
-            py.refresh_from(&asm.cy);
         }
 
         // 4. Scale per section 4.1: the strongest force equals the pull of
@@ -698,13 +704,18 @@ impl<'a> PlacementSession<'a> {
         //    raw force keeps the step size meaningful under GORDIAN-L
         //    linearization, where edge weights — and with them all force
         //    units — shrink with 1/length.)
+        let rhs_timer = kraftwerk_trace::span("place.force_rhs");
+        let rhs_scope = PhaseScope::begin("place.force_rhs", tracing);
         let n = self.system.num_movable();
         // Robust stiffness floor: cells that are barely connected (only
         // the regularization anchor) must not collapse the global scale.
+        // Selecting the middle element picks the same value a full sort
+        // would (`total_cmp` is a total order), in linear time.
         stiffness.clear();
         stiffness.extend(diag_x.iter().zip(diag_y.iter()).map(|(a, b)| 0.5 * (a + b)));
-        stiffness.sort_by(f64::total_cmp);
-        let median_stiffness = stiffness[stiffness.len() / 2].max(1e-12);
+        let mid = stiffness.len() / 2;
+        let (_, &mut median, _) = stiffness.select_nth_unstable_by(mid, f64::total_cmp);
+        let median_stiffness = median.max(1e-12);
         let floor = 0.05 * median_stiffness;
         raw.clear();
         let mut max_disp = 0.0f64;
@@ -811,8 +822,8 @@ impl<'a> PlacementSession<'a> {
             bx.push(-asm.dx[i] + hx[i] + f.x);
             by.push(-asm.dy[i] + hy[i] + f.y);
         }
-        assembly_scope.finish();
-        assembly_timer.finish();
+        rhs_scope.finish();
+        rhs_timer.finish();
 
         // 6. Solve, warm-started from the current placement. The x and y
         //    systems are independent, so the two conjugate-gradient solves

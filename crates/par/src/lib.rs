@@ -307,8 +307,12 @@ impl UtilizationSnapshot {
 }
 
 /// Runs two independent closures, concurrently when more than one thread
-/// is configured, and returns both results. Used for the x/y conjugate
-/// gradient solves, which are independent linear systems.
+/// is configured, and returns both results. Used for the field solve
+/// beside the system assembly, and for the x/y conjugate gradient solves,
+/// which are independent linear systems. Either branch may publish a
+/// nested fan-out of its own. A trace sink scoped to the calling thread
+/// (a daemon job's report) receives the events of both branches, also of
+/// one that runs on a pool worker.
 ///
 /// # Panics
 ///
@@ -318,7 +322,9 @@ pub fn join<A: Send, B: Send>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> 
     let fb = Mutex::new(Some(b));
     let ra: Mutex<Option<A>> = Mutex::new(None);
     let rb: Mutex<Option<B>> = Mutex::new(None);
+    let scoped = kraftwerk_trace::current_scoped();
     run_chunks(2, &|i| {
+        let _scope = scoped.clone().map(kraftwerk_trace::install_scoped);
         if i == 0 {
             let f = fa.lock().expect("join: branch poisoned").take();
             let value = f.expect("join: branch runs once")();
@@ -509,6 +515,79 @@ mod tests {
         with_threads(1, || {
             let (a, b) = join(|| 1u8, || 2u8);
             assert_eq!((a, b), (1, 2));
+        });
+    }
+
+    #[test]
+    fn join_with_a_nested_fan_out_beside_a_busy_branch_completes_identically() {
+        // One branch publishes a chunked fan-out (as a spectral or hybrid
+        // field solve does) while the other branch is still running (as
+        // the system assembly is): the second branch cannot finish before
+        // a chunk of the fan-out has run. The nested job replaces the
+        // join's job in the pool's single slot, so this completes only
+        // because publishers drain their own jobs. Branch 0 is claimed
+        // before branch 1, so the wait never blocks the fan-out itself.
+        let run = || {
+            let (chunk_ran, fan_out_started) = std::sync::mpsc::channel();
+            join(
+                move || {
+                    let mut data = lcg_values(20_000);
+                    for_each_chunk_mut(&mut data, 256, |c, slice| {
+                        // The receiver hangs up after the first message.
+                        let _ = chunk_ran.send(c);
+                        for (j, v) in slice.iter_mut().enumerate() {
+                            *v = v.mul_add(1.5, (c * 256 + j) as f64);
+                        }
+                    });
+                    (blocked_sum(&data, 64), data)
+                },
+                move || {
+                    fan_out_started.recv().expect("a fan-out chunk ran");
+                    lcg_values(1000).iter().sum::<f64>()
+                },
+            )
+        };
+        let ((sum1, data1), other1) = with_threads(1, run);
+        for threads in [2usize, 8] {
+            let ((sum, data), other) = with_threads(threads, run);
+            assert_eq!(sum.to_bits(), sum1.to_bits(), "{threads} threads");
+            assert_eq!(other.to_bits(), other1.to_bits(), "{threads} threads");
+            assert!(
+                data.iter().zip(&data1).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{threads} threads changed the fan-out output"
+            );
+        }
+    }
+
+    #[test]
+    fn join_reports_both_branches_to_the_callers_scoped_sink() {
+        // The branches wait for each other, so at two threads one of them
+        // runs on a pool worker; its events must still reach the sink
+        // scoped to the calling thread.
+        with_threads(2, || {
+            let sink = std::sync::Arc::new(kraftwerk_trace::CollectorSink::new());
+            let scope = kraftwerk_trace::install_scoped(sink.clone());
+            let both = std::sync::Barrier::new(2);
+            let branch = |name: &'static str| {
+                both.wait();
+                kraftwerk_trace::counter(name, 1);
+                std::thread::current().id()
+            };
+            let (a, b) = join(|| branch("join.first"), || branch("join.second"));
+            drop(scope);
+            assert_ne!(a, b, "the branches shared a thread");
+            let mut names: Vec<&str> = sink
+                .snapshot()
+                .iter()
+                .filter_map(|e| match e {
+                    kraftwerk_trace::TraceEvent::Counter { name, .. } if name.starts_with("join.") => {
+                        Some(*name)
+                    }
+                    _ => None,
+                })
+                .collect();
+            names.sort_unstable();
+            assert_eq!(names, ["join.first", "join.second"]);
         });
     }
 

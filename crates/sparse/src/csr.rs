@@ -1,4 +1,5 @@
-//! Coordinate-format assembly and compressed-sparse-row storage.
+//! Coordinate-format and symmetric staging for assembly, and
+//! compressed-sparse-row storage built from either.
 
 use std::fmt;
 
@@ -92,44 +93,128 @@ impl CooMatrix {
         self.vals.clear();
     }
 
-    /// Sum of all diagonal triplets pushed so far (duplicates included,
-    /// exactly as CSR conversion would accumulate them). The quadratic
-    /// assembly uses this for the center-anchor weight without a full
-    /// conversion round-trip.
-    #[must_use]
-    pub fn diagonal_sum(&self) -> f64 {
-        self.rows
-            .iter()
-            .zip(&self.cols)
-            .zip(&self.vals)
-            .filter(|((r, c), _)| r == c)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// Converts to CSR, accumulating duplicates and dropping exact zeros
     /// that result from cancellation.
     #[must_use]
     pub fn into_csr(self) -> CsrMatrix {
         let mut csr = CsrMatrix::default();
-        csr.rebuild_from(&self, &mut CsrBuildScratch::default());
+        csr.rebuild_from_entries(&self, &mut CsrBuildScratch::default());
         csr
     }
 }
 
-/// Reusable scratch buffers for [`CsrMatrix::rebuild_from`]; hold one per
+/// A symmetric matrix under assembly: a dense diagonal plus one
+/// `(i, j, value)` entry per off-diagonal coupling, mirrored into both
+/// triangles only when the CSR is built.
+///
+/// Quadratic placement adds every two-point connection as `+w` on two
+/// diagonal entries and `-w` on a symmetric pair; in COO form that is
+/// four triplets to stage and sort, here it is two dense additions and
+/// one staged coupling.
+#[derive(Debug, Clone, Default)]
+pub struct SymmetricStaging {
+    diag: Vec<f64>,
+    diag_total: f64,
+    couplings: Vec<(u32, u32, f64)>,
+}
+
+impl SymmetricStaging {
+    /// Drops all entries and re-dimensions the buffer, keeping the
+    /// allocated capacity.
+    pub fn reset(&mut self, n: usize) {
+        self.diag.clear();
+        self.diag.resize(n, 0.0);
+        self.diag_total = 0.0;
+        self.couplings.clear();
+    }
+
+    /// Adds `value` at `(i, i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn add_diagonal(&mut self, i: usize, value: f64) {
+        self.diag[i] += value;
+        self.diag_total += value;
+    }
+
+    /// Adds `value` at `(i, j)` **and** `(j, i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds or `i == j` (a diagonal entry
+    /// belongs in [`add_diagonal`](SymmetricStaging::add_diagonal)).
+    pub fn add_coupling(&mut self, i: usize, j: usize, value: f64) {
+        let n = self.diag.len();
+        assert!(i < n && j < n && i != j, "coupling ({i},{j}) invalid for n={n}");
+        self.couplings.push((i as u32, j as u32, value));
+    }
+
+    /// Sum of every diagonal value added so far, accumulated in the order
+    /// of the [`add_diagonal`](SymmetricStaging::add_diagonal) calls.
+    #[must_use]
+    pub fn diagonal_total(&self) -> f64 {
+        self.diag_total
+    }
+}
+
+/// A source of `(row, col, value)` entries for the shared CSR build.
+/// `for_each` must visit the same entries in the same order every call.
+trait Entries {
+    fn dim(&self) -> usize;
+    fn len(&self) -> usize;
+    fn for_each(&self, f: impl FnMut(usize, u32, f64));
+}
+
+impl Entries for CooMatrix {
+    fn dim(&self) -> usize {
+        self.n
+    }
+
+    fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    fn for_each(&self, mut f: impl FnMut(usize, u32, f64)) {
+        for ((&r, &c), &v) in self.rows.iter().zip(&self.cols).zip(&self.vals) {
+            f(r as usize, c, v);
+        }
+    }
+}
+
+impl Entries for SymmetricStaging {
+    fn dim(&self) -> usize {
+        self.diag.len()
+    }
+
+    fn len(&self) -> usize {
+        self.diag.len() + 2 * self.couplings.len()
+    }
+
+    /// The diagonal first, then every coupling mirrored.
+    fn for_each(&self, mut f: impl FnMut(usize, u32, f64)) {
+        for (i, &v) in self.diag.iter().enumerate() {
+            f(i, i as u32, v);
+        }
+        for &(i, j, v) in &self.couplings {
+            f(i as usize, j, v);
+            f(j as usize, i, v);
+        }
+    }
+}
+
+/// Reusable scratch buffers for [`CsrMatrix::rebuild_from_staging`]; hold one per
 /// arena and every rebuild after the first allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CsrBuildScratch {
     row_counts: Vec<usize>,
     cursor: Vec<usize>,
-    order_cols: Vec<u32>,
-    order_vals: Vec<f64>,
-    row_scratch: Vec<(u32, f64)>,
+    /// `(col, value)` entries bucketed by row.
+    order: Vec<(u32, f64)>,
 }
 
 /// A square sparse matrix in compressed-sparse-row format. Immutable
-/// except for [`rebuild_from`](CsrMatrix::rebuild_from), which replaces
+/// except for [`rebuild_from_staging`](CsrMatrix::rebuild_from_staging), which replaces
 /// the whole matrix in place (reusing the storage).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -183,43 +268,42 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Rebuilds this matrix in place from a coordinate assembly,
-    /// accumulating duplicates and dropping exact zeros — the same
-    /// semantics as [`CooMatrix::into_csr`], but reusing both this
-    /// matrix's storage and the caller's scratch buffers, so steady-state
-    /// re-assembly allocates nothing.
-    pub fn rebuild_from(&mut self, coo: &CooMatrix, ws: &mut CsrBuildScratch) {
+    /// Rebuilds this matrix in place from a symmetric staging: the dense
+    /// diagonal plus every coupling mirrored into both triangles, with
+    /// the same duplicate accumulation and zero dropping as
+    /// [`CooMatrix::into_csr`], but reusing both this matrix's storage and
+    /// the caller's scratch buffers, so steady-state re-assembly allocates
+    /// nothing.
+    pub fn rebuild_from_staging(&mut self, staging: &SymmetricStaging, ws: &mut CsrBuildScratch) {
+        self.rebuild_from_entries(staging, ws);
+    }
+
+    /// The shared build: counting sort by row, then per row a sort by
+    /// column that merges duplicates and drops exact zeros.
+    fn rebuild_from_entries(&mut self, src: &impl Entries, ws: &mut CsrBuildScratch) {
         let CsrBuildScratch {
             row_counts,
             cursor,
-            order_cols,
-            order_vals,
-            row_scratch,
+            order,
         } = ws;
-        let n = coo.n;
-        let nnz = coo.vals.len();
+        let n = src.dim();
+        let nnz = src.len();
         // Counting sort by row.
         row_counts.clear();
         row_counts.resize(n + 1, 0);
-        for &r in &coo.rows {
-            row_counts[r as usize + 1] += 1;
-        }
+        src.for_each(|r, _, _| row_counts[r + 1] += 1);
         for i in 0..n {
             row_counts[i + 1] += row_counts[i];
         }
-        order_cols.clear();
-        order_cols.resize(nnz, 0);
-        order_vals.clear();
-        order_vals.resize(nnz, 0.0);
+        order.clear();
+        order.resize(nnz, (0, 0.0));
         cursor.clear();
         cursor.extend_from_slice(row_counts);
-        for k in 0..nnz {
-            let r = coo.rows[k] as usize;
+        src.for_each(|r, c, v| {
             let at = cursor[r];
             cursor[r] += 1;
-            order_cols[at] = coo.cols[k];
-            order_vals[at] = coo.vals[k];
-        }
+            order[at] = (c, v);
+        });
         // Per-row: sort by column and accumulate duplicates.
         self.n = n;
         self.row_ptr.clear();
@@ -230,22 +314,14 @@ impl CsrMatrix {
         self.col_idx.reserve(nnz);
         self.values.reserve(nnz);
         for r in 0..n {
-            let lo = row_counts[r];
-            let hi = row_counts[r + 1];
-            row_scratch.clear();
-            row_scratch.extend(
-                order_cols[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(order_vals[lo..hi].iter().copied()),
-            );
-            row_scratch.sort_unstable_by_key(|&(c, _)| c);
+            let row = &mut order[row_counts[r]..row_counts[r + 1]];
+            row.sort_unstable_by_key(|&(c, _)| c);
             let mut i = 0;
-            while i < row_scratch.len() {
-                let c = row_scratch[i].0;
+            while i < row.len() {
+                let c = row[i].0;
                 let mut v = 0.0;
-                while i < row_scratch.len() && row_scratch[i].0 == c {
-                    v += row_scratch[i].1;
+                while i < row.len() && row[i].0 == c {
+                    v += row[i].1;
                     i += 1;
                 }
                 if v != 0.0 {
@@ -367,6 +443,8 @@ impl fmt::Display for CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     fn example() -> CsrMatrix {
         // [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -461,21 +539,21 @@ mod tests {
     fn rebuild_in_place_matches_into_csr_and_reuses_buffers() {
         let mut csr = CsrMatrix::default();
         let mut ws = CsrBuildScratch::default();
-        let mut coo = CooMatrix::new(3);
-        coo.push(0, 0, 2.0);
-        coo.push_sym(0, 1, -1.0);
-        coo.push(1, 1, 2.0);
-        coo.push_sym(1, 2, -1.0);
-        coo.push(2, 2, 2.0);
-        csr.rebuild_from(&coo, &mut ws);
+        let mut st = SymmetricStaging::default();
+        st.reset(3);
+        for i in 0..3 {
+            st.add_diagonal(i, 2.0);
+        }
+        st.add_coupling(0, 1, -1.0);
+        st.add_coupling(1, 2, -1.0);
+        csr.rebuild_from_staging(&st, &mut ws);
         assert_eq!(csr, example());
         // Rebuild different content into the same storage.
-        coo.reset(2);
-        assert!(coo.is_empty());
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 5.0);
+        st.reset(2);
+        st.add_diagonal(0, 1.0);
+        st.add_diagonal(1, 5.0);
         let cap_before = (csr.row_ptr.capacity(), csr.values.capacity());
-        csr.rebuild_from(&coo, &mut ws);
+        csr.rebuild_from_staging(&st, &mut ws);
         assert_eq!(csr.dim(), 2);
         assert_eq!(csr.get(1, 1), 5.0);
         assert_eq!(csr.nnz(), 2);
@@ -484,13 +562,91 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_sum_accumulates_duplicates() {
-        let mut coo = CooMatrix::new(3);
-        coo.push(0, 0, 2.0);
-        coo.push(0, 0, 3.0);
-        coo.push_sym(0, 2, 7.0); // off-diagonal: ignored
-        coo.push(2, 2, 1.0);
-        assert_eq!(coo.diagonal_sum(), 6.0);
+    fn staging_total_follows_the_add_order() {
+        let mut st = SymmetricStaging::default();
+        st.reset(3);
+        st.add_diagonal(0, 2.0);
+        st.add_diagonal(0, 3.0);
+        st.add_coupling(0, 2, 7.0); // off-diagonal: not in the total
+        st.add_diagonal(2, 1.0);
+        assert_eq!(st.diagonal_total(), 6.0);
+        // A reset drops every entry and the total, and re-dimensions.
+        st.reset(2);
+        assert_eq!(st.diagonal_total(), 0.0);
+        let mut csr = CsrMatrix::default();
+        csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
+        assert_eq!((csr.dim(), csr.nnz()), (2, 0));
+    }
+
+    #[test]
+    fn staging_builds_the_mirrored_matrix() {
+        let mut st = SymmetricStaging::default();
+        st.reset(3);
+        for i in 0..3 {
+            st.add_diagonal(i, 2.0);
+        }
+        st.add_coupling(0, 1, -1.0);
+        st.add_coupling(2, 1, -1.0);
+        let mut csr = CsrMatrix::default();
+        csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
+        assert_eq!(csr, example());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid")]
+    fn staging_rejects_a_diagonal_coupling() {
+        let mut st = SymmetricStaging::default();
+        st.reset(2);
+        st.add_coupling(1, 1, 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The staging build equals `CooMatrix::into_csr` of the same
+        /// entries mirrored by hand: duplicates, exact cancellation to 0
+        /// (dropped) and untouched (empty) rows included. Values are small
+        /// dyadic rationals, so every sum is exact in any order and the
+        /// matrices must compare equal bit for bit.
+        #[test]
+        fn prop_staging_matches_coo(seed in 0u64..10_000) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(1..14usize);
+            // Only the first `touched` rows get entries; the rest stay empty.
+            let touched = rng.gen_range(1..=n);
+            let mut st = SymmetricStaging::default();
+            st.reset(n);
+            let mut coo = CooMatrix::new(n);
+            let mut total = 0.0;
+            for _ in 0..rng.gen_range(0..40usize) {
+                let i = rng.gen_range(0..touched);
+                let v = f64::from(rng.gen_range(-8i32..8)) / 4.0;
+                if touched == 1 || rng.gen_range(0..10u32) < 4 {
+                    st.add_diagonal(i, v);
+                    coo.push(i, i, v);
+                    total += v;
+                    continue;
+                }
+                let mut j = rng.gen_range(0..touched - 1);
+                if j >= i {
+                    j += 1;
+                }
+                st.add_coupling(i, j, v);
+                coo.push_sym(i, j, v);
+                if rng.gen_range(0..10u32) < 3 {
+                    // The same pair cancelled exactly, in either orientation.
+                    st.add_coupling(j, i, -v);
+                    coo.push_sym(j, i, -v);
+                }
+            }
+            let mut csr = CsrMatrix::default();
+            csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
+            let reference = coo.into_csr();
+            prop_assert_eq!(&csr, &reference);
+            prop_assert_eq!(st.diagonal_total(), total);
+            for r in touched..n {
+                prop_assert_eq!(csr.row(r).count(), 0);
+            }
+        }
     }
 
     #[test]

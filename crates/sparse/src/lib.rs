@@ -5,8 +5,9 @@
 //! definite as soon as at least one cell connects (transitively) to a fixed
 //! location. This crate provides exactly the machinery the paper names in
 //! section 4.1: a sparse matrix ([`CsrMatrix`], assembled via
-//! [`CooMatrix`]) and a **conjugate gradient solver with preconditioning**
-//! ([`solve`] with [`Preconditioner`] implementations).
+//! [`CooMatrix`] or, for symmetric systems, [`SymmetricStaging`]) and a
+//! **conjugate gradient solver with preconditioning** ([`solve`] with
+//! [`Preconditioner`] implementations).
 //!
 //! Implemented from scratch — no external linear-algebra dependencies —
 //! because the solver *is* part of the system being reproduced.
@@ -40,5 +41,5 @@ mod precond;
 pub mod vecops;
 
 pub use cg::{solve, solve_with, try_solve_with, CgOptions, CgResult, CgStats, CgWorkspace, SolverError};
-pub use csr::{CooMatrix, CsrBuildScratch, CsrMatrix};
+pub use csr::{CooMatrix, CsrBuildScratch, CsrMatrix, SymmetricStaging};
 pub use precond::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner};

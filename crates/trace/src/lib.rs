@@ -87,7 +87,8 @@ pub use report::{
     ITERATION_EVENT, UTILIZATION_EVENT, WATCHDOG_EVENT,
 };
 pub use sink::{
-    counter, emit, enabled, event, gauge, install, install_scoped, uninstall, CollectorSink,
+    counter, current_scoped, emit, enabled, event, gauge, install, install_scoped, uninstall,
+    CollectorSink,
     FanoutSink, JsonlEventSink, ScopedSinkGuard, TraceSink,
 };
 pub use snapshot::{

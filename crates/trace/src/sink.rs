@@ -91,6 +91,19 @@ pub fn install_scoped(sink: Arc<dyn TraceSink>) -> ScopedSinkGuard {
     ScopedSinkGuard { previous, _thread_bound: PhantomData }
 }
 
+/// This thread's scoped sink, if one is installed.
+///
+/// Work that one job hands to another thread passes this to
+/// [`install_scoped`] there, so the job's events still reach the job's
+/// sink.
+#[must_use]
+pub fn current_scoped() -> Option<Arc<dyn TraceSink>> {
+    if SCOPED_ACTIVE.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    SCOPED.with(|slot| slot.borrow().clone())
+}
+
 /// Installs `sink` as the global sink, replacing any previous one.
 ///
 /// # Panics

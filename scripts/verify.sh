@@ -10,9 +10,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 # The data-parallel runtime must be bitwise deterministic: the suite has
-# to pass pinned to one worker and at the machine's natural width.
-KRAFTWERK_THREADS=1 cargo test -q
-cargo test -q
+# to pass pinned to one worker and at the machine's natural width. A bare
+# `cargo test` at the root tests only the root package, so both runs name
+# the whole workspace: the crates' own unit suites (sparse, par, field,
+# core, ...) run here too.
+KRAFTWERK_THREADS=1 cargo test -q --workspace
+cargo test -q --workspace
 # The whole suite must also hold with the spectral Poisson backend forced
 # through the KRAFTWERK_POISSON override — the backends are drop-in
 # replacements, not separately-tested islands.
@@ -97,10 +100,16 @@ trace = json.load(open(f"{d}/trace.json"))
 events = trace["traceEvents"]
 assert events and all("ph" in e and "name" in e for e in events), "malformed trace events"
 spans = {e["name"] for e in events if e["ph"] == "X"}
-# The alloc bracket wraps the X/Y join as one phase (`place.solve_xy`);
-# the timed span tree records the two overlapped solves individually.
-if {"place.solve_x", "place.solve_y"} <= spans:
-    spans.add("place.solve_xy")
+# Each alloc bracket wraps a join as one phase: the field solve beside
+# the system assembly (`place.field_assembly`) and the X/Y solves
+# (`place.solve_xy`); the timed span tree records the overlapped
+# branches individually.
+for bracket, branches in {
+    "place.field_assembly": {"place.field_solve", "place.force_assembly"},
+    "place.solve_xy": {"place.solve_x", "place.solve_y"},
+}.items():
+    if branches <= spans:
+        spans.add(bracket)
 missing = set(alloc) - spans
 assert not missing, f"report phases absent from perfetto span tree: {missing}"
 assert any(e["ph"] == "C" for e in events), "no counter tracks in perfetto export"

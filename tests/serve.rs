@@ -742,6 +742,21 @@ fn placement_is_bitwise_deterministic_with_metrics_enabled() {
         hpwls.push(out.hpwl.to_bits());
         handle.shutdown();
         join.join().expect("no panic").expect("clean run");
+        // From two threads up, joined phases may run on pool workers; the
+        // job's report must still carry every one of them.
+        let report = std::fs::read_to_string(report_dir.join("det-job.jsonl")).expect("job report");
+        let iterations: Vec<Json> = report
+            .lines()
+            .filter_map(|line| kraftwerk::trace::json::parse(line).ok())
+            .filter(|r| r.get("type").is_none() && r.get("iteration").is_some())
+            .collect();
+        assert!(!iterations.is_empty(), "{threads} threads: no iteration records");
+        for record in &iterations {
+            let phases = record.get("phases").expect("phases");
+            for phase in ["place.field_solve", "place.force_assembly", "place.solve_x", "place.solve_y"] {
+                assert!(phases.get(phase).is_some(), "{threads} threads: {phase} missing from the report");
+            }
+        }
         let _ = std::fs::remove_dir_all(&report_dir);
     }
     kraftwerk::par::set_threads(0);

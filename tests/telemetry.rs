@@ -59,21 +59,43 @@ fn one_record_per_transformation_with_increasing_iterations() {
             !record.phases.is_empty(),
             "each transformation should report phase timings"
         );
-        // The `place.*` phases are disjoint sub-spans of the
-        // transformation, so their total cannot exceed the recorded wall
-        // time by more than noise. (Nested solver spans like
+        // The `place.*` phases are sub-spans of the transformation. Two
+        // pairs run as the branches of a join and may overlap in time,
+        // so each pair counts once, at its longer branch; everything else
+        // is sequential. The total then cannot exceed the recorded wall
+        // time by more than clock noise. (Nested solver spans like
         // `multigrid.solve` overlap `place.field_solve` and would double
         // count, so they are excluded from the sum.)
+        const OVERLAPPED: [(&str, &str); 2] = [
+            ("place.field_solve", "place.force_assembly"),
+            ("place.solve_x", "place.solve_y"),
+        ];
         let wall = record.get("wall_s").and_then(Value::as_f64).unwrap();
-        let top_level: f64 = record
+        let phase = |name: &str| {
+            record
+                .phases
+                .iter()
+                .filter(|(n, _)| n.as_str() == name)
+                .map(|(_, s)| s)
+                .sum::<f64>()
+        };
+        let sequential: f64 = record
             .phases
             .iter()
-            .filter(|(name, _)| name.starts_with("place."))
+            .filter(|(name, _)| {
+                name.starts_with("place.")
+                    && !OVERLAPPED.iter().any(|&(a, b)| name.as_str() == a || name.as_str() == b)
+            })
             .map(|(_, s)| s)
             .sum();
+        let joined: f64 = OVERLAPPED.iter().map(|&(a, b)| phase(a).max(phase(b))).sum();
+        for (a, b) in OVERLAPPED {
+            assert!(phase(a) > 0.0 && phase(b) > 0.0, "{a} / {b} missing: {:?}", record.phases);
+        }
+        let top_level = sequential + joined;
         assert!(
-            top_level <= wall * 1.5 + 1e-3,
-            "disjoint place.* phases ({top_level:.6}s) exceed wall time ({wall:.6}s)"
+            top_level <= wall * 1.02 + 1e-4,
+            "place.* phases ({top_level:.6}s, overlapped pairs once) exceed wall time ({wall:.6}s)"
         );
     }
 }
