@@ -19,7 +19,7 @@
 
 use kraftwerk_bench::run_kraftwerk;
 use kraftwerk_congestion::{congestion_map, demand_for_session, peak, routing_demand_map, thermal_map, total_overflow};
-use kraftwerk_core::{FieldSolverKind, KraftwerkConfig, NetModel, PlacementSession};
+use kraftwerk_core::{KraftwerkConfig, NetModel, PlacementSession};
 use kraftwerk_field::{density_map, DirectSolver, FieldSolver, MultigridSolver};
 use kraftwerk_netlist::synth::{generate, SynthConfig};
 use kraftwerk_netlist::metrics;
@@ -190,10 +190,6 @@ fn models() {
                 linearization: false,
                 ..KraftwerkConfig::standard()
             },
-        ),
-        (
-            "hybrid + direct field",
-            KraftwerkConfig::standard().with_field_solver(FieldSolverKind::Direct),
         ),
     ];
     for (label, cfg) in variants {

@@ -9,6 +9,8 @@
 //!   deterministic for a given circuit/config at any thread count, so any
 //!   drift beyond the tolerance is a real quality regression (or a real
 //!   improvement worth re-baselining).
+//! * **Legality** — hard signal. A rerun whose legalized placement fails
+//!   the legality check fails the gate whatever its wire length.
 //! * **Wall clock** — soft signal. Timing depends on the host, so the
 //!   verdict reports it but [`CompareReport::passed`] ignores it; CI
 //!   wrappers treat it as warn-only.
@@ -16,8 +18,8 @@
 //! The verdict serializes through [`CompareReport::to_json`] so scripts
 //! (`scripts/bench_gate.sh`) can consume it without scraping the table.
 
-use crate::{run_kraftwerk, run_kraftwerk_multilevel, table1_circuits};
-use kraftwerk_core::{FieldSolverKind, KraftwerkConfig, MultilevelConfig};
+use crate::{config_for_mode, run_kraftwerk, run_kraftwerk_multilevel, table1_circuits};
+use kraftwerk_core::MultilevelConfig;
 use kraftwerk_netlist::synth::{generate, mcnc, scale};
 use kraftwerk_trace::json::{self, Json, JsonObject};
 
@@ -48,7 +50,7 @@ impl Default for CompareConfig {
 pub struct BaselineRun {
     /// Circuit name.
     pub netlist: String,
-    /// Config label (`"standard"` or `"fast"`).
+    /// Mode label (one of [`crate::MODES`]).
     pub mode: String,
     /// Movable cell count recorded in the baseline.
     pub cells: usize,
@@ -77,6 +79,8 @@ pub struct Delta {
     pub hpwl_regressed: bool,
     /// `true` when the wall-clock drift exceeds the soft tolerance.
     pub wall_regressed: bool,
+    /// Whether the fresh legalized placement passed the legality check.
+    pub legal: bool,
 }
 
 impl Delta {
@@ -122,11 +126,11 @@ fn relative_delta(baseline: f64, current: f64) -> f64 {
 }
 
 impl CompareReport {
-    /// `true` when no HPWL comparison exceeded the hard tolerance.
-    /// Wall-clock drift never fails the gate.
+    /// `true` when no rerun exceeded the hard HPWL tolerance and every
+    /// rerun placement is legal. Wall-clock drift never fails the gate.
     #[must_use]
     pub fn passed(&self) -> bool {
-        !self.deltas.iter().any(|d| d.hpwl_regressed)
+        !self.deltas.iter().any(|d| d.hpwl_regressed || !d.legal)
     }
 
     /// Number of soft wall-clock warnings.
@@ -170,6 +174,10 @@ impl CompareReport {
             "hpwl_failures",
             self.deltas.iter().filter(|d| d.hpwl_regressed).count() as u64,
         );
+        o.u64_field(
+            "legality_failures",
+            self.deltas.iter().filter(|d| !d.legal).count() as u64,
+        );
         o.u64_field("wall_warnings", self.wall_warnings() as u64);
         let mut warnings = String::from("[");
         for (i, w) in self.warnings().iter().enumerate() {
@@ -196,6 +204,7 @@ impl CompareReport {
             e.f64_field("wall_delta", d.wall_delta());
             e.bool_field("hpwl_regressed", d.hpwl_regressed);
             e.bool_field("wall_regressed", d.wall_regressed);
+            e.bool_field("legal", d.legal);
             items.push_str(&e.finish());
         }
         items.push(']');
@@ -224,6 +233,8 @@ impl CompareReport {
         for d in &self.deltas {
             let status = if !d.hpwl_delta().is_finite() {
                 "FAIL (corrupt baseline)"
+            } else if !d.legal {
+                "FAIL (illegal)"
             } else if d.hpwl_regressed {
                 "FAIL (hpwl)"
             } else if d.wall_regressed {
@@ -285,41 +296,11 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineRun>, String> {
     Ok(out)
 }
 
-/// The config a baseline `mode` label maps to; `None` for labels this
-/// gate cannot reproduce.
-fn config_for_mode(mode: &str) -> Option<KraftwerkConfig> {
-    match mode {
-        "standard" => Some(KraftwerkConfig::standard()),
-        "fast" => Some(KraftwerkConfig::fast()),
-        "spectral" => {
-            Some(KraftwerkConfig::standard().with_field_solver(FieldSolverKind::Spectral))
-        }
-        _ => None,
-    }
-}
-
-/// The config a `multilevel-*` scale-tier mode label maps to; `None`
-/// for multilevel labels this gate cannot reproduce. All tiers run the
-/// fast preset — the modes differ only in the Poisson backend, so their
-/// baseline rows gate the backend inside the multilevel flow.
-fn multilevel_config_for_mode(mode: &str) -> Option<KraftwerkConfig> {
-    match mode {
-        "multilevel-b2b" => Some(KraftwerkConfig::fast()),
-        "multilevel-spectral" => {
-            Some(KraftwerkConfig::fast().with_field_solver(FieldSolverKind::Spectral))
-        }
-        "multilevel-hybrid" => {
-            Some(KraftwerkConfig::fast().with_field_solver(FieldSolverKind::Hybrid))
-        }
-        _ => None,
-    }
-}
-
 /// Reruns the comparable subset of `baseline` and diffs it.
 ///
-/// Circuits outside the Table 1 preset list are skipped (never panics on
-/// an unknown name), as are circuits above `config.max_cells` and modes
-/// without a reproducible config.
+/// Rows whose mode has no config (see [`config_for_mode`]) are skipped,
+/// as are circuits that are not Table 1 presets or scale tiers (never
+/// panics on an unknown name) and circuits above `config.max_cells`.
 #[must_use]
 pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareReport {
     let eligible = table1_circuits(config.max_cells);
@@ -328,21 +309,21 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
         wall_tolerance: config.wall_tolerance,
         ..CompareReport::default()
     };
-    // Regenerate each circuit once even when both modes reference it.
+    // Regenerate each circuit once even when several modes reference it.
     let mut cache: Vec<(String, kraftwerk_netlist::Netlist)> = Vec::new();
     for run in baseline {
         let tag = format!("{}/{}", run.netlist, run.mode);
+        let Some(kw_config) = config_for_mode(&run.mode) else {
+            report
+                .skipped
+                .push(format!("{tag}: mode `{}` is not reproducible", run.mode));
+            continue;
+        };
         // Scale-tier rows run the multilevel + bound-to-bound flow with
-        // the same config `kraftwerk bench --json` measures them with
-        // (fast preset, Poisson backend per mode label), so their HPWL
-        // is reproducible and the gate enforces it like any Table 1 row.
+        // the same config `kraftwerk bench --json` measures them with, so
+        // their HPWL is reproducible and the gate enforces it like any
+        // Table 1 row.
         if run.mode.starts_with("multilevel-") {
-            let Some(ml_config) = multilevel_config_for_mode(&run.mode) else {
-                report
-                    .skipped
-                    .push(format!("{tag}: mode `{}` is not reproducible", run.mode));
-                continue;
-            };
             let Some(tier) = scale::TIERS.iter().find(|t| t.name == run.netlist) else {
                 report.skipped.push(format!("{tag}: not a scale tier"));
                 continue;
@@ -360,7 +341,7 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
             else {
                 continue;
             };
-            let fresh = run_kraftwerk_multilevel(netlist, ml_config, &MultilevelConfig::default());
+            let fresh = run_kraftwerk_multilevel(netlist, kw_config, &MultilevelConfig::default());
             push_delta(&mut report, run, &fresh, config);
             continue;
         }
@@ -372,12 +353,6 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
             report
                 .skipped
                 .push(format!("{tag}: above --max-cells {}", config.max_cells));
-            continue;
-        };
-        let Some(kw_config) = config_for_mode(&run.mode) else {
-            report
-                .skipped
-                .push(format!("{tag}: mode `{}` is not reproducible", run.mode));
             continue;
         };
         if !cache.iter().any(|(name, _)| name == run.netlist.as_str()) {
@@ -416,13 +391,15 @@ fn push_delta(
         // a silent pass.
         hpwl_regressed: !hpwl_delta.is_finite() || hpwl_delta > config.hpwl_tolerance,
         wall_regressed: !wall_delta.is_finite() || wall_delta > config.wall_tolerance,
+        legal: fresh.legal,
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_json, run_kraftwerk_recorded};
+    use crate::{bench_json, run_kraftwerk_recorded, FlowResult, MODES};
+    use kraftwerk_core::KraftwerkConfig;
 
     #[test]
     fn baseline_round_trips_through_bench_json() {
@@ -529,6 +506,7 @@ mod tests {
                 current_wall_s: 1.5,
                 hpwl_regressed: false,
                 wall_regressed: true,
+                legal: true,
             }],
             skipped: vec!["weird/\"mode\": not a Table 1 circuit".to_string()],
             hpwl_tolerance: 0.02,
@@ -572,14 +550,50 @@ mod tests {
     }
 
     #[test]
-    fn spectral_mode_is_reproducible_by_the_gate() {
-        let cfg = config_for_mode("spectral").expect("spectral maps to a config");
-        assert_eq!(cfg.field_solver, FieldSolverKind::Spectral);
-        // Everything else matches standard mode: only the Poisson
-        // backend differs, so spectral baseline rows gate the backend.
-        let standard = KraftwerkConfig::standard();
-        assert_eq!(cfg.k, standard.k);
-        assert_eq!(cfg.max_transformations, standard.max_transformations);
+    fn every_bench_mode_is_reproducible_by_the_gate() {
+        for mode in MODES {
+            assert!(config_for_mode(mode).is_some(), "{mode} has no config");
+        }
+        assert_eq!(config_for_mode("standard"), Some(KraftwerkConfig::standard()));
+        assert_eq!(config_for_mode("multilevel-b2b"), Some(KraftwerkConfig::fast()));
+        // Labels of retired modes are skipped by the gate, not rerun.
+        assert_eq!(config_for_mode("spectral"), None);
+    }
+
+    #[test]
+    fn an_illegal_rerun_fails_the_gate_even_within_the_hpwl_tolerance() {
+        let netlist = mcnc::by_name("fract");
+        let baseline = BaselineRun {
+            netlist: "fract".to_string(),
+            mode: "fast".to_string(),
+            cells: 125,
+            wall_s: 1.0,
+            hpwl_m: 1.0,
+        };
+        let fresh = |legal| FlowResult {
+            placement: netlist.initial_placement(),
+            wirelength_m: 1.0,
+            seconds: 1.0,
+            legal,
+        };
+        let mut report = CompareReport::default();
+        push_delta(&mut report, &baseline, &fresh(true), &CompareConfig::default());
+        assert!(report.passed());
+        push_delta(&mut report, &baseline, &fresh(false), &CompareConfig::default());
+        assert!(!report.passed(), "an illegal placement must fail the gate");
+        assert!(!report.deltas[1].hpwl_regressed, "the wire length itself is unchanged");
+        assert!(report.summary_table().contains("FAIL (illegal)"));
+        let verdict = kraftwerk_trace::json::parse(&report.to_json()).expect("verdict JSON");
+        assert_eq!(
+            verdict.get("verdict").and_then(kraftwerk_trace::json::Json::as_str),
+            Some("fail")
+        );
+        assert_eq!(
+            verdict
+                .get("legality_failures")
+                .and_then(kraftwerk_trace::json::Json::as_f64),
+            Some(1.0)
+        );
     }
 
     #[test]
@@ -643,18 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn spectral_and_hybrid_scale_modes_are_reproducible_by_the_gate() {
-        let spectral =
-            multilevel_config_for_mode("multilevel-spectral").expect("spectral tier mode maps");
-        assert_eq!(spectral.field_solver, FieldSolverKind::Spectral);
-        let hybrid =
-            multilevel_config_for_mode("multilevel-hybrid").expect("hybrid tier mode maps");
-        assert_eq!(hybrid.field_solver, FieldSolverKind::Hybrid);
-        // Everything else matches the plain tier flow: only the Poisson
-        // backend differs, so these rows gate the backend at scale.
-        let b2b = multilevel_config_for_mode("multilevel-b2b").expect("b2b maps");
-        assert_eq!(spectral.k, b2b.k);
-        assert_eq!(hybrid.max_transformations, b2b.max_transformations);
+    fn unknown_multilevel_modes_are_skipped_not_fatal() {
         // An unknown multilevel label is skipped, not fatal, and never
         // falls through to the Table 1 branch.
         let baseline = vec![BaselineRun {

@@ -419,6 +419,26 @@ pub fn read_csv(name: &str) -> Option<Vec<Vec<String>>> {
     )
 }
 
+/// Every `kraftwerk bench` mode label, in measurement order. A
+/// `multilevel-` label runs the multilevel flow on the scale tiers; the
+/// others run the flat flow on the Table 1 circuits.
+pub const MODES: [&str; 3] = ["standard", "fast", "multilevel-b2b"];
+
+/// The placer config a bench mode label runs, or `None` for a label no
+/// flow reproduces. Both `kraftwerk bench --json` (measuring) and
+/// [`compare::run_compare`] (gating) build their configs here, so a
+/// committed row is always rerun with the config that produced it.
+#[must_use]
+pub fn config_for_mode(mode: &str) -> Option<KraftwerkConfig> {
+    match mode {
+        "standard" => Some(KraftwerkConfig::standard()),
+        // The multilevel flow runs the fast preset; its default
+        // `MultilevelConfig` selects the bound-to-bound net model.
+        "fast" | "multilevel-b2b" => Some(KraftwerkConfig::fast()),
+        _ => None,
+    }
+}
+
 /// The circuits used for a run: all of Table 1, or the subset below
 /// `max_cells` when quick mode is requested.
 #[must_use]

@@ -8,9 +8,7 @@
 
 use crate::config::PrecondKind;
 use crate::quadratic::{Assembled, AssemblyScratch};
-use kraftwerk_field::{
-    DensityScratch, ForceField, HybridWorkspace, MultigridWorkspace, ScalarMap, SpectralWorkspace,
-};
+use kraftwerk_field::{DensityScratch, ForceField, MultigridWorkspace, ScalarMap};
 use kraftwerk_geom::Vector;
 use kraftwerk_sparse::{
     CgWorkspace, CsrMatrix, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
@@ -131,11 +129,7 @@ pub struct ScratchArena {
     pub(crate) density_scratch: DensityScratch,
     /// Multigrid Poisson-solve grids.
     pub(crate) mg: MultigridWorkspace,
-    /// Spectral Poisson-solve buffers (FFT plan + transform scratch).
-    pub(crate) spectral: SpectralWorkspace,
-    /// Hybrid Poisson-solve buffers (coarse DST seed + V-cycle grids).
-    pub(crate) hybrid: HybridWorkspace,
-    /// The force field written by the in-place Poisson solves.
+    /// The force field written by the in-place Poisson solve.
     pub(crate) field: Option<ForceField>,
 }
 

@@ -36,73 +36,6 @@ impl Default for NetModel {
     }
 }
 
-/// Which Poisson solver computes the force field.
-///
-/// The fallback ladder runs `Spectral/Hybrid → Multigrid → Direct`: the
-/// watchdog demotes one rung at a time when a run keeps tripping, and
-/// every rung solves the same discrete system (the spectral, hybrid and
-/// multigrid backends share their solve grid, charge deposit and force
-/// sampling), so a demotion never introduces a force discontinuity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FieldSolverKind {
-    /// Geometric multigrid (fast; the production default).
-    #[default]
-    Multigrid,
-    /// Exact superposition of equation (9) (`O(bins²)`; the reference,
-    /// for validation and small designs).
-    Direct,
-    /// Iteration-free DST/FFT solve of the multigrid backend's discrete
-    /// system (`O(m² log m)`, no convergence tolerance; the fastest path
-    /// on large grids).
-    Spectral,
-    /// Multigrid V-cycles seeded by a half-resolution spectral solve
-    /// (FMG-style): the spectral seed captures the low-frequency
-    /// potential for free, cutting cycles versus a cold start.
-    Hybrid,
-}
-
-/// The ISSUE/CLI name for the force-field backend choice: selectable as
-/// `--poisson <direct|multigrid|spectral|hybrid>` or the `KRAFTWERK_POISSON`
-/// environment variable.
-pub type PoissonBackend = FieldSolverKind;
-
-impl FieldSolverKind {
-    /// Parses a backend name as used by the CLI and the
-    /// `KRAFTWERK_POISSON` environment variable.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "multigrid" => Some(Self::Multigrid),
-            "direct" => Some(Self::Direct),
-            "spectral" => Some(Self::Spectral),
-            "hybrid" => Some(Self::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// The backend's CLI/telemetry name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Multigrid => "multigrid",
-            Self::Direct => "direct",
-            Self::Spectral => "spectral",
-            Self::Hybrid => "hybrid",
-        }
-    }
-
-    /// Default backend: `KRAFTWERK_POISSON` when set to a valid name,
-    /// multigrid otherwise. Explicit config or `--poisson` flags override
-    /// the environment.
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var("KRAFTWERK_POISSON")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-}
-
 /// Which preconditioner the per-transformation conjugate-gradient solves
 /// use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,10 +55,9 @@ pub enum PrecondKind {
 ///
 /// The watchdog inspects every placement transformation. When a check
 /// trips it rolls the session back to the best-so-far checkpoint, damps
-/// the force step, escalates down the solver fallback ladder
-/// (SSOR → Jacobi preconditioning, multigrid → direct field solve) and
-/// retries, up to [`max_recoveries`](Self::max_recoveries) times before
-/// the run gives up with the checkpointed result.
+/// the force step, demotes SSOR preconditioning to Jacobi on deeper
+/// recoveries and retries, up to [`max_recoveries`](Self::max_recoveries)
+/// times before the run gives up with the checkpointed result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogConfig {
     /// Master switch. Disabled, transformations run unguarded (the
@@ -236,8 +168,6 @@ pub struct KraftwerkConfig {
     /// Conjugate-gradient controls for the two linear solves per
     /// transformation.
     pub cg: CgOptions,
-    /// Force-field solver choice.
-    pub field_solver: FieldSolverKind,
     /// Stopping criterion factor: stop when no empty square larger than
     /// this multiple of the average cell area remains (paper: 4.0).
     pub stop_empty_square_factor: f64,
@@ -294,7 +224,6 @@ impl KraftwerkConfig {
                 rel_tolerance: 1e-6,
                 abs_tolerance: 1e-12,
             },
-            field_solver: FieldSolverKind::from_env(),
             relaxation: 0.05,
             stop_empty_square_factor: 4.0,
             stall_window: 16,
@@ -340,13 +269,6 @@ impl KraftwerkConfig {
     #[must_use]
     pub fn with_net_model(mut self, net_model: NetModel) -> Self {
         self.net_model = net_model;
-        self
-    }
-
-    /// Overrides the field solver (builder style).
-    #[must_use]
-    pub fn with_field_solver(mut self, field_solver: FieldSolverKind) -> Self {
-        self.field_solver = field_solver;
         self
     }
 
@@ -407,11 +329,9 @@ mod tests {
     fn builder_overrides() {
         let c = KraftwerkConfig::standard()
             .with_k(0.5)
-            .with_net_model(NetModel::Star)
-            .with_field_solver(FieldSolverKind::Direct);
+            .with_net_model(NetModel::Star);
         assert_eq!(c.k, 0.5);
         assert_eq!(c.net_model, NetModel::Star);
-        assert_eq!(c.field_solver, FieldSolverKind::Direct);
     }
 
     #[test]
@@ -440,22 +360,5 @@ mod tests {
     #[test]
     fn default_net_model_is_hybrid() {
         assert_eq!(NetModel::default(), NetModel::Hybrid { clique_threshold: 30 });
-    }
-
-    #[test]
-    fn poisson_backend_names_round_trip() {
-        for kind in [
-            FieldSolverKind::Multigrid,
-            FieldSolverKind::Direct,
-            FieldSolverKind::Spectral,
-            FieldSolverKind::Hybrid,
-        ] {
-            assert_eq!(FieldSolverKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(FieldSolverKind::parse(" Spectral "), Some(FieldSolverKind::Spectral));
-        assert_eq!(FieldSolverKind::parse("fft"), None);
-        // The alias is the same type, so configs built either way agree.
-        let via_alias: PoissonBackend = PoissonBackend::Spectral;
-        assert_eq!(via_alias, FieldSolverKind::Spectral);
     }
 }

@@ -8,9 +8,10 @@
 //! 2. additional forces `e` extend the equilibrium condition to
 //!    `C p + d + e = 0` (section 2.2);
 //! 3. each *placement transformation* (section 4.1) derives new forces
-//!    from the density deviation of the current placement via a Poisson
-//!    solve (the [`kraftwerk_field`] crate), scales them so the strongest
-//!    force equals that of a net of length `K·(W+H)`, **accumulates** them
+//!    from the density deviation of the current placement via a
+//!    multigrid Poisson solve (the [`kraftwerk_field`] crate), scales
+//!    them so the strongest force equals that of a net of length
+//!    `K·(W+H)`, **accumulates** them
 //!    into `e`, and re-solves the linear system with preconditioned
 //!    conjugate gradients and GORDIAN-L net-weight linearization;
 //! 4. iteration stops when no empty square larger than four times the
@@ -48,9 +49,7 @@ mod multilevel;
 mod quadratic;
 mod session;
 
-pub use config::{
-    FieldSolverKind, KraftwerkConfig, NetModel, PoissonBackend, PrecondKind, WatchdogConfig,
-};
+pub use config::{KraftwerkConfig, NetModel, PrecondKind, WatchdogConfig};
 pub use arena::ScratchArena;
 pub use error::KraftwerkError;
 pub use multilevel::{

@@ -2,12 +2,11 @@
 //! accumulated additional forces.
 
 use crate::arena::ScratchArena;
-use crate::config::{FieldSolverKind, KraftwerkConfig, PrecondKind};
+use crate::config::{KraftwerkConfig, PrecondKind};
 use crate::error::KraftwerkError;
 use crate::quadratic::QuadraticSystem;
 use kraftwerk_field::{
-    density_map_into, largest_empty_square, DirectSolver, FieldSolver, ForceField,
-    MultigridSolver, ScalarMap, SpectralSolver,
+    density_map_into, largest_empty_square, ForceField, MultigridSolver, ScalarMap,
 };
 use kraftwerk_netlist::{metrics, Netlist, Placement};
 use kraftwerk_sparse::{try_solve_with, SolverError};
@@ -125,7 +124,7 @@ struct SessionHistograms {
     displacement: Histogram,
     /// Overfull (positive) density-bin deviations, per transformation.
     density_overflow: Histogram,
-    /// Peak force-field magnitude per Poisson solve (any backend).
+    /// Peak force-field magnitude per Poisson solve.
     field_magnitude: Histogram,
 }
 
@@ -546,8 +545,6 @@ impl<'a> PlacementSession<'a> {
             density: density_slot,
             density_scratch,
             mg,
-            spectral,
-            hybrid,
             field: field_slot,
         } = &mut self.arena;
 
@@ -591,7 +588,7 @@ impl<'a> PlacementSession<'a> {
         //    pool has more than one thread, inline (field first) at one.
         //    The results are identical at any thread count.
         let density: &ScalarMap = density;
-        let (iteration, field_solver) = (self.iteration, self.config.field_solver);
+        let iteration = self.iteration;
         let (system, netlist, placement) = (&self.system, self.netlist, &self.placement);
         let extra_weights = self.extra_weights.as_deref();
         let (net_model, precond) = (self.config.net_model, self.config.precond);
@@ -602,57 +599,22 @@ impl<'a> PlacementSession<'a> {
         let (field, ()) = kraftwerk_par::join(
             move || {
                 let timer = kraftwerk_trace::span("place.field_solve");
-                let slot = field_slot;
-                let field: &ForceField = match field_solver {
-                    FieldSolverKind::Multigrid => {
-                        let solver = MultigridSolver {
-                            // Force directions only need a few correct
-                            // digits; the default 1e-7 residual target
-                            // would spend V-cycles on accuracy the
-                            // displacement cap throws away.
-                            tolerance: 1e-4,
-                            ..MultigridSolver::new()
-                        };
-                        let out = slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                        solver.solve_reusing(density, mg, out);
-                        if snap_due {
-                            if let Some(phi) = solver.potential_map(density, mg) {
-                                emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
-                            }
-                        }
-                        out
-                    }
-                    FieldSolverKind::Spectral => {
-                        let solver = SpectralSolver::new();
-                        let out = slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                        solver.solve_reusing(density, spectral, out);
-                        if snap_due {
-                            if let Some(phi) = solver.potential_map(density, spectral) {
-                                emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
-                            }
-                        }
-                        out
-                    }
-                    FieldSolverKind::Hybrid => {
-                        let solver = kraftwerk_field::HybridSolver {
-                            // Same loosened residual target as the
-                            // multigrid arm.
-                            tolerance: 1e-4,
-                            ..kraftwerk_field::HybridSolver::new()
-                        };
-                        let out = slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                        solver.solve_reusing(density, hybrid, out);
-                        if snap_due {
-                            if let Some(phi) = solver.potential_map(density, hybrid) {
-                                emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
-                            }
-                        }
-                        out
-                    }
-                    FieldSolverKind::Direct => slot.insert(DirectSolver::new().solve(density)),
+                let solver = MultigridSolver {
+                    // Force directions only need a few correct digits; the
+                    // default 1e-7 residual target would spend V-cycles on
+                    // accuracy the displacement cap throws away.
+                    tolerance: 1e-4,
+                    ..MultigridSolver::new()
                 };
+                let field = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                solver.solve_reusing(density, mg, field);
+                if snap_due {
+                    if let Some(phi) = solver.potential_map(density, mg) {
+                        emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
+                    }
+                }
                 timer.finish();
-                field
+                &*field
             },
             || {
                 // The assembly's diagonal is the per-cell stiffness the
@@ -977,7 +939,7 @@ impl<'a> PlacementSession<'a> {
     /// checks the outcome for divergence (non-finite metrics, runaway
     /// displacement, HPWL explosion, CG stall streaks), and on a trip
     /// rolls back to the best-so-far checkpoint, damps the force step,
-    /// escalates down the solver fallback ladder and retries.
+    /// escalates down the recovery ladder and retries.
     ///
     /// # Errors
     ///
@@ -1134,16 +1096,15 @@ impl<'a> PlacementSession<'a> {
         self.wd.cg_streak = 0;
         // The linearized assembly depends on the placement; the cached
         // static assembly is placement-independent but cheap to rebuild,
-        // and a ladder demotion needs fresh preconditioners either way.
+        // and a preconditioner demotion needs fresh preconditioners
+        // either way.
         self.arena.invalidate_assembly();
         true
     }
 
     /// One step down the recovery ladder: always damp the force step;
-    /// deeper recoveries also demote the preconditioner (SSOR → Jacobi)
-    /// and the field solver one rung down the backend ladder
-    /// (spectral/hybrid → multigrid → direct), and a CG stall buys the
-    /// solver a larger iteration budget.
+    /// deeper recoveries also demote the preconditioner (SSOR → Jacobi),
+    /// and a CG stall buys the solver a larger iteration budget.
     fn escalate(&mut self, trip: &'static str) {
         self.wd.damping *= 0.5;
         if trip == "cg stall streak" {
@@ -1152,18 +1113,6 @@ impl<'a> PlacementSession<'a> {
         if self.wd.recoveries >= 2 && self.config.precond == PrecondKind::Ssor {
             self.config.precond = PrecondKind::Jacobi;
             kraftwerk_trace::counter("watchdog.precond_demotions", 1);
-        }
-        if self.wd.recoveries >= 3 {
-            let demoted = match self.config.field_solver {
-                FieldSolverKind::Spectral => Some(FieldSolverKind::Multigrid),
-                FieldSolverKind::Hybrid => Some(FieldSolverKind::Multigrid),
-                FieldSolverKind::Multigrid => Some(FieldSolverKind::Direct),
-                FieldSolverKind::Direct => None,
-            };
-            if let Some(next) = demoted {
-                self.config.field_solver = next;
-                kraftwerk_trace::counter("watchdog.field_demotions", 1);
-            }
         }
     }
 
@@ -1699,22 +1648,6 @@ mod tests {
             assert!(st.hpwl.is_finite() && st.hpwl > 0.0);
             assert!(st.empty_square_area >= 0.0);
             assert!(st.peak_density.is_finite());
-        }
-    }
-
-    #[test]
-    fn all_poisson_backends_spread() {
-        let nl = generate(&SynthConfig::with_size("tiny", 80, 100, 4));
-        for kind in [
-            FieldSolverKind::Multigrid,
-            FieldSolverKind::Direct,
-            FieldSolverKind::Spectral,
-            FieldSolverKind::Hybrid,
-        ] {
-            let cfg = KraftwerkConfig::standard().with_field_solver(kind);
-            let result = GlobalPlacer::new(cfg).place(&nl);
-            let overlap = metrics::overlap_ratio(&nl, &result.placement);
-            assert!(overlap < 0.8, "{kind:?}: overlap {overlap}");
         }
     }
 }

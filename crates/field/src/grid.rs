@@ -1,11 +1,9 @@
-//! Shared solve-grid geometry for the Poisson backends.
+//! Solve-grid geometry for the multigrid Poisson solver.
 //!
-//! The multigrid and spectral solvers must solve the *identical* discrete
-//! system — same padded zero-Dirichlet domain, same vertex count, same
-//! bilinear charge deposit, same force/potential sampling — so that
-//! switching the backend changes *how* the linear system is solved, never
-//! *what* is solved. This module is that single source of truth: both
-//! backends agree to ≤1e-6 relative because they share every line here.
+//! This module fixes *what* discrete system is solved: the padded
+//! zero-Dirichlet domain, its vertex count, the bilinear charge deposit
+//! and the force/potential sampling. The V-cycle in `multigrid` only
+//! decides *how* it is solved.
 
 use crate::field::ForceField;
 use crate::map::ScalarMap;
@@ -37,9 +35,9 @@ pub(crate) fn bilinear_cell(f: f64, m: usize) -> (usize, f64) {
     (i0, t)
 }
 
-/// The square solve domain shared by the Poisson backends: `m` vertices
-/// per side (`m = 2^k + 1`) with spacing `h`, spanning a padded
-/// zero-Dirichlet box centered on the density region.
+/// The square solve domain: `m` vertices per side (`m = 2^k + 1`) with
+/// spacing `h`, spanning a padded zero-Dirichlet box centered on the
+/// density region.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SolveGrid {
     /// Padded solve domain (the zero-Dirichlet box).
@@ -54,7 +52,8 @@ impl SolveGrid {
     /// Picks the solve domain and vertex count for `density`: the domain
     /// pads the density region by `padding × extent` on each side and the
     /// vertex count is the smallest power of two (+1) that resolves the
-    /// density bins (~2 vertices per bin), capped at `max_vertices`.
+    /// density bins (~2 vertices per bin), capped at `max_vertices`: the
+    /// largest `2^k + 1` that does not exceed the cap.
     ///
     /// # Panics
     ///
@@ -75,7 +74,8 @@ impl SolveGrid {
         let bins_across = density.nx().max(density.ny()) as f64;
         let want = (2.0 * bins_across * side / extent).ceil() as usize;
         let mut pow2 = 8usize;
-        while pow2 < want && pow2 + 1 < max_vertices {
+        // Double only while the doubled grid, 2·pow2 + 1, fits the cap.
+        while pow2 < want && 2 * pow2 < max_vertices {
             pow2 *= 2;
         }
         let m = pow2 + 1;
@@ -302,10 +302,22 @@ mod tests {
     }
 
     #[test]
-    fn the_minimum_cap_is_honored_exactly() {
-        // max_vertices = 9 must yield the 9-vertex grid, never exceed it.
-        let d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), 64, 64);
-        let g = SolveGrid::for_density(&d, 0.5, 9);
-        assert_eq!(g.m, 9);
+    fn the_cap_is_honored_exactly() {
+        // A density fine enough to want 1024 + 1 vertices per side: every
+        // cap must yield the largest 2^k + 1 grid that fits under it.
+        let d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), 256, 256);
+        for (cap, m) in [
+            (9, 9),
+            (10, 9),
+            (16, 9),
+            (17, 17),
+            (100, 65),
+            (1000, 513),
+            (1024, 513),
+            (1025, 1025),
+        ] {
+            let g = SolveGrid::for_density(&d, 0.5, cap);
+            assert_eq!(g.m, m, "max_vertices = {cap}");
+        }
     }
 }

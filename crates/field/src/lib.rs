@@ -15,15 +15,12 @@
 //! * [`ScalarMap`] — a bin grid over a rectangular region;
 //! * [`density_map`] — the supply/demand density `D` of equation (4),
 //!   exact rectangle-overlap binning of cell area minus the scaled supply;
-//! * [`FieldSolver`] implementations:
-//!   [`DirectSolver`] evaluates the superposition sum of equation (9)
-//!   exactly (`O(bins²)`, the reference), [`MultigridSolver`] solves
-//!   the Poisson problem with a geometric multigrid V-cycle on a padded
-//!   domain (the production default), [`SpectralSolver`] solves the
-//!   identical discrete system iteration-free with a hand-rolled
-//!   real-input DST/FFT (`O(m² log m)`, the fastest path per solve), and
-//!   [`HybridSolver`] seeds multigrid V-cycles with a half-resolution
-//!   spectral solve (FMG-style, fewer cycles than a cold start);
+//! * [`FieldSolver`] implementations: [`MultigridSolver`] solves the
+//!   Poisson problem with a geometric multigrid V-cycle on a padded
+//!   domain (the placer's only field solve), and [`DirectSolver`]
+//!   evaluates the superposition sum of equation (9) exactly
+//!   (`O(bins²)`, the reference the multigrid tests and ablation A1
+//!   measure against);
 //! * [`ForceField`] — the resulting vector field with bilinear sampling;
 //! * [`largest_empty_square`] — the paper's stopping criterion
 //!   (section 4.2: stop when no empty square larger than four times the
@@ -50,17 +47,13 @@
 mod direct;
 mod field;
 mod grid;
-mod hybrid;
 mod map;
 mod multigrid;
-mod spectral;
 
 pub use direct::DirectSolver;
 pub use field::{FieldSolver, ForceField};
-pub use hybrid::{HybridSolver, HybridWorkspace};
 pub use map::{
     density_map, density_map_into, largest_empty_square, occupancy_map, svg_heatmap,
     DensityScratch, ScalarMap,
 };
 pub use multigrid::{MultigridSolver, MultigridWorkspace};
-pub use spectral::{SpectralSolver, SpectralWorkspace};

@@ -102,7 +102,7 @@ fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
 
 /// Full-weighting restriction from a fine grid (m) to the coarse grid
 /// ((m+1)/2).
-pub(crate) fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
+fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
     let m_coarse = m_fine.div_ceil(2);
     coarse.fill(0.0);
     for jc in 1..m_coarse - 1 {
@@ -124,7 +124,7 @@ pub(crate) fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
 }
 
 /// Bilinear prolongation; adds the coarse correction into the fine grid.
-pub(crate) fn prolong_add(m_coarse: usize, coarse: &[f64], fine: &mut [f64]) {
+fn prolong_add(m_coarse: usize, coarse: &[f64], fine: &mut [f64]) {
     let m_fine = 2 * m_coarse - 1;
     for jc in 0..m_coarse {
         for ic in 0..m_coarse {
@@ -178,7 +178,7 @@ fn level_count(m: usize) -> usize {
 /// Per-depth V-cycle scratch: the residual on one level plus the
 /// restricted RHS and correction on the next-coarser one.
 #[derive(Debug, Default)]
-pub(crate) struct VcycleBufs {
+struct VcycleBufs {
     r: Vec<f64>,
     coarse_rhs: Vec<f64>,
     coarse_phi: Vec<f64>,
@@ -201,10 +201,9 @@ pub struct MultigridWorkspace {
 /// Runs V-cycles on `phi` (which may carry an initial guess) until the
 /// residual drops below `tolerance · rhs_norm` or `max_cycles` is spent.
 /// Returns whether the tolerance was met; when `residuals` is `Some`,
-/// pushes each cycle's relative residual for telemetry. Shared by the
-/// multigrid backend and the hybrid backend's refinement stage.
+/// pushes each cycle's relative residual for telemetry.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn vcycle_to_tolerance(
+fn vcycle_to_tolerance(
     m: usize,
     h: f64,
     phi: &mut [f64],
@@ -273,9 +272,8 @@ impl MultigridSolver {
         out: &mut ForceField,
     ) {
         let _timer = kraftwerk_trace::span("multigrid.solve");
-        // The solve grid, RHS deposit and force sampling are shared with
-        // the spectral backend (see `grid`): both solve the identical
-        // discrete system, so only the linear-system solve differs.
+        // The solve grid, RHS deposit and force sampling live in `grid`;
+        // this function only runs the V-cycles.
         let solve_grid = SolveGrid::for_density(density, self.padding, self.max_vertices);
         let SolveGrid { m, h, .. } = solve_grid;
 
@@ -361,7 +359,7 @@ impl FieldSolver for MultigridSolver {
 mod tests {
     use super::*;
     use crate::direct::DirectSolver;
-    use kraftwerk_geom::{Point, Rect, Vector};
+    use kraftwerk_geom::{Point, Rect};
     use rand::{Rng, SeedableRng};
 
     fn random_balanced_density(seed: u64, n: usize) -> ScalarMap {
@@ -397,32 +395,189 @@ mod tests {
         }
     }
 
+    /// A multigrid solver iterated to (near) machine precision, so the
+    /// tests below see the discrete system's exact solution.
+    fn tight() -> MultigridSolver {
+        MultigridSolver {
+            tolerance: 1e-12,
+            max_cycles: 200,
+            ..MultigridSolver::new()
+        }
+    }
+
     #[test]
-    fn agrees_with_direct_solver_in_direction_and_magnitude() {
-        let d = random_balanced_density(11, 24);
-        let mg = MultigridSolver::new().solve(&d);
-        let direct = DirectSolver::new().solve(&d);
-        // Compare over interior bins: cosine similarity of the force
-        // vectors weighted by magnitude, plus relative L2 error.
-        let mut dot_sum = 0.0;
-        let mut mg_sq = 0.0;
-        let mut di_sq = 0.0;
-        let mut err_sq = 0.0;
-        for iy in 3..21 {
-            for ix in 3..21 {
-                let c = d.bin_center(ix, iy);
-                let a = mg.force_at(c);
-                let b = direct.force_at(c);
-                dot_sum += a.dot(b);
-                mg_sq += a.norm_sq();
-                di_sq += b.norm_sq();
-                err_sq += (a - b).norm_sq();
+    fn vcycles_reach_the_exact_solution_of_discrete_eigenmodes() {
+        // sin(πai/(m−1))·sin(πbj/(m−1)) is an eigenvector of the 5-point
+        // Laplacian with zero Dirichlet boundary, eigenvalue
+        // (2cos(πa/(m−1)) + 2cos(πb/(m−1)) − 4)/h², so the discrete
+        // solution is known in closed form for low, middle and highest
+        // modes on every grid size.
+        use std::f64::consts::PI;
+        for m in [17usize, 33, 65, 129, 257] {
+            let n = m - 1;
+            let h = 1.0 / n as f64;
+            for (a, b) in [(1, 1), (1, 2), (n / 2, n / 4), (n / 2 + 1, n - 3), (n - 1, n - 1)] {
+                let mut rhs = vec![0.0; m * m];
+                for j in 1..n {
+                    for i in 1..n {
+                        rhs[idx(m, i, j)] = (PI * (a * i) as f64 / n as f64).sin()
+                            * (PI * (b * j) as f64 / n as f64).sin();
+                    }
+                }
+                let eig = 2.0 * (PI * a as f64 / n as f64).cos()
+                    + 2.0 * (PI * b as f64 / n as f64).cos()
+                    - 4.0;
+                let exact: Vec<f64> = rhs.iter().map(|r| r * h * h / eig).collect();
+                let rhs_norm = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
+                let mut phi = vec![0.0; m * m];
+                let converged = vcycle_to_tolerance(
+                    m,
+                    h,
+                    &mut phi,
+                    &rhs,
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                    rhs_norm,
+                    1e-12,
+                    200,
+                    None,
+                );
+                assert!(converged, "m = {m}, mode ({a}, {b}) did not converge");
+                let err = phi.iter().zip(&exact).map(|(p, e)| (p - e).powi(2)).sum::<f64>().sqrt();
+                let norm = exact.iter().map(|e| e * e).sum::<f64>().sqrt();
+                let rel = err / norm;
+                assert!(rel <= 1e-8, "m = {m}, mode ({a}, {b}): relative error {rel}");
             }
         }
-        let cosine = dot_sum / (mg_sq.sqrt() * di_sq.sqrt());
-        let rel_err = (err_sq / di_sq).sqrt();
-        assert!(cosine > 0.95, "cosine similarity {cosine}");
-        assert!(rel_err < 0.25, "relative error {rel_err}");
+    }
+
+    #[test]
+    fn the_field_is_linear_in_the_source() {
+        let a = random_balanced_density(31, 24);
+        let b = random_balanced_density(32, 24);
+        let mut mix = a.clone();
+        mix.scale(2.5);
+        mix.add_scaled(&b, -0.75);
+        let solver = tight();
+        let (fa, fb, got) = (solver.solve(&a), solver.solve(&b), solver.solve(&mix));
+        let worst = [(fa.fx(), fb.fx(), got.fx()), (fa.fy(), fb.fy(), got.fy())]
+            .into_iter()
+            .flat_map(|(ca, cb, cm)| ca.values().iter().zip(cb.values()).zip(cm.values()))
+            .map(|((va, vb), vm)| (2.5 * va - 0.75 * vb - vm).abs())
+            .fold(0.0, f64::max);
+        assert!(worst <= 1e-10 * got.max_magnitude(), "linearity error {worst}");
+    }
+
+    #[test]
+    fn mirroring_the_source_mirrors_the_field() {
+        let d = random_balanced_density(41, 20);
+        let n = d.nx();
+        let mut in_x = ScalarMap::zeros(d.region(), n, n);
+        let mut in_y = ScalarMap::zeros(d.region(), n, n);
+        for iy in 0..n {
+            for ix in 0..n {
+                in_x.set(n - 1 - ix, iy, d.get(ix, iy));
+                in_y.set(ix, n - 1 - iy, d.get(ix, iy));
+            }
+        }
+        let solver = tight();
+        let f = solver.solve(&d);
+        let (fx_m, fy_m) = (solver.solve(&in_x), solver.solve(&in_y));
+        let tol = 1e-12 * f.max_magnitude();
+        let mut worst = 0.0f64;
+        for iy in 0..n {
+            for ix in 0..n {
+                let (gx, gy) = (f.fx().get(ix, iy), f.fy().get(ix, iy));
+                let (mx, my) = (n - 1 - ix, n - 1 - iy);
+                worst = worst
+                    .max((fx_m.fx().get(mx, iy) + gx).abs())
+                    .max((fx_m.fy().get(mx, iy) - gy).abs())
+                    .max((fy_m.fx().get(ix, my) - gx).abs())
+                    .max((fy_m.fy().get(ix, my) + gy).abs());
+            }
+        }
+        assert!(worst <= tol, "mirror error {worst} (tolerance {tol})");
+    }
+
+    /// A zero-charge blob centered on bin `(cx, cy)` of a 32×32 map over
+    /// a 32×32 region: one bin per unit, so each bin center lands on a
+    /// solve-grid vertex and a shift by whole bins is a shift by whole
+    /// vertices.
+    fn blob_at(cx: usize, cy: usize) -> ScalarMap {
+        let mut d = ScalarMap::zeros(Rect::new(0.0, 0.0, 32.0, 32.0), 32, 32);
+        let pattern = [
+            [0.0, -0.5, -1.0, 0.0],
+            [-0.5, 3.0, 1.5, -1.0],
+            [-1.0, 2.0, 0.5, -0.5],
+            [0.0, -1.0, -0.5, -1.0],
+        ];
+        let total: f64 = pattern.iter().flatten().sum();
+        for (dy, row) in pattern.iter().enumerate() {
+            for (dx, v) in row.iter().enumerate() {
+                d.set(cx + dx - 1, cy + dy - 1, v - total / 16.0);
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn shifting_an_interior_blob_shifts_its_field() {
+        let solver = tight();
+        let base = solver.solve(&blob_at(12, 13));
+        let shifted = solver.solve(&blob_at(16, 15));
+        // Compare the 12×12 bins around the blob; the fixed Dirichlet box
+        // is the only thing that does not move with it.
+        let mut worst = 0.0f64;
+        for iy in 7..19 {
+            for ix in 6..18 {
+                worst = worst
+                    .max((shifted.fx().get(ix + 4, iy + 2) - base.fx().get(ix, iy)).abs())
+                    .max((shifted.fy().get(ix + 4, iy + 2) - base.fy().get(ix, iy)).abs());
+            }
+        }
+        assert!(worst <= 5e-4 * base.max_magnitude(), "shift error {worst}");
+    }
+
+    #[test]
+    fn agrees_with_direct_solver_in_direction_and_magnitude() {
+        // A smooth zero-charge source (a narrow Gaussian minus a wide
+        // one), on which both discretizations approach the same
+        // continuous field, and a rough random one.
+        let n = 48;
+        let mut smooth = ScalarMap::zeros(Rect::new(0.0, 0.0, 48.0, 48.0), n, n);
+        for iy in 0..n {
+            for ix in 0..n {
+                let c = smooth.bin_center(ix, iy);
+                let r2 = (c.x - 20.0).powi(2) + (c.y - 27.0).powi(2);
+                smooth.set(ix, iy, (-r2 / 18.0).exp() - 0.25 * (-r2 / 72.0).exp());
+            }
+        }
+        smooth.balance();
+        for (d, solver, interior, max_rel_err) in [
+            (smooth, MultigridSolver { padding: 2.0, ..tight() }, 8..40, 1e-2),
+            (random_balanced_density(11, 24), MultigridSolver::new(), 3..21, 0.25),
+        ] {
+            let mg = solver.solve(&d);
+            let direct = DirectSolver::new().solve(&d);
+            // Compare over interior bins: cosine similarity of the force
+            // vectors weighted by magnitude, plus relative L2 error.
+            let (mut dot_sum, mut mg_sq, mut di_sq, mut err_sq) = (0.0, 0.0, 0.0, 0.0);
+            for iy in interior.clone() {
+                for ix in interior.clone() {
+                    let c = d.bin_center(ix, iy);
+                    let a = mg.force_at(c);
+                    let b = direct.force_at(c);
+                    dot_sum += a.dot(b);
+                    mg_sq += a.norm_sq();
+                    di_sq += b.norm_sq();
+                    err_sq += (a - b).norm_sq();
+                }
+            }
+            let cosine = dot_sum / (mg_sq.sqrt() * di_sq.sqrt());
+            let rel_err = (err_sq / di_sq).sqrt();
+            assert!(cosine > 0.95, "cosine similarity {cosine}");
+            assert!(rel_err < max_rel_err, "relative error {rel_err}");
+        }
     }
 
     #[test]
@@ -526,8 +681,7 @@ mod tests {
 
     #[test]
     fn potential_map_refuses_a_different_geometry_with_the_same_vertex_count() {
-        // Same aliasing audit as the spectral workspace: the vertex count
-        // alone cannot identify the solve domain.
+        // The vertex count alone cannot identify the solve domain.
         let solver = MultigridSolver::new();
         let mut ws = MultigridWorkspace::default();
         let a = random_balanced_density(23, 16);
@@ -562,19 +716,5 @@ mod tests {
             (ws.rhs.capacity(), ws.phi.capacity(), ws.resid.capacity(), ws.depth.len())
         );
         assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn antisymmetry_around_centered_source() {
-        let mut d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), 17, 17);
-        d.set(8, 8, 1.0);
-        d.balance();
-        let f = MultigridSolver::new().solve(&d);
-        let l = f.force_at(Point::new(3.0, 5.0));
-        let r = f.force_at(Point::new(7.0, 5.0));
-        // Mirror symmetry within discretization error.
-        let tol = 0.1 * f.max_magnitude() + 1e-12;
-        assert!((l.x + r.x).abs() < tol, "{l} vs {r}");
-        let _ = Vector::ZERO;
     }
 }

@@ -92,22 +92,22 @@ pub struct PhaseCost {
     pub seconds: f64,
 }
 
-/// One retained solver-convergence record (a CG residual trajectory, a
-/// multigrid or hybrid V-cycle curve, or spectral plan/transform
-/// timings).
+/// One retained solver-convergence record (a CG residual trajectory or
+/// a multigrid V-cycle curve).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConvergenceTrace {
-    /// Solver tag: `cg`, `multigrid`, `spectral`, or `hybrid`.
+    /// Solver tag: `cg` or `multigrid`.
     pub solver: String,
     /// The placement transformation the solve ran inside.
     pub iteration: u64,
     /// Residual curve (`residual_trajectory` / `relative_residuals`),
-    /// empty for solvers that report only scalar timings.
+    /// empty when the record carries neither.
     pub curve: Vec<f64>,
-    /// Whether the solve reported convergence (absent for spectral).
+    /// Whether the solve reported convergence (absent when the record
+    /// carries no `converged` field).
     pub converged: Option<bool>,
     /// Every other numeric field of the record, in emission order
-    /// (`dim`, `iterations`, `residual`, `plan_s`, `transform_s`, …).
+    /// (`dim`, `iterations`, `residual`, `levels`, `cycles`, …).
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -664,8 +664,8 @@ mod tests {
             "{\"type\":\"convergence\",\"solver\":\"cg\",\"iteration\":1,\"dim\":128,",
             "\"iterations\":9,\"residual\":1e-8,\"converged\":true,",
             "\"residual_trajectory\":[1.0,0.5,0.01]}\n",
-            "{\"type\":\"convergence\",\"solver\":\"spectral\",\"iteration\":1,",
-            "\"plan_s\":0.001,\"transform_s\":0.002}\n",
+            "{\"type\":\"convergence\",\"solver\":\"multigrid\",\"iteration\":1,",
+            "\"levels\":5,\"cycles\":2}\n",
             "{\"type\":\"alloc\",\"phase\":\"place.field_solve\",\"samples\":3,",
             "\"allocs\":12,\"deallocs\":12,\"bytes\":4096,\"peak_bytes\":8192}\n",
             "{\"type\":\"utilization\",\"span\":\"place.solve_xy\",\"samples\":3,",
@@ -679,9 +679,10 @@ mod tests {
         assert_eq!(cg.curve, vec![1.0, 0.5, 0.01]);
         assert_eq!(cg.converged, Some(true));
         assert!(cg.metrics.iter().any(|(k, v)| k == "iterations" && *v == 9.0));
-        let spectral = &run.convergence[1];
-        assert!(spectral.curve.is_empty());
-        assert!(spectral.metrics.iter().any(|(k, v)| k == "plan_s" && *v == 0.001));
+        let multigrid = &run.convergence[1];
+        assert!(multigrid.curve.is_empty());
+        assert_eq!(multigrid.converged, None);
+        assert!(multigrid.metrics.iter().any(|(k, v)| k == "levels" && *v == 5.0));
         assert_eq!(run.convergence_of("cg").len(), 1);
         assert_eq!(run.alloc.len(), 1);
         assert_eq!(run.alloc[0].phase, "place.field_solve");

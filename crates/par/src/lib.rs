@@ -520,13 +520,12 @@ mod tests {
 
     #[test]
     fn join_with_a_nested_fan_out_beside_a_busy_branch_completes_identically() {
-        // One branch publishes a chunked fan-out (as a spectral or hybrid
-        // field solve does) while the other branch is still running (as
-        // the system assembly is): the second branch cannot finish before
-        // a chunk of the fan-out has run. The nested job replaces the
-        // join's job in the pool's single slot, so this completes only
-        // because publishers drain their own jobs. Branch 0 is claimed
-        // before branch 1, so the wait never blocks the fan-out itself.
+        // One branch publishes a chunked fan-out while the other branch is
+        // still running: the second branch cannot finish before a chunk
+        // of the fan-out has run. The nested job replaces the join's job
+        // in the pool's single slot, so this completes only because
+        // publishers drain their own jobs. Branch 0 is claimed before
+        // branch 1, so the wait never blocks the fan-out itself.
         let run = || {
             let (chunk_ran, fan_out_started) = std::sync::mpsc::channel();
             join(

@@ -31,8 +31,7 @@ pub const UTILIZATION_EVENT: &str = "par.utilization";
 
 /// Solver events retained as [`ConvergenceRecord`]s (the `".solve"`
 /// suffix is stripped into the record's `solver` tag).
-pub const CONVERGENCE_EVENTS: [&str; 4] =
-    ["cg.solve", "multigrid.solve", "spectral.solve", "hybrid.solve"];
+pub const CONVERGENCE_EVENTS: [&str; 2] = ["cg.solve", "multigrid.solve"];
 
 /// Upper bound on retained [`ConvergenceRecord`]s per run. Solver events
 /// beyond the cap still count under `events`, but their residual curves
@@ -166,13 +165,12 @@ impl TimelineEvent {
     }
 }
 
-/// One retained solver-convergence event (a CG residual trajectory, a
-/// multigrid or hybrid V-cycle residual curve, or spectral
-/// plan/transform timings), tagged with the placement transformation it
-/// ran inside.
+/// One retained solver-convergence event (a CG residual trajectory or a
+/// multigrid V-cycle residual curve), tagged with the placement
+/// transformation it ran inside.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConvergenceRecord {
-    /// Solver tag: `cg`, `multigrid`, `spectral`, or `hybrid`.
+    /// Solver tag: `cg` or `multigrid`.
     pub solver: String,
     /// The 1-based placement transformation the solve belongs to.
     pub iteration: u64,
@@ -933,14 +931,14 @@ mod tests {
         let recorder = RunRecorder::new();
         recorder.event(&TraceEvent::Event { name: "cg.solve", fields: vec![] });
         recorder.event(&iteration_event(1, 10.0));
-        recorder.event(&TraceEvent::Event { name: "spectral.solve", fields: vec![] });
+        recorder.event(&TraceEvent::Event { name: "multigrid.solve", fields: vec![] });
         recorder.event(&iteration_event(2, 9.0));
         let jsonl = recorder.report().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
         // iteration 1, its convergence record, iteration 2, its record.
         assert!(lines[1].contains("\"solver\":\"cg\""));
-        assert!(lines[3].contains("\"solver\":\"spectral\""));
+        assert!(lines[3].contains("\"solver\":\"multigrid\""));
         for line in lines {
             parse(line).expect("every line parses");
         }

@@ -4,9 +4,10 @@
 #
 # HPWL is bitwise deterministic for a given circuit/config at any thread
 # count, so any drift beyond the hard tolerance (2% by default) is a
-# real quality regression and fails the gate with a non-zero exit. Wall
-# clock depends on the host: drift is recorded in the verdict JSON but
-# is warn-only — it never fails the build.
+# real quality regression and fails the gate with a non-zero exit; so
+# does an illegal placement. Wall clock depends on the host: drift is
+# recorded in the verdict JSON but is warn-only — it never fails the
+# build.
 #
 # Environment overrides:
 #   KRAFTWERK_BIN  path to a prebuilt `kraftwerk` binary (skips cargo)
@@ -36,14 +37,14 @@ if [ -n "$MODES" ]; then
     MODE_ARGS=(--modes "$MODES")
 fi
 if ! "$KRAFTWERK" bench --compare "$BASELINE" --max-cells "$MAX_CELLS" "${MODE_ARGS[@]}" -o "$verdict" -q; then
-    echo "bench-gate: FAILED — HPWL regressed beyond tolerance against $BASELINE" >&2
+    echo "bench-gate: FAILED — HPWL regressed beyond tolerance or a placement was illegal against $BASELINE" >&2
     cat "$verdict" >&2 || true
     exit 1
 fi
 warnings=$(sed -n 's/.*"wall_warnings":\([0-9][0-9]*\).*/\1/p' "$verdict")
 warnings=${warnings:-0}
 if [ "$warnings" -eq 0 ]; then
-    echo "bench-gate: OK (hpwl within tolerance, wall clock steady)"
+    echo "bench-gate: OK (hpwl within tolerance, placements legal, wall clock steady)"
 else
     # The verdict's `warnings` array carries one human-readable string
     # per soft finding; the count summarizes it for CI logs.

@@ -16,10 +16,6 @@ cargo build --release
 # core, ...) run here too.
 KRAFTWERK_THREADS=1 cargo test -q --workspace
 cargo test -q --workspace
-# The whole suite must also hold with the spectral Poisson backend forced
-# through the KRAFTWERK_POISSON override — the backends are drop-in
-# replacements, not separately-tested islands.
-KRAFTWERK_POISSON=spectral cargo test -q
 # The adversarial corpus and watchdog-recovery suite must stay green on
 # its own too — it is the contract behind the panic audit below.
 cargo test -q --test robustness
@@ -35,7 +31,8 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 bash scripts/panic_audit.sh
 # Bench schema smoke (writes to a scratch file, never the committed
 # baseline) and the regression gate: HPWL drift beyond 2% against
-# BENCH_place.json is fatal, wall-clock drift is warn-only.
+# BENCH_place.json or an illegal placement is fatal, wall-clock drift is
+# warn-only.
 bench_smoke=$(mktemp)
 obs_dir=$(mktemp -d)
 trap 'rm -f "$bench_smoke"; rm -rf "$obs_dir"' EXIT
@@ -43,30 +40,14 @@ cargo run --release --bin kraftwerk -- bench --json --max-cells 200 -o "$bench_s
 KRAFTWERK_BIN=target/release/kraftwerk bash scripts/bench_gate.sh
 # The committed multilevel-b2b scale-tier rows (scale10k/scale50k/
 # scale250k) are enforcing too: rerun the V-cycle flow and fail on HPWL
-# drift, same 2% bar as the flat modes (HPWL is bitwise deterministic,
-# so any drift is a real change).
+# drift or an illegal placement, same 2% bar as the flat modes (HPWL is
+# bitwise deterministic, so any drift is a real change). The three tiers
+# must also place inside a wall-clock budget: measured 25–27 s for all
+# three on a 2-vCPU host, the budget allows about nine times that for
+# slow CI.
 KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-b2b MAX_CELLS=250000 \
-    bash scripts/bench_gate.sh
-# The spectral- and hybrid-backend scale-tier rows (scale10k/scale50k)
-# gate the Poisson backends inside the multilevel flow at the same 2%
-# HPWL bar — a kernel change that shifts placement quality fails here.
-KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-spectral,multilevel-hybrid MAX_CELLS=50000 \
-    bash scripts/bench_gate.sh
-
-# Large-netlist smoke: the 50k-cell scale tier must place end-to-end
-# through the multilevel + bound-to-bound flow inside a generous
-# wall-clock budget (measured ~12 s; the budget allows for slow CI).
-timeout 300 target/release/kraftwerk bench --json --modes multilevel-b2b \
-    --max-cells 50000 -o "$bench_smoke" -q \
-    || { echo "verify: 50k multilevel smoke failed or exceeded 300s" >&2; exit 1; }
-python3 - "$bench_smoke" <<'EOF'
-import json, sys
-runs = json.load(open(sys.argv[1]))["runs"]
-tiers = {r["netlist"]: r for r in runs if r["mode"] == "multilevel-b2b"}
-assert "scale50k" in tiers, f"scale50k row missing: {sorted(tiers)}"
-assert all(r["legal"] for r in tiers.values()), "multilevel smoke produced illegal placement"
-print("multilevel smoke: OK (" + ", ".join(f"{n} in {r['wall_s']:.1f}s" for n, r in sorted(tiers.items())) + ")")
-EOF
+    timeout 240 bash scripts/bench_gate.sh \
+    || { echo "verify: multilevel-b2b gate failed or exceeded 240s" >&2; exit 1; }
 
 # Observability smoke on a fract-scale run. Three contracts:
 #   1. telemetry is observation-only — the placement with every probe on

@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! kraftwerk place      <netlist> [-o placement.pl] [--fast] [--multilevel] [--svg out.svg]
-//!                                [--poisson multigrid|spectral|hybrid|direct] [--threads N]
-//!                                [--trace [run.jsonl]] [--report report.json]
-//!                                [--snapshot-every N] [--k F] [--profile]
+//!                                [--threads N] [--trace [run.jsonl]] [--report report.json]
+//!                                [--snapshot-every N] [--k F] [--force-scale F] [--profile]
 //!                                [--alloc-stats] [--perfetto trace.json] [-v|--verbose] [-q|--quiet]
 //! kraftwerk inspect    <telemetry>... [-o report.html] [--perfetto trace.json] [--service]
-//! kraftwerk bench      [--json] [--compare baseline.json] [-o out.json] [--max-cells N] [--modes a,b]
-//!                      [--hpwl-tol PCT] [--wall-tol PCT]
+//! kraftwerk bench      [--json] [--compare baseline.json] [-o out.json] [--max-cells N]
+//!                      [--modes standard,fast,multilevel-b2b] [--hpwl-tol PCT] [--wall-tol PCT]
 //! kraftwerk timing     <netlist> [--requirement NS] [-v|--verbose] [-q|--quiet]
 //! kraftwerk gen        <name> <cells> <nets> <rows> [--seed N] [--blocks N] [-o netlist.kw]
 //! kraftwerk stats      <netlist>
@@ -44,8 +43,8 @@
 //! trace-event document instead of (or alongside `-o`) the dashboard.
 //! `bench --json` measures the Table 1 subset; `bench --compare`
 //! re-measures against a committed `BENCH_place.json` baseline and exits
-//! non-zero on an HPWL regression beyond `--hpwl-tol` (default 2%);
-//! wall-clock drift beyond `--wall-tol` is warn-only.
+//! non-zero on an HPWL regression beyond `--hpwl-tol` (default 2%) or an
+//! illegal placement; wall-clock drift beyond `--wall-tol` is warn-only.
 //!
 //! `--threads N` sets the worker-thread count of the data-parallel
 //! runtime (`0` or absent: the `KRAFTWERK_THREADS` environment variable,
@@ -66,7 +65,7 @@ use kraftwerk::netlist::format::{read_netlist, read_placement, write_netlist, wr
 use kraftwerk::netlist::stats::NetlistStats;
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{metrics, CellKind, Netlist, Placement};
-use kraftwerk::placer::{FieldSolverKind, GlobalPlacer, KraftwerkConfig, KraftwerkError};
+use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig, KraftwerkError};
 use kraftwerk::timing::{meet_requirements, optimize_timing_legalized, DelayModel, Sta};
 use std::process::ExitCode;
 
@@ -120,7 +119,7 @@ impl CliError {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--poisson <multigrid|spectral|hybrid|direct>] [--threads <n>]\n                      [--trace [<jsonl>]] [--report <json>] [--profile]\n                      [--alloc-stats] [--perfetto <json>]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [--hpwl-tol <pct>] [--wall-tol <pct>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
+        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace [<jsonl>]] [--report <json>] [--profile]\n                      [--alloc-stats] [--perfetto <json>]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [--hpwl-tol <pct>] [--wall-tol <pct>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
     );
     ExitCode::from(2)
 }
@@ -297,15 +296,6 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     if let Some(k) = k_override {
         config = config.with_k(k);
     }
-    // Poisson backend: the flag beats the `KRAFTWERK_POISSON` environment
-    // override already applied by `standard()`/`fast()`.
-    if let Some(name) = flag_value(args, "--poisson")? {
-        let kind = FieldSolverKind::parse(&name)
-            .ok_or_else(|| {
-                format!("--poisson: `{name}` is not multigrid, spectral, hybrid or direct")
-            })?;
-        config = config.with_field_solver(kind);
-    }
     config.force_scale_boost = force_scale;
 
     // Heap accounting: the counting global allocator is always installed;
@@ -326,25 +316,11 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         rec.set_meta("cells", Value::from(netlist.num_movable()));
         rec.set_meta("nets", Value::from(netlist.num_nets()));
         rec.set_meta("mode", Value::from(if fast { "fast" } else { "standard" }));
-        rec.set_meta("poisson", Value::from(config.field_solver.name()));
         rec.set_meta("threads", Value::from(threads));
         rec.set_meta("k", Value::from(config.k));
-        // Config provenance: where the resolved backend and thread count
-        // came from, so two reports are comparable without the shell
-        // history that produced them.
-        rec.set_meta(
-            "poisson.source",
-            Value::from(if flag_value(args, "--poisson")?.is_some() {
-                "--poisson"
-            } else if std::env::var_os("KRAFTWERK_POISSON").is_some() {
-                "KRAFTWERK_POISSON"
-            } else {
-                "default"
-            }),
-        );
-        if let Ok(value) = std::env::var("KRAFTWERK_POISSON") {
-            rec.set_meta("env.KRAFTWERK_POISSON", Value::from(value));
-        }
+        // Config provenance: where the thread count came from, so two
+        // reports are comparable without the shell history that produced
+        // them.
         if let Ok(value) = std::env::var("KRAFTWERK_THREADS") {
             rec.set_meta("env.KRAFTWERK_THREADS", Value::from(value));
         }
@@ -648,7 +624,8 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         }
         if !report.passed() {
             return Err(format!(
-                "bench: HPWL regression beyond {:.2}% against {baseline_path}",
+                "bench: HPWL regression beyond {:.2}% or illegal placement against \
+                 {baseline_path}",
                 config.hpwl_tolerance * 100.0
             )
             .into());
@@ -672,22 +649,15 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         .map(|v| v.split(',').map(|m| m.trim().to_owned()).collect());
     let wants = |mode: &str| selected.as_ref().is_none_or(|s| s.iter().any(|m| m == mode));
     let mut runs = Vec::new();
-    let mcnc_modes: Vec<&str> = ["standard", "fast", "spectral"]
+    let (ml_modes, mcnc_modes): (Vec<&str>, Vec<&str>) = kraftwerk::bench::MODES
         .into_iter()
         .filter(|m| wants(m))
-        .collect();
+        .partition(|m| m.starts_with("multilevel-"));
     for preset in kraftwerk::bench::table1_circuits(if mcnc_modes.is_empty() { 0 } else { max_cells }) {
         let netlist = generate(&mcnc::config_for(preset));
         for &mode in &mcnc_modes {
-            // Must stay in sync with `config_for_mode` in the bench crate,
-            // which rebuilds the same configs when gating with --compare.
-            let config = match mode {
-                "fast" => KraftwerkConfig::fast(),
-                "spectral" => {
-                    KraftwerkConfig::standard().with_field_solver(FieldSolverKind::Spectral)
-                }
-                _ => KraftwerkConfig::standard(),
-            };
+            let config = kraftwerk::bench::config_for_mode(mode)
+                .ok_or("bench: mode without a config")?;
             let (_, run) = kraftwerk::bench::run_kraftwerk_recorded(&netlist, config, mode);
             console.info(format!(
                 "{} ({mode}): hpwl {:.6} m in {:.2}s over {} transformations",
@@ -699,31 +669,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     // Scaling-curve tiers (10k → 1M cells) run in the multilevel +
     // bound-to-bound flow, the documented path past ~25k cells. They only
     // enter the measurement when --max-cells is raised to reach them, so
-    // the default quick run stays quick. The spectral and hybrid Poisson
-    // backends ride the same flow on the 10k/50k tiers (the committed
-    // baseline scope); the bigger tiers stay on the plain V-cycle flow.
-    let ml_modes = ["multilevel-b2b", "multilevel-spectral", "multilevel-hybrid"];
-    for tier in scale::TIERS.iter().filter(|t| t.cells <= max_cells) {
-        let tier_modes: Vec<&str> = ml_modes
-            .into_iter()
-            .filter(|&m| wants(m) && (m == "multilevel-b2b" || tier.cells <= 50_000))
-            .collect();
-        if tier_modes.is_empty() {
-            continue;
-        }
+    // the default quick run stays quick.
+    for tier in scale::TIERS.iter().filter(|t| !ml_modes.is_empty() && t.cells <= max_cells) {
         let netlist = generate(&scale::config_for(*tier));
-        for &mode in &tier_modes {
-            // Must stay in sync with `multilevel_config_for_mode` in the
-            // bench crate, which rebuilds the same configs when gating.
-            let config = match mode {
-                "multilevel-spectral" => {
-                    KraftwerkConfig::fast().with_field_solver(FieldSolverKind::Spectral)
-                }
-                "multilevel-hybrid" => {
-                    KraftwerkConfig::fast().with_field_solver(FieldSolverKind::Hybrid)
-                }
-                _ => KraftwerkConfig::fast(),
-            };
+        for &mode in &ml_modes {
+            let config = kraftwerk::bench::config_for_mode(mode)
+                .ok_or("bench: mode without a config")?;
             let (_, run) = kraftwerk::bench::run_kraftwerk_multilevel_recorded(
                 &netlist,
                 config,

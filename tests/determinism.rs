@@ -12,7 +12,7 @@
 use kraftwerk::legalize::legalize;
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{Netlist, Placement};
-use kraftwerk::placer::{FieldSolverKind, IterationStats, KraftwerkConfig, PlacementSession};
+use kraftwerk::placer::{IterationStats, KraftwerkConfig, PlacementSession};
 
 /// Enough cells that the SpMV row loop (one row per movable cell) and the
 /// density deposit (one rect per cell) both exceed their 2048-element
@@ -39,54 +39,6 @@ fn placement_is_bitwise_identical_at_every_thread_count() {
     assert_eq!(s1, s8, "1 vs 8 threads: iteration stats differ");
     assert_eq!(p1, p2, "1 vs 2 threads: placements differ");
     assert_eq!(p1, p8, "1 vs 8 threads: placements differ");
-}
-
-fn run_solver_with_threads(
-    nl: &Netlist,
-    solver: FieldSolverKind,
-    threads: usize,
-) -> (Placement, Vec<IterationStats>) {
-    kraftwerk::par::set_threads(threads);
-    let config = KraftwerkConfig::standard().with_field_solver(solver);
-    let mut session = PlacementSession::new(nl, config);
-    let stats = (0..6).map(|_| session.transform()).collect();
-    (session.placement().clone(), stats)
-}
-
-/// The spectral Poisson backend parallelizes its transform passes one
-/// lane pair per chunk, so each lane's FFT is evaluated in full by a
-/// single worker (and the inter-pass transpose blocks are a pure
-/// function of the grid size), so the result cannot depend on how lanes
-/// land on threads.
-#[test]
-fn spectral_placement_is_bitwise_identical_at_every_thread_count() {
-    let nl = matrix_netlist();
-    let (p1, s1) = run_solver_with_threads(&nl, FieldSolverKind::Spectral, 1);
-    let (p2, s2) = run_solver_with_threads(&nl, FieldSolverKind::Spectral, 2);
-    let (p8, s8) = run_solver_with_threads(&nl, FieldSolverKind::Spectral, 8);
-    kraftwerk::par::set_threads(0);
-    assert_eq!(s1, s2, "1 vs 2 threads: spectral iteration stats differ");
-    assert_eq!(s1, s8, "1 vs 8 threads: spectral iteration stats differ");
-    assert_eq!(p1, p2, "1 vs 2 threads: spectral placements differ");
-    assert_eq!(p1, p8, "1 vs 8 threads: spectral placements differ");
-}
-
-/// The hybrid backend chains a spectral coarse solve (deterministic per
-/// the test above) into multigrid V-cycles (deterministic per the
-/// default-backend matrix), so the composition must be bitwise
-/// thread-invariant too — the restriction/prolongation glue between the
-/// two solvers chunks on grid geometry alone.
-#[test]
-fn hybrid_placement_is_bitwise_identical_at_every_thread_count() {
-    let nl = matrix_netlist();
-    let (p1, s1) = run_solver_with_threads(&nl, FieldSolverKind::Hybrid, 1);
-    let (p2, s2) = run_solver_with_threads(&nl, FieldSolverKind::Hybrid, 2);
-    let (p8, s8) = run_solver_with_threads(&nl, FieldSolverKind::Hybrid, 8);
-    kraftwerk::par::set_threads(0);
-    assert_eq!(s1, s2, "1 vs 2 threads: hybrid iteration stats differ");
-    assert_eq!(s1, s8, "1 vs 8 threads: hybrid iteration stats differ");
-    assert_eq!(p1, p2, "1 vs 2 threads: hybrid placements differ");
-    assert_eq!(p1, p8, "1 vs 8 threads: hybrid placements differ");
 }
 
 fn run_degraded_with_threads(nl: &Netlist, threads: usize) -> (Placement, Vec<IterationStats>) {

@@ -1,10 +1,7 @@
 //! Cross-crate property-based tests: invariants that must hold for *any*
 //! circuit the generator can produce, not just the benchmark presets.
 
-use kraftwerk::field::{
-    density_map, largest_empty_square, ForceField, HybridSolver, HybridWorkspace,
-    MultigridSolver, MultigridWorkspace, ScalarMap, SpectralSolver, SpectralWorkspace,
-};
+use kraftwerk::field::{density_map, largest_empty_square};
 use kraftwerk::geom::Rect;
 use kraftwerk::legalize::{check_legality, legalize};
 use kraftwerk::netlist::format::{bookshelf, read_netlist, write_netlist};
@@ -266,99 +263,5 @@ proptest! {
         let idx = bucket_index(v);
         let (lo, hi) = bucket_bounds(idx as u8);
         prop_assert!(lo <= v && v < hi, "v={:e} bucket {} = [{:e}, {:e})", v, idx, lo, hi);
-    }
-
-    #[test]
-    fn spectral_and_multigrid_potentials_agree_on_random_densities(seed in 0u64..200) {
-        // The spectral backend diagonalizes the *same* padded Dirichlet
-        // system the multigrid backend iterates on, so a tight-tolerance
-        // multigrid solve must match it to ≤1e-6 relative on any density
-        // grid — power-of-two or not, square or not.
-        let nx = 8 + (seed as usize) % 23;
-        let ny = 8 + (seed as usize / 23) % 19;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut d = ScalarMap::zeros(Rect::new(0.0, 0.0, 12.0, 9.0), nx, ny);
-        for iy in 0..ny {
-            for ix in 0..nx {
-                d.set(ix, iy, rng.gen_range(-1.0..1.0));
-            }
-        }
-        d.balance();
-
-        let spectral = SpectralSolver::new();
-        let mut sp_ws = SpectralWorkspace::default();
-        let mut sp_out = ForceField::zeros(d.region(), nx, ny);
-        spectral.solve_reusing(&d, &mut sp_ws, &mut sp_out);
-        let sp_phi = spectral.potential_map(&d, &sp_ws).expect("spectral potential");
-
-        let mg = MultigridSolver {
-            tolerance: 1e-12,
-            max_cycles: 300,
-            ..MultigridSolver::default()
-        };
-        let mut mg_ws = MultigridWorkspace::default();
-        let mut mg_out = ForceField::zeros(d.region(), nx, ny);
-        mg.solve_reusing(&d, &mut mg_ws, &mut mg_out);
-        let mg_phi = mg.potential_map(&d, &mg_ws).expect("multigrid potential");
-
-        let mut err_sq = 0.0;
-        let mut base_sq = 1e-30;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                err_sq += (sp_phi.get(ix, iy) - mg_phi.get(ix, iy)).powi(2);
-                base_sq += mg_phi.get(ix, iy).powi(2);
-            }
-        }
-        let rel = (err_sq / base_sq).sqrt();
-        prop_assert!(rel <= 1e-6, "{}x{} grid: relative potential error {:e}", nx, ny, rel);
-    }
-
-    #[test]
-    fn hybrid_and_multigrid_potentials_agree_on_random_densities(seed in 0u64..200) {
-        // The hybrid backend is multigrid with a spectral warm start:
-        // the coarse seed changes the iteration trajectory, never the
-        // fixed point, so a tight-tolerance hybrid solve must land on
-        // the same potential as a tight-tolerance multigrid solve.
-        let nx = 8 + (seed as usize) % 23;
-        let ny = 8 + (seed as usize / 23) % 19;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut d = ScalarMap::zeros(Rect::new(0.0, 0.0, 12.0, 9.0), nx, ny);
-        for iy in 0..ny {
-            for ix in 0..nx {
-                d.set(ix, iy, rng.gen_range(-1.0..1.0));
-            }
-        }
-        d.balance();
-
-        let hybrid = HybridSolver {
-            tolerance: 1e-12,
-            max_cycles: 300,
-            ..HybridSolver::default()
-        };
-        let mut hy_ws = HybridWorkspace::default();
-        let mut hy_out = ForceField::zeros(d.region(), nx, ny);
-        hybrid.solve_reusing(&d, &mut hy_ws, &mut hy_out);
-        let hy_phi = hybrid.potential_map(&d, &hy_ws).expect("hybrid potential");
-
-        let mg = MultigridSolver {
-            tolerance: 1e-12,
-            max_cycles: 300,
-            ..MultigridSolver::default()
-        };
-        let mut mg_ws = MultigridWorkspace::default();
-        let mut mg_out = ForceField::zeros(d.region(), nx, ny);
-        mg.solve_reusing(&d, &mut mg_ws, &mut mg_out);
-        let mg_phi = mg.potential_map(&d, &mg_ws).expect("multigrid potential");
-
-        let mut err_sq = 0.0;
-        let mut base_sq = 1e-30;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                err_sq += (hy_phi.get(ix, iy) - mg_phi.get(ix, iy)).powi(2);
-                base_sq += mg_phi.get(ix, iy).powi(2);
-            }
-        }
-        let rel = (err_sq / base_sq).sqrt();
-        prop_assert!(rel <= 1e-6, "{}x{} grid: relative potential error {:e}", nx, ny, rel);
     }
 }
