@@ -586,7 +586,10 @@ impl<'a> PlacementSession<'a> {
         //    placement) and they write disjoint arena slots, so they run
         //    as the two branches of one join: concurrently when the worker
         //    pool has more than one thread, inline (field first) at one.
-        //    The results are identical at any thread count.
+        //    On large grids the solve's V-cycle passes fan out from the
+        //    field branch, so the assembly's thread helps with the solve
+        //    once the assembly is done. The results are identical at any
+        //    thread count.
         let density: &ScalarMap = density;
         let iteration = self.iteration;
         let (system, netlist, placement) = (&self.system, self.netlist, &self.placement);

@@ -9,7 +9,7 @@
 //! `f = ∇Φ` evaluated with central differences.
 
 use crate::field::{FieldSolver, ForceField};
-use crate::grid::{self, idx, SavedSolve, SolveGrid};
+use crate::grid::{self, SavedSolve, SolveGrid};
 use crate::map::ScalarMap;
 
 /// Multigrid V-cycle Poisson solver.
@@ -52,6 +52,16 @@ impl MultigridSolver {
     }
 }
 
+/// Rows per block on a level whose passes fan out across the worker pool.
+/// Block boundaries depend only on the grid size, never on the thread
+/// count, so every pass computes the same values at any thread count.
+const BLOCK_ROWS: usize = 32;
+
+/// Smallest level (vertices per side) whose passes fan out. A pass over a
+/// smaller level is one inline block: at `m ≤ 257` it is too short to pay
+/// for waking a worker and publishing a job.
+const PARALLEL_MIN_M: usize = 513;
+
 /// A square vertex-centered grid with `m` vertices per side (`m = 2^k+1`)
 /// over `region`, used by the V-cycle.
 struct Level {
@@ -59,107 +69,226 @@ struct Level {
     h: f64,
 }
 
-/// Red-black Gauss-Seidel sweeps for `ΔΦ = rhs` (5-point stencil, zero
-/// Dirichlet boundary).
-fn smooth(level: &Level, phi: &mut [f64], rhs: &[f64], sweeps: usize) {
-    let m = level.m;
-    let h2 = level.h * level.h;
-    for _ in 0..sweeps {
-        for color in 0..2 {
-            for j in 1..m - 1 {
-                let start = 1 + (j + color) % 2;
-                let mut i = start;
-                while i < m - 1 {
-                    let nb = phi[idx(m, i - 1, j)]
-                        + phi[idx(m, i + 1, j)]
-                        + phi[idx(m, i, j - 1)]
-                        + phi[idx(m, i, j + 1)];
-                    phi[idx(m, i, j)] = 0.25 * (nb - h2 * rhs[idx(m, i, j)]);
-                    i += 2;
-                }
-            }
+impl Level {
+    /// Rows per block of every grid this level's passes write (the level's
+    /// own grid, or the next-coarser one for restriction): fixed
+    /// [`BLOCK_ROWS`] blocks from [`PARALLEL_MIN_M`] up, one block below.
+    fn block_rows(&self) -> usize {
+        if self.m >= PARALLEL_MIN_M {
+            BLOCK_ROWS
+        } else {
+            self.m
         }
     }
 }
 
-/// Residual `r = rhs - ΔΦ` on the interior (zero on the boundary).
+/// Red-black Gauss-Seidel sweeps for `ΔΦ = rhs` (5-point stencil, zero
+/// Dirichlet boundary), one color pass at a time over blocks of rows.
+///
+/// A color pass reads only the other color, so its updates do not depend
+/// on each other: `halo` first receives a copy of each block's two
+/// neighbour rows, then all blocks update in parallel from their own rows
+/// and that copy, and every value comes out bitwise as in one sequential
+/// sweep.
+fn smooth(level: &Level, phi: &mut [f64], rhs: &[f64], halo: &mut Vec<f64>, sweeps: usize) {
+    let m = level.m;
+    let h2 = level.h * level.h;
+    let block = level.block_rows();
+    for _ in 0..sweeps {
+        for color in 0..2 {
+            fill_halo(phi, m, block, halo);
+            let halo = halo.as_slice();
+            kraftwerk_par::for_each_chunk_mut(phi, block * m, |b, rows| {
+                let lo = b * block;
+                let rhs = &rhs[lo * m..lo * m + rows.len()];
+                let halo = halo.get(2 * m * b..2 * m * (b + 1)).unwrap_or(&[]);
+                smooth_block(m, lo, rows, rhs, halo, h2, color);
+            });
+        }
+    }
+}
+
+/// Copies the row above and the row below each `block`-row block of the
+/// `m × m` grid `phi` into `halo`, two rows per block. A one-block grid
+/// has no neighbour rows and leaves `halo` empty.
+fn fill_halo(phi: &[f64], m: usize, block: usize, halo: &mut Vec<f64>) {
+    let blocks = m.div_ceil(block);
+    if blocks < 2 {
+        halo.clear();
+        return;
+    }
+    halo.resize(2 * m * blocks, 0.0);
+    for (b, pair) in halo.chunks_exact_mut(2 * m).enumerate() {
+        let lo = b * block;
+        let hi = (lo + block).min(m);
+        let (above, below) = pair.split_at_mut(m);
+        if lo > 0 {
+            above.copy_from_slice(&phi[(lo - 1) * m..lo * m]);
+        }
+        if hi < m {
+            below.copy_from_slice(&phi[hi * m..(hi + 1) * m]);
+        }
+    }
+}
+
+/// One color pass over the block of rows starting at grid row `lo`:
+/// `rows` and `rhs` hold the block's rows, `halo` the row above and the
+/// row below it (read only where the block borders an interior row).
+fn smooth_block(
+    m: usize,
+    lo: usize,
+    rows: &mut [f64],
+    rhs: &[f64],
+    halo: &[f64],
+    h2: f64,
+    color: usize,
+) {
+    let n = rows.len() / m;
+    for k in 0..n {
+        let j = lo + k;
+        if j == 0 || j == m - 1 {
+            continue;
+        }
+        let (before, rest) = rows.split_at_mut(k * m);
+        let (row, after) = rest.split_at_mut(m);
+        let prev = if k == 0 { &halo[..m] } else { &before[(k - 1) * m..] };
+        let next = if k + 1 == n { &halo[m..2 * m] } else { &after[..m] };
+        let start = 1 + (j + color) % 2;
+        smooth_row(row, prev, next, &rhs[k * m..(k + 1) * m], h2, start);
+    }
+}
+
+/// Updates every second interior vertex of `row` from `start` on, given
+/// the rows before (`prev`) and after (`next`) it.
+fn smooth_row(row: &mut [f64], prev: &[f64], next: &[f64], rhs: &[f64], h2: f64, start: usize) {
+    let m = row.len();
+    let (prev, next, rhs) = (&prev[..m], &next[..m], &rhs[..m]);
+    let mut i = start;
+    while i < m - 1 {
+        let nb = row[i - 1] + row[i + 1] + prev[i] + next[i];
+        row[i] = 0.25 * (nb - h2 * rhs[i]);
+        i += 2;
+    }
+}
+
+/// Residual `r = rhs - ΔΦ` on the interior (zero on the boundary), written
+/// in blocks of rows.
 fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
     let m = level.m;
     let inv_h2 = 1.0 / (level.h * level.h);
-    r.fill(0.0);
-    for j in 1..m - 1 {
-        for i in 1..m - 1 {
-            let lap = (phi[idx(m, i - 1, j)]
-                + phi[idx(m, i + 1, j)]
-                + phi[idx(m, i, j - 1)]
-                + phi[idx(m, i, j + 1)]
-                - 4.0 * phi[idx(m, i, j)])
-                * inv_h2;
-            r[idx(m, i, j)] = rhs[idx(m, i, j)] - lap;
-        }
-    }
-}
-
-/// Full-weighting restriction from a fine grid (m) to the coarse grid
-/// ((m+1)/2).
-fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
-    let m_coarse = m_fine.div_ceil(2);
-    coarse.fill(0.0);
-    for jc in 1..m_coarse - 1 {
-        for ic in 1..m_coarse - 1 {
-            let i = 2 * ic;
-            let j = 2 * jc;
-            let center = fine[idx(m_fine, i, j)];
-            let edges = fine[idx(m_fine, i - 1, j)]
-                + fine[idx(m_fine, i + 1, j)]
-                + fine[idx(m_fine, i, j - 1)]
-                + fine[idx(m_fine, i, j + 1)];
-            let corners = fine[idx(m_fine, i - 1, j - 1)]
-                + fine[idx(m_fine, i + 1, j - 1)]
-                + fine[idx(m_fine, i - 1, j + 1)]
-                + fine[idx(m_fine, i + 1, j + 1)];
-            coarse[idx(m_coarse, ic, jc)] = 0.25 * center + 0.125 * edges + 0.0625 * corners;
-        }
-    }
-}
-
-/// Bilinear prolongation; adds the coarse correction into the fine grid.
-fn prolong_add(m_coarse: usize, coarse: &[f64], fine: &mut [f64]) {
-    let m_fine = 2 * m_coarse - 1;
-    for jc in 0..m_coarse {
-        for ic in 0..m_coarse {
-            let v = coarse[idx(m_coarse, ic, jc)];
-            if v == 0.0 {
+    let block = level.block_rows();
+    kraftwerk_par::for_each_chunk_mut(r, block * m, |b, out| {
+        for (k, out) in out.chunks_exact_mut(m).enumerate() {
+            let j = b * block + k;
+            if j == 0 || j == m - 1 {
+                out.fill(0.0);
                 continue;
             }
-            let i = 2 * ic;
-            let j = 2 * jc;
-            fine[idx(m_fine, i, j)] += v;
-            if i + 1 < m_fine {
-                fine[idx(m_fine, i + 1, j)] += 0.5 * v;
-            }
-            if i >= 1 {
-                fine[idx(m_fine, i - 1, j)] += 0.5 * v;
-            }
-            if j + 1 < m_fine {
-                fine[idx(m_fine, i, j + 1)] += 0.5 * v;
-            }
-            if j >= 1 {
-                fine[idx(m_fine, i, j - 1)] += 0.5 * v;
-            }
-            if i + 1 < m_fine && j + 1 < m_fine {
-                fine[idx(m_fine, i + 1, j + 1)] += 0.25 * v;
-            }
-            if i >= 1 && j + 1 < m_fine {
-                fine[idx(m_fine, i - 1, j + 1)] += 0.25 * v;
-            }
-            if i + 1 < m_fine && j >= 1 {
-                fine[idx(m_fine, i + 1, j - 1)] += 0.25 * v;
-            }
-            if i >= 1 && j >= 1 {
-                fine[idx(m_fine, i - 1, j - 1)] += 0.25 * v;
+            let prev = &phi[(j - 1) * m..j * m];
+            let row = &phi[j * m..(j + 1) * m];
+            let next = &phi[(j + 1) * m..(j + 2) * m];
+            let rhs = &rhs[j * m..(j + 1) * m];
+            out[0] = 0.0;
+            out[m - 1] = 0.0;
+            for i in 1..m - 1 {
+                let lap = (row[i - 1] + row[i + 1] + prev[i] + next[i] - 4.0 * row[i]) * inv_h2;
+                out[i] = rhs[i] - lap;
             }
         }
+    });
+}
+
+/// Full-weighting restriction from the level's grid (m) to the coarse
+/// grid ((m+1)/2), written in blocks of coarse rows.
+fn restrict(level: &Level, fine: &[f64], coarse: &mut [f64]) {
+    let m_fine = level.m;
+    let m_coarse = m_fine.div_ceil(2);
+    let block = level.block_rows();
+    kraftwerk_par::for_each_chunk_mut(coarse, block * m_coarse, |b, out| {
+        for (k, out) in out.chunks_exact_mut(m_coarse).enumerate() {
+            let jc = b * block + k;
+            if jc == 0 || jc == m_coarse - 1 {
+                out.fill(0.0);
+                continue;
+            }
+            let j = 2 * jc;
+            let prev = &fine[(j - 1) * m_fine..j * m_fine];
+            let row = &fine[j * m_fine..(j + 1) * m_fine];
+            let next = &fine[(j + 1) * m_fine..(j + 2) * m_fine];
+            out[0] = 0.0;
+            out[m_coarse - 1] = 0.0;
+            for (k, out) in out[1..m_coarse - 1].iter_mut().enumerate() {
+                let i = 2 * (k + 1);
+                let center = row[i];
+                let edges = row[i - 1] + row[i + 1] + prev[i] + next[i];
+                let corners = prev[i - 1] + prev[i + 1] + next[i - 1] + next[i + 1];
+                *out = 0.25 * center + 0.125 * edges + 0.0625 * corners;
+            }
+        }
+    });
+}
+
+/// Bilinear prolongation: adds the coarse correction ((m+1)/2 per side)
+/// into the level's grid (m), gathering each fine row in parallel blocks.
+///
+/// A fine vertex takes its coarse contributions in the order a scatter
+/// over coarse rows (outer) and columns (inner) adds them, and zero
+/// coarse values are skipped as that scatter skips them (adding `+0.0`
+/// would turn a `-0.0` into `+0.0`), so every sum is bitwise the
+/// scatter's.
+fn prolong_add(level: &Level, coarse: &[f64], fine: &mut [f64]) {
+    let m_fine = level.m;
+    let m_coarse = m_fine.div_ceil(2);
+    let block = level.block_rows();
+    kraftwerk_par::for_each_chunk_mut(fine, block * m_fine, |b, rows| {
+        for (k, row) in rows.chunks_exact_mut(m_fine).enumerate() {
+            let j = b * block + k;
+            let jc = j / 2;
+            let c0 = &coarse[jc * m_coarse..(jc + 1) * m_coarse];
+            if j.is_multiple_of(2) {
+                prolong_even_row(row, c0);
+            } else {
+                prolong_odd_row(row, c0, &coarse[(jc + 1) * m_coarse..(jc + 2) * m_coarse]);
+            }
+        }
+    });
+}
+
+/// Adds `weight · v` to `acc` unless `v` is zero.
+#[inline]
+fn add_nonzero(acc: &mut f64, weight: f64, v: f64) {
+    if v != 0.0 {
+        *acc += weight * v;
+    }
+}
+
+/// Fine row `2·jc`, from coarse row `jc`.
+fn prolong_even_row(row: &mut [f64], c: &[f64]) {
+    for (ic, &v) in c.iter().enumerate() {
+        if v != 0.0 {
+            row[2 * ic] += v;
+        }
+    }
+    for (ic, pair) in c.windows(2).enumerate() {
+        let x = &mut row[2 * ic + 1];
+        add_nonzero(x, 0.5, pair[0]);
+        add_nonzero(x, 0.5, pair[1]);
+    }
+}
+
+/// Fine row `2·jc + 1`, from coarse rows `jc` (`c0`) and `jc + 1` (`c1`).
+fn prolong_odd_row(row: &mut [f64], c0: &[f64], c1: &[f64]) {
+    for (ic, (&a, &b)) in c0.iter().zip(c1).enumerate() {
+        let x = &mut row[2 * ic];
+        add_nonzero(x, 0.5, a);
+        add_nonzero(x, 0.5, b);
+    }
+    for (ic, (p0, p1)) in c0.windows(2).zip(c1.windows(2)).enumerate() {
+        let x = &mut row[2 * ic + 1];
+        add_nonzero(x, 0.25, p0[0]);
+        add_nonzero(x, 0.25, p0[1]);
+        add_nonzero(x, 0.25, p1[0]);
+        add_nonzero(x, 0.25, p1[1]);
     }
 }
 
@@ -185,16 +314,18 @@ struct VcycleBufs {
 }
 
 /// Reusable buffers for [`MultigridSolver::solve_reusing`]: fine-grid RHS,
-/// potential and residual plus per-depth V-cycle scratch. Holding one of
-/// these across placement iterations makes the steady-state Poisson solve
-/// allocation-free. The solved potential and its [`SavedSolve`] geometry
-/// record stay behind for [`MultigridSolver::potential_map`].
+/// potential and residual, per-depth V-cycle scratch and the smoother's
+/// halo rows. Holding one of these across placement iterations makes the
+/// steady-state Poisson solve allocation-free. The solved potential and
+/// its [`SavedSolve`] geometry record stay behind for
+/// [`MultigridSolver::potential_map`].
 #[derive(Debug, Default)]
 pub struct MultigridWorkspace {
     rhs: Vec<f64>,
     phi: Vec<f64>,
     resid: Vec<f64>,
     depth: Vec<VcycleBufs>,
+    halo: Vec<f64>,
     saved: Option<SavedSolve>,
 }
 
@@ -210,6 +341,7 @@ fn vcycle_to_tolerance(
     rhs: &[f64],
     resid: &mut Vec<f64>,
     depth: &mut Vec<VcycleBufs>,
+    halo: &mut Vec<f64>,
     rhs_norm: f64,
     tolerance: f64,
     max_cycles: usize,
@@ -219,11 +351,13 @@ fn vcycle_to_tolerance(
     if depth.len() < level_count(m) {
         depth.resize_with(level_count(m), VcycleBufs::default);
     }
-    resid.resize(m * m, 0.0); // residual() zero-fills
+    resid.resize(m * m, 0.0);
     let mut converged = false;
     for _ in 0..max_cycles {
-        vcycle(&level, phi, rhs, depth);
+        vcycle(&level, phi, rhs, depth, halo);
         residual(&level, phi, rhs, resid);
+        // Summed in index order on one thread, so the stopping test is
+        // the same at any thread count.
         let rn: f64 = resid.iter().map(|v| v * v).sum::<f64>().sqrt();
         if let Some(out) = residuals.as_deref_mut() {
             out.push(rn / rhs_norm);
@@ -236,28 +370,38 @@ fn vcycle_to_tolerance(
     converged
 }
 
-fn vcycle(level: &Level, phi: &mut [f64], rhs: &[f64], depth: &mut [VcycleBufs]) {
+/// One V-cycle: pre-smooth, restrict the residual into the first
+/// per-depth buffer, recurse on the coarser buffers, prolong the
+/// correction and post-smooth. The coarsest level is smoothed to
+/// convergence instead.
+fn vcycle(
+    level: &Level,
+    phi: &mut [f64],
+    rhs: &[f64],
+    depth: &mut [VcycleBufs],
+    halo: &mut Vec<f64>,
+) {
     let m = level.m;
-    if m <= 5 {
-        smooth(level, phi, rhs, 50);
-        return;
+    match depth {
+        [bufs, coarser @ ..] if m > 5 => {
+            smooth(level, phi, rhs, halo, 2);
+            bufs.r.resize(m * m, 0.0);
+            residual(level, phi, rhs, &mut bufs.r);
+            let m_coarse = m.div_ceil(2);
+            bufs.coarse_rhs.resize(m_coarse * m_coarse, 0.0);
+            restrict(level, &bufs.r, &mut bufs.coarse_rhs);
+            bufs.coarse_phi.clear();
+            bufs.coarse_phi.resize(m_coarse * m_coarse, 0.0);
+            let coarse_level = Level {
+                m: m_coarse,
+                h: level.h * 2.0,
+            };
+            vcycle(&coarse_level, &mut bufs.coarse_phi, &bufs.coarse_rhs, coarser, halo);
+            prolong_add(level, &bufs.coarse_phi, phi);
+            smooth(level, phi, rhs, halo, 2);
+        }
+        _ => smooth(level, phi, rhs, halo, 50),
     }
-    smooth(level, phi, rhs, 2);
-    let (bufs, rest) = depth.split_first_mut().expect("vcycle scratch depth");
-    bufs.r.resize(m * m, 0.0); // residual() zero-fills
-    residual(level, phi, rhs, &mut bufs.r);
-    let m_coarse = m.div_ceil(2);
-    let coarse_level = Level {
-        m: m_coarse,
-        h: level.h * 2.0,
-    };
-    bufs.coarse_rhs.resize(m_coarse * m_coarse, 0.0); // restrict() zero-fills
-    restrict(m, &bufs.r, &mut bufs.coarse_rhs);
-    bufs.coarse_phi.clear();
-    bufs.coarse_phi.resize(m_coarse * m_coarse, 0.0);
-    vcycle(&coarse_level, &mut bufs.coarse_phi, &bufs.coarse_rhs, rest);
-    prolong_add(m_coarse, &bufs.coarse_phi, phi);
-    smooth(level, phi, rhs, 2);
 }
 
 impl MultigridSolver {
@@ -277,7 +421,7 @@ impl MultigridSolver {
         let solve_grid = SolveGrid::for_density(density, self.padding, self.max_vertices);
         let SolveGrid { m, h, .. } = solve_grid;
 
-        let MultigridWorkspace { rhs, phi, resid, depth, saved } = ws;
+        let MultigridWorkspace { rhs, phi, resid, depth, halo, saved } = ws;
         grid::deposit_rhs(density, &solve_grid, rhs);
 
         let rhs_norm: f64 = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -296,6 +440,7 @@ impl MultigridSolver {
                 rhs,
                 resid,
                 depth,
+                halo,
                 rhs_norm,
                 self.tolerance,
                 self.max_cycles,
@@ -359,8 +504,224 @@ impl FieldSolver for MultigridSolver {
 mod tests {
     use super::*;
     use crate::direct::DirectSolver;
+    use crate::grid::idx;
     use kraftwerk_geom::{Point, Rect};
     use rand::{Rng, SeedableRng};
+
+    /// The scalar kernels the row-block kernels replaced, kept as the
+    /// references those are checked against bit for bit.
+    mod reference {
+        use crate::grid::idx;
+
+        pub fn smooth(m: usize, h: f64, phi: &mut [f64], rhs: &[f64], sweeps: usize) {
+            let h2 = h * h;
+            for _ in 0..sweeps {
+                for color in 0..2 {
+                    for j in 1..m - 1 {
+                        let start = 1 + (j + color) % 2;
+                        let mut i = start;
+                        while i < m - 1 {
+                            let nb = phi[idx(m, i - 1, j)]
+                                + phi[idx(m, i + 1, j)]
+                                + phi[idx(m, i, j - 1)]
+                                + phi[idx(m, i, j + 1)];
+                            phi[idx(m, i, j)] = 0.25 * (nb - h2 * rhs[idx(m, i, j)]);
+                            i += 2;
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn residual(m: usize, h: f64, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
+            let inv_h2 = 1.0 / (h * h);
+            r.fill(0.0);
+            for j in 1..m - 1 {
+                for i in 1..m - 1 {
+                    let lap = (phi[idx(m, i - 1, j)]
+                        + phi[idx(m, i + 1, j)]
+                        + phi[idx(m, i, j - 1)]
+                        + phi[idx(m, i, j + 1)]
+                        - 4.0 * phi[idx(m, i, j)])
+                        * inv_h2;
+                    r[idx(m, i, j)] = rhs[idx(m, i, j)] - lap;
+                }
+            }
+        }
+
+        pub fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
+            let m_coarse = m_fine.div_ceil(2);
+            coarse.fill(0.0);
+            for jc in 1..m_coarse - 1 {
+                for ic in 1..m_coarse - 1 {
+                    let i = 2 * ic;
+                    let j = 2 * jc;
+                    let center = fine[idx(m_fine, i, j)];
+                    let edges = fine[idx(m_fine, i - 1, j)]
+                        + fine[idx(m_fine, i + 1, j)]
+                        + fine[idx(m_fine, i, j - 1)]
+                        + fine[idx(m_fine, i, j + 1)];
+                    let corners = fine[idx(m_fine, i - 1, j - 1)]
+                        + fine[idx(m_fine, i + 1, j - 1)]
+                        + fine[idx(m_fine, i - 1, j + 1)]
+                        + fine[idx(m_fine, i + 1, j + 1)];
+                    coarse[idx(m_coarse, ic, jc)] =
+                        0.25 * center + 0.125 * edges + 0.0625 * corners;
+                }
+            }
+        }
+
+        pub fn prolong_add(m_coarse: usize, coarse: &[f64], fine: &mut [f64]) {
+            let m_fine = 2 * m_coarse - 1;
+            for jc in 0..m_coarse {
+                for ic in 0..m_coarse {
+                    let v = coarse[idx(m_coarse, ic, jc)];
+                    if v == 0.0 {
+                        continue;
+                    }
+                    let i = 2 * ic;
+                    let j = 2 * jc;
+                    fine[idx(m_fine, i, j)] += v;
+                    if i + 1 < m_fine {
+                        fine[idx(m_fine, i + 1, j)] += 0.5 * v;
+                    }
+                    if i >= 1 {
+                        fine[idx(m_fine, i - 1, j)] += 0.5 * v;
+                    }
+                    if j + 1 < m_fine {
+                        fine[idx(m_fine, i, j + 1)] += 0.5 * v;
+                    }
+                    if j >= 1 {
+                        fine[idx(m_fine, i, j - 1)] += 0.5 * v;
+                    }
+                    if i + 1 < m_fine && j + 1 < m_fine {
+                        fine[idx(m_fine, i + 1, j + 1)] += 0.25 * v;
+                    }
+                    if i >= 1 && j + 1 < m_fine {
+                        fine[idx(m_fine, i - 1, j + 1)] += 0.25 * v;
+                    }
+                    if i + 1 < m_fine && j >= 1 {
+                        fine[idx(m_fine, i + 1, j - 1)] += 0.25 * v;
+                    }
+                    if i >= 1 && j >= 1 {
+                        fine[idx(m_fine, i - 1, j - 1)] += 0.25 * v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grid sizes of the kernel tests: one-block levels (9 … 129) and
+    /// fanned-out ones, including 1025 = 32·32 + 1 with its one-row
+    /// trailing block.
+    const KERNEL_SIZES: [usize; 5] = [9, 33, 129, 513, 1025];
+    const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+    /// Runs `f` with the process-wide thread count pinned to `threads`.
+    fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        kraftwerk_par::set_threads(threads);
+        let result = f();
+        kraftwerk_par::set_threads(1);
+        result
+    }
+
+    /// `len` values in [-1, 1), about a quarter of them exactly `+0.0` or
+    /// `-0.0`, so zero-skipping and signed-zero sums are exercised.
+    fn random_grid(seed: u64, len: usize) -> Vec<f64> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs `kernel` on a fresh copy of `input` at every thread count and
+    /// checks each result against `expected` bit for bit.
+    fn assert_kernel_matches(
+        what: &str,
+        m: usize,
+        input: &[f64],
+        expected: &[f64],
+        kernel: impl Fn(&mut Vec<f64>),
+    ) {
+        for threads in THREAD_COUNTS {
+            let mut out = input.to_vec();
+            at_threads(threads, || kernel(&mut out));
+            assert!(
+                bits(&out) == bits(expected),
+                "{what}: m = {m} at {threads} threads differs from the scalar reference"
+            );
+        }
+    }
+
+    #[test]
+    fn smoothing_matches_the_scalar_reference_bit_for_bit() {
+        for m in KERNEL_SIZES {
+            let level = Level { m, h: 0.37 };
+            let phi = random_grid(m as u64, m * m);
+            let rhs = random_grid(m as u64 + 1, m * m);
+            let mut expected = phi.clone();
+            reference::smooth(m, level.h, &mut expected, &rhs, 2);
+            assert_kernel_matches("smooth", m, &phi, &expected, |phi| {
+                smooth(&level, phi, &rhs, &mut Vec::new(), 2);
+            });
+        }
+    }
+
+    #[test]
+    fn residual_matches_the_scalar_reference_bit_for_bit() {
+        for m in KERNEL_SIZES {
+            let level = Level { m, h: 0.37 };
+            let phi = random_grid(m as u64 + 2, m * m);
+            let rhs = random_grid(m as u64 + 3, m * m);
+            // Start from garbage: the kernel must write every entry.
+            let stale = random_grid(m as u64 + 4, m * m);
+            let mut expected = stale.clone();
+            reference::residual(m, level.h, &phi, &rhs, &mut expected);
+            assert_kernel_matches("residual", m, &stale, &expected, |r| {
+                residual(&level, &phi, &rhs, r);
+            });
+        }
+    }
+
+    #[test]
+    fn restriction_matches_the_scalar_reference_bit_for_bit() {
+        for m in KERNEL_SIZES {
+            let level = Level { m, h: 0.37 };
+            let m_coarse = m.div_ceil(2);
+            let fine = random_grid(m as u64 + 5, m * m);
+            let stale = random_grid(m as u64 + 6, m_coarse * m_coarse);
+            let mut expected = stale.clone();
+            reference::restrict(m, &fine, &mut expected);
+            assert_kernel_matches("restrict", m, &stale, &expected, |coarse| {
+                restrict(&level, &fine, coarse);
+            });
+        }
+    }
+
+    #[test]
+    fn prolongation_matches_the_scalar_reference_bit_for_bit() {
+        for m in KERNEL_SIZES {
+            let level = Level { m, h: 0.37 };
+            let m_coarse = m.div_ceil(2);
+            let coarse = random_grid(m as u64 + 7, m_coarse * m_coarse);
+            let fine = random_grid(m as u64 + 8, m * m);
+            let mut expected = fine.clone();
+            reference::prolong_add(m_coarse, &coarse, &mut expected);
+            assert_kernel_matches("prolong_add", m, &fine, &expected, |fine| {
+                prolong_add(&level, &coarse, fine);
+            });
+        }
+    }
 
     fn random_balanced_density(seed: u64, n: usize) -> ScalarMap {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -435,6 +796,7 @@ mod tests {
                     h,
                     &mut phi,
                     &rhs,
+                    &mut Vec::new(),
                     &mut Vec::new(),
                     &mut Vec::new(),
                     rhs_norm,
@@ -701,20 +1063,54 @@ mod tests {
 
     #[test]
     fn solve_reusing_matches_solve_and_reuses_buffers() {
-        let d = random_balanced_density(7, 20);
-        let solver = MultigridSolver::new();
-        let reference = solver.solve(&d);
-        let mut ws = MultigridWorkspace::default();
-        let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
-        solver.solve_reusing(&d, &mut ws, &mut out);
-        assert_eq!(out, reference, "in-place solve diverged from solve()");
-        // Second solve with the same workspace must not regrow any buffer.
-        let caps = (ws.rhs.capacity(), ws.phi.capacity(), ws.resid.capacity(), ws.depth.len());
-        solver.solve_reusing(&d, &mut ws, &mut out);
-        assert_eq!(
-            caps,
-            (ws.rhs.capacity(), ws.phi.capacity(), ws.resid.capacity(), ws.depth.len())
-        );
-        assert_eq!(out, reference);
+        // A one-block grid (m = 129) and one whose finest level fans out
+        // over the halo buffer (m = 513; cycles capped to keep it quick).
+        let capped = MultigridSolver { max_cycles: 3, ..MultigridSolver::new() };
+        for (d, solver, fans_out) in [
+            (random_balanced_density(7, 20), MultigridSolver::new(), false),
+            (random_balanced_density(8, 72), capped, true),
+        ] {
+            let reference = solver.solve(&d);
+            let mut ws = MultigridWorkspace::default();
+            let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
+            solver.solve_reusing(&d, &mut ws, &mut out);
+            assert_eq!(out, reference, "in-place solve diverged from solve()");
+            assert_eq!(ws.halo.capacity() > 0, fans_out, "halo rows only for fanned-out levels");
+            // Second solve with the same workspace must not regrow any buffer.
+            let caps = |ws: &MultigridWorkspace| {
+                (
+                    ws.rhs.capacity(),
+                    ws.phi.capacity(),
+                    ws.resid.capacity(),
+                    ws.depth.len(),
+                    ws.halo.capacity(),
+                )
+            };
+            let before = caps(&ws);
+            solver.solve_reusing(&d, &mut ws, &mut out);
+            assert_eq!(before, caps(&ws));
+            assert_eq!(out, reference);
+        }
+    }
+
+    #[test]
+    fn solve_reusing_on_a_1025_grid_is_bitwise_identical_at_any_thread_count() {
+        // 160 bins per side want 640 vertices, so the grid hits the 1025
+        // cap and its two finest levels fan out.
+        let d = random_balanced_density(17, 160);
+        let solver = MultigridSolver { tolerance: 1e-4, max_cycles: 2, ..MultigridSolver::new() };
+        let solve = |threads| {
+            at_threads(threads, || {
+                let mut ws = MultigridWorkspace::default();
+                let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
+                solver.solve_reusing(&d, &mut ws, &mut out);
+                assert_eq!(ws.saved.map(|s| s.grid.m), Some(1025));
+                (bits(&ws.phi), bits(out.fx().values()), bits(out.fy().values()))
+            })
+        };
+        let reference = solve(1);
+        for threads in [2, 8] {
+            assert!(solve(threads) == reference, "{threads} threads changed the solve");
+        }
     }
 }

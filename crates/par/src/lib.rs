@@ -113,13 +113,14 @@ pub fn run_chunks(n_chunks: usize, run: &(dyn Fn(usize) + Sync)) {
     let threads = current_threads();
     let timed = kraftwerk_trace::enabled();
     if threads <= 1 || n_chunks == 1 {
-        let start = timed.then(std::time::Instant::now);
+        let scope = pool::ChunkScope::enter();
+        let start = (timed && scope.outermost()).then(std::time::Instant::now);
         for i in 0..n_chunks {
             run(i);
         }
         if let Some(start) = start {
             let busy = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            pool::record_inline(busy, n_chunks as u64);
+            pool::record_busy(busy, n_chunks as u64);
         }
         return;
     }
@@ -223,13 +224,16 @@ pub fn par_map_reduce<R: Send>(
 /// Slot 0 is the publishing (or inline) thread; slot `i >= 1` is worker
 /// thread `i - 1`. Counters only advance while a `kraftwerk-trace` sink
 /// is installed (timing is captured per job at publish time), so they
-/// cost nothing in untraced runs. Subtract two snapshots with
-/// [`UtilizationSnapshot::since`] to get the utilization of one span.
+/// cost nothing in untraced runs. A thread counts only its outermost
+/// chunks: a fan-out nested inside a chunk runs in time that chunk
+/// already counts, so a span's busy time never exceeds threads × wall.
+/// Subtract two snapshots with [`UtilizationSnapshot::since`] to get the
+/// utilization of one span.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UtilizationSnapshot {
     /// Busy nanoseconds per slot, trimmed to the last non-zero slot.
     pub busy_ns: Vec<u64>,
-    /// Chunk-body executions per slot, trimmed like `busy_ns`.
+    /// Outermost chunk-body executions per slot, trimmed like `busy_ns`.
     pub chunks: Vec<u64>,
 }
 
@@ -279,7 +283,7 @@ impl UtilizationSnapshot {
         self.busy_ns.iter().map(|&ns| ns as f64).sum::<f64>() / 1e9
     }
 
-    /// Total chunk-body executions across all slots.
+    /// Total outermost chunk-body executions across all slots.
     #[must_use]
     pub fn total_chunks(&self) -> u64 {
         self.chunks.iter().sum()
@@ -424,7 +428,7 @@ mod tests {
                 });
                 let mut seen = seen.into_inner().unwrap();
                 seen.sort_unstable();
-                assert_eq!(seen.len(), chunk_count(len, 16).max(0));
+                assert_eq!(seen.len(), chunk_count(len, 16));
                 let mut covered = 0;
                 for (c, lo, n) in seen {
                     assert_eq!(lo, c * 16, "chunk {c} starts at its boundary");
@@ -559,6 +563,53 @@ mod tests {
     }
 
     #[test]
+    fn a_join_displaced_by_a_nested_fan_out_still_runs_both_branches_at_once() {
+        // The only worker is held inside another thread's job while branch
+        // 0 publishes a fan-out, which takes the pool's single slot from
+        // the join before the worker could claim branch 1. Branch 0 then
+        // frees the worker and waits for branch 1 to start: that happens
+        // only if the join goes back into the slot once the fan-out is
+        // done.
+        with_threads(2, || {
+            let release = std::sync::Barrier::new(3);
+            let (entered, holding) = std::sync::mpsc::channel();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    run_chunks(2, &|_| {
+                        entered.send(()).expect("test thread listens");
+                        release.wait();
+                    });
+                });
+                // Both chunks of the holding job are running: one on the
+                // spawned thread, one on the worker.
+                holding.recv().expect("holding chunk started");
+                holding.recv().expect("holding chunk started");
+                let (started, branch_1_started) = std::sync::mpsc::channel();
+                let release = &release;
+                let (overlapped, ()) = join(
+                    move || {
+                        let mut data = lcg_values(4096);
+                        for_each_chunk_mut(&mut data, 64, |_, slice| {
+                            for v in slice.iter_mut() {
+                                *v *= 2.0;
+                            }
+                        });
+                        release.wait();
+                        branch_1_started
+                            .recv_timeout(std::time::Duration::from_secs(10))
+                            .is_ok()
+                    },
+                    move || {
+                        // The receiver is gone only after a timeout.
+                        let _ = started.send(());
+                    },
+                );
+                assert!(overlapped, "branch 1 waited for branch 0 to finish");
+            });
+        });
+    }
+
+    #[test]
     fn join_reports_both_branches_to_the_callers_scoped_sink() {
         // The branches wait for each other, so at two threads one of them
         // runs on a pool worker; its events must still reach the sink
@@ -626,6 +677,44 @@ mod tests {
             assert!(spun.parallel_efficiency(0.0, 2).is_none());
             let eff = spun.parallel_efficiency(1.0, 2).unwrap();
             assert!(eff >= 0.0);
+        });
+    }
+
+    #[test]
+    fn nested_fan_outs_count_once_and_land_before_join_returns() {
+        // Both branches of a join publish a fan-out of their own. The
+        // barriers keep each thread inside its branch until both nested
+        // fan-outs have drained, so neither thread can pick up the other
+        // branch's chunks: the only outermost chunks are the two branches.
+        with_threads(2, || {
+            let recorder = std::sync::Arc::new(kraftwerk_trace::RunRecorder::new());
+            kraftwerk_trace::install(recorder);
+            let both = std::sync::Barrier::new(2);
+            let branch = || {
+                both.wait();
+                let mut data = lcg_values(40_000);
+                for_each_chunk_mut(&mut data, 512, |c, slice| {
+                    for v in slice.iter_mut() {
+                        *v = v.mul_add(1.5, c as f64);
+                    }
+                });
+                let sum = blocked_sum(&data, 64);
+                both.wait();
+                sum
+            };
+            let before = UtilizationSnapshot::capture();
+            let started = std::time::Instant::now();
+            join(branch, branch);
+            let wall = started.elapsed().as_secs_f64();
+            let spent = UtilizationSnapshot::capture().since(&before);
+            kraftwerk_trace::uninstall();
+            assert_eq!(spent.total_chunks(), 2, "one outermost chunk per branch");
+            assert_eq!(spent.workers_engaged(), 2);
+            assert!(
+                spent.busy_seconds() <= 2.0 * wall,
+                "busy {} s exceeds 2 threads x {wall} s",
+                spent.busy_seconds()
+            );
         });
     }
 

@@ -14,6 +14,10 @@
 //!    remaining chunks still run, and the payload is re-raised on the
 //!    publishing thread once the job has drained.
 //!
+//! There is one job slot. A job published from inside a chunk displaces
+//! the enclosing job, and puts it back when done if it still has chunks
+//! to hand out, so an idle worker can still claim them.
+//!
 //! Workers are spawned lazily, parked on a condvar while idle, and live
 //! for the remainder of the process (there is no shutdown path — the pool
 //! is a process-wide singleton and the OS reclaims parked threads at
@@ -40,24 +44,50 @@ static CHUNKS: [AtomicU64; UTIL_SLOTS] = [const { AtomicU64::new(0) }; UTIL_SLOT
 thread_local! {
     /// This thread's utilization slot; non-worker threads publish into 0.
     static WORKER_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Whether this thread is inside a chunk body (of a pool job or of an
+    /// inline run).
+    static IN_CHUNK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Sequence number of the pool job whose chunk this thread is running
+    /// (0 outside any job).
+    static ENCLOSING_JOB: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Adds one finished stretch of chunk work to this thread's slot.
+/// Marks the current thread as running chunk bodies until dropped.
 ///
-/// Called once per `Job::execute` invocation (not per chunk), so the
-/// atomics sit well off the chunk-claim hot loop.
-fn flush_busy(busy_ns: u64, chunks: u64) {
-    if chunks == 0 {
-        return;
+/// Only a thread's outermost chunk is timed and counted: the time of a
+/// fan-out nested inside a chunk (a `join` branch that publishes a job of
+/// its own) already counts as that chunk's, and timing it again would
+/// count one thread's busy time twice.
+pub(crate) struct ChunkScope {
+    outermost: bool,
+}
+
+impl ChunkScope {
+    pub(crate) fn enter() -> Self {
+        Self {
+            outermost: !IN_CHUNK.with(|c| c.replace(true)),
+        }
     }
+
+    /// True when this thread was not inside a chunk body already.
+    pub(crate) fn outermost(&self) -> bool {
+        self.outermost
+    }
+}
+
+impl Drop for ChunkScope {
+    fn drop(&mut self) {
+        if self.outermost {
+            IN_CHUNK.with(|c| c.set(false));
+        }
+    }
+}
+
+/// Adds finished outermost chunk work to this thread's slot.
+pub(crate) fn record_busy(busy_ns: u64, chunks: u64) {
     let slot = WORKER_SLOT.with(std::cell::Cell::get).min(UTIL_SLOTS - 1);
     BUSY_NS[slot].fetch_add(busy_ns, Ordering::Relaxed);
     CHUNKS[slot].fetch_add(chunks, Ordering::Relaxed);
-}
-
-/// Records timed inline execution (the no-pool path) into slot 0.
-pub(crate) fn record_inline(busy_ns: u64, chunks: u64) {
-    flush_busy(busy_ns, chunks);
 }
 
 /// Reads the cumulative per-slot counters: `(busy_ns, chunks)` per slot.
@@ -96,8 +126,9 @@ struct Job {
     total: usize,
     /// Chunks claimed but not yet finished plus chunks never claimed.
     pending: AtomicUsize,
-    /// Workers that adopted this job (the publisher is not counted).
-    helpers: AtomicUsize,
+    /// Only workers `0..max_helpers` adopt the job, so a job published at
+    /// `threads` never runs on more than `threads` threads, even when an
+    /// earlier, larger setting left surplus workers parked.
     max_helpers: usize,
     /// Captured from `kraftwerk_trace::enabled()` at publish time, so the
     /// per-chunk clock reads only happen under an installed sink.
@@ -110,8 +141,6 @@ struct Job {
 impl Job {
     /// Claims and executes chunks until the cursor runs past `total`.
     fn execute(&self) {
-        let mut busy_ns = 0u64;
-        let mut chunks = 0u64;
         loop {
             let i = self.next.fetch_add(1, Ordering::SeqCst);
             if i >= self.total {
@@ -120,21 +149,24 @@ impl Job {
             // SAFETY: `pending > 0` here (this chunk has not finished),
             // so the publisher is still blocked and the closure alive.
             let run = unsafe { &*self.run.0 };
-            let start = self.timed.then(Instant::now);
+            let scope = ChunkScope::enter();
+            let start = (self.timed && scope.outermost()).then(Instant::now);
+            let outer_job = ENCLOSING_JOB.with(|c| c.replace(self.seq));
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(i))) {
                 *self.panic.lock().expect("par: panic slot poisoned") = Some(payload);
             }
+            ENCLOSING_JOB.with(|c| c.set(outer_job));
+            drop(scope);
+            // Recorded before this chunk's `pending` decrement, so the
+            // counters are visible once the publisher sees the job done
+            // and land in the phase that published the job.
             if let Some(start) = start {
-                busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                chunks += 1;
+                record_busy(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX), 1);
             }
             if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                 *self.done.lock().expect("par: done flag poisoned") = true;
                 self.done_cv.notify_all();
             }
-        }
-        if self.timed {
-            flush_busy(busy_ns, chunks);
         }
     }
 }
@@ -185,18 +217,24 @@ impl Pool {
             next: AtomicUsize::new(0),
             total: n_chunks,
             pending: AtomicUsize::new(n_chunks),
-            helpers: AtomicUsize::new(0),
             max_helpers: helpers,
             timed,
             panic: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
-        {
+        // A job published from inside a chunk (a `join` branch) displaces
+        // the enclosing job from the single slot; it goes back once this
+        // one is done, so an idle worker can still claim its remaining
+        // chunks (the join's other branch) instead of leaving them to run
+        // after this branch on the publishing thread.
+        let enclosing = ENCLOSING_JOB.with(std::cell::Cell::get);
+        let displaced = {
             let mut slot = self.slot.lock().expect("par: job slot poisoned");
-            *slot = Some(job.clone());
+            let displaced = slot.replace(job.clone());
             self.work_cv.notify_all();
-        }
+            displaced
+        };
         // The publisher claims chunks too: the job drains even when every
         // worker is occupied elsewhere.
         job.execute();
@@ -208,7 +246,15 @@ impl Pool {
         {
             let mut slot = self.slot.lock().expect("par: job slot poisoned");
             if slot.as_ref().is_some_and(|j| j.seq == job.seq) {
-                *slot = None;
+                // Only the enclosing job goes back: this thread is inside
+                // one of its chunks, so its publisher is still blocked and
+                // its closure alive. A job with no unclaimed chunk left has
+                // nothing to hand out.
+                *slot = displaced
+                    .filter(|j| j.seq == enclosing && j.next.load(Ordering::SeqCst) < j.total);
+                if slot.is_some() {
+                    self.work_cv.notify_all();
+                }
             }
         }
         let payload = job.panic.lock().expect("par: panic slot poisoned").take();
@@ -218,7 +264,7 @@ impl Pool {
     }
 
     /// Tops the worker head-count up to `target` (never shrinks; surplus
-    /// workers simply skip jobs whose `max_helpers` is already met).
+    /// workers, index `max_helpers` and up, simply skip the job).
     fn ensure_workers(&'static self, target: usize) {
         let mut spawned = self.spawned.lock().expect("par: spawn count poisoned");
         while *spawned < target.min(MAX_THREADS - 1) {
@@ -247,7 +293,7 @@ impl Pool {
                     }
                 }
             };
-            if job.helpers.fetch_add(1, Ordering::SeqCst) < job.max_helpers {
+            if index < job.max_helpers {
                 job.execute();
             }
         }

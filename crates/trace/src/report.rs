@@ -255,12 +255,15 @@ pub struct UtilizationStat {
 
 impl UtilizationStat {
     /// Parallel efficiency: busy time over the `threads × wall` budget
-    /// (1.0 = every configured thread busy the entire span).
+    /// (1.0 = every configured thread busy the entire span). Each thread
+    /// counts only its outermost chunks, so a span that is the process's
+    /// only user of the pool stays at or below 1.0; the counters are
+    /// process-wide, so concurrent daemon jobs see each other's work.
     #[must_use]
     pub fn efficiency(&self) -> f64 {
         let budget = self.wall_seconds * self.threads.max(1) as f64;
         if budget > 0.0 {
-            (self.busy_seconds / budget).min(1.0)
+            self.busy_seconds / budget
         } else {
             0.0
         }

@@ -49,7 +49,7 @@ KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-b2b MAX_CELLS=250000 \
     timeout 240 bash scripts/bench_gate.sh \
     || { echo "verify: multilevel-b2b gate failed or exceeded 240s" >&2; exit 1; }
 
-# Observability smoke on a fract-scale run. Three contracts:
+# Observability smoke on a fract-scale run. Four contracts:
 #   1. telemetry is observation-only — the placement with every probe on
 #      (trace + report + alloc tracking + perfetto) is bitwise identical
 #      to the untraced one;
@@ -57,7 +57,12 @@ KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-b2b MAX_CELLS=250000 \
 #      allocation is bounded (density_map amortizes to zero allocations
 #      per iteration, no phase exceeds a small per-iteration constant);
 #   3. the Perfetto export is a valid trace whose span tree carries the
-#      report's phases.
+#      report's phases;
+#   4. worker utilization is counted once per thread — no span reports
+#      more busy time than threads × wall. The fract report and a
+#      two-thread run of the 2,600-cell determinism netlist (whose
+#      m = 513 Poisson grid fans out inside the field/assembly join, so
+#      nested fan-outs are exercised) are both checked.
 target/release/kraftwerk gen fract 125 147 6 -o "$obs_dir/fract.kw" > /dev/null
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/plain.pl" --quiet
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/traced.pl" \
@@ -65,10 +70,20 @@ target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/traced.pl
     --perfetto "$obs_dir/trace.json" --quiet > /dev/null
 cmp "$obs_dir/plain.pl" "$obs_dir/traced.pl" \
     || { echo "verify: telemetry perturbed the placement" >&2; exit 1; }
+target/release/kraftwerk gen det 2600 3200 24 -o "$obs_dir/det.kw" > /dev/null
+target/release/kraftwerk place "$obs_dir/det.kw" --fast --threads 2 \
+    --report "$obs_dir/det-report.json" -o "$obs_dir/det.pl" --quiet > /dev/null
 python3 - "$obs_dir" <<'EOF'
 import json, sys
 d = sys.argv[1]
 report = json.load(open(f"{d}/report.json"))
+for name in ("report.json", "det-report.json"):
+    records = json.load(open(f"{d}/{name}"))["utilization"]
+    assert records, f"{name}: no utilization records"
+    for u in records:
+        assert u["busy_s"] <= u["threads"] * u["wall_s"], (
+            f"{name}: {u['span']} busy {u['busy_s']} s exceeds "
+            f"{u['threads']} threads x {u['wall_s']} s wall")
 alloc = {a["phase"]: a for a in report["alloc"]}
 assert alloc, "no alloc records in report"
 for phase, a in alloc.items():
