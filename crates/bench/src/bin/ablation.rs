@@ -239,7 +239,9 @@ fn maps() {
             } else {
                 congestion_map(&nl, session.placement(), nx, ny, tracks)
             };
-            session.set_demand_map(demand_for_session(&map), if heat { 0.8 } else { 2.5 });
+            session
+                .set_demand_map(demand_for_session(&map), if heat { 0.8 } else { 2.5 })
+                .expect("map uses grid_dims");
             session.transform();
             if session.is_converged() {
                 break;

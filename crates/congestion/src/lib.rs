@@ -265,7 +265,9 @@ mod tests {
         let mut session = PlacementSession::new(&nl, cfg);
         for _ in 0..40 {
             let t = thermal_map(&nl, session.placement(), nx, ny);
-            session.set_demand_map(demand_for_session(&t), 0.5);
+            session
+                .set_demand_map(demand_for_session(&t), 0.5)
+                .expect("thermal map uses grid_dims");
             session.transform();
             if session.is_converged() {
                 break;

@@ -6,91 +6,23 @@
 //! performs no further heap allocation. [`ScratchArena::capacity_signature`]
 //! exposes the buffer capacities so tests can assert exactly that.
 
-use crate::config::PrecondKind;
 use crate::quadratic::{Assembled, AssemblyScratch};
 use kraftwerk_field::{DensityScratch, ForceField, MultigridWorkspace, ScalarMap};
 use kraftwerk_geom::Vector;
-use kraftwerk_sparse::{
-    CgWorkspace, CsrMatrix, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
-};
-
-/// The session's CG preconditioner slot: Jacobi refreshed in place (the
-/// zero-allocation production path) or SSOR rebuilt per refresh (more
-/// effective per iteration, but allocating — the watchdog ladder demotes
-/// it to Jacobi on persistent CG stalls).
-#[derive(Debug)]
-pub(crate) enum SessionPrecond {
-    /// Diagonal preconditioner, refreshed without allocation.
-    Jacobi(JacobiPreconditioner),
-    /// SSOR preconditioner; `None` until the first refresh.
-    Ssor(Option<SsorPreconditioner>),
-}
-
-impl Default for SessionPrecond {
-    fn default() -> Self {
-        SessionPrecond::Jacobi(JacobiPreconditioner::default())
-    }
-}
-
-impl SessionPrecond {
-    /// Switches the slot to `kind`, dropping any stale state. Returns
-    /// `true` when the kind actually changed (callers then invalidate the
-    /// cached assembly so the next transform refreshes the slot).
-    pub fn set_kind(&mut self, kind: PrecondKind) -> bool {
-        let matches_kind = matches!(
-            (&*self, kind),
-            (SessionPrecond::Jacobi(_), PrecondKind::Jacobi)
-                | (SessionPrecond::Ssor(_), PrecondKind::Ssor)
-        );
-        if !matches_kind {
-            *self = match kind {
-                PrecondKind::Jacobi => SessionPrecond::Jacobi(JacobiPreconditioner::default()),
-                PrecondKind::Ssor => SessionPrecond::Ssor(None),
-            };
-        }
-        !matches_kind
-    }
-
-    /// Rebuilds the preconditioner for a (re-assembled) matrix.
-    pub fn refresh_from(&mut self, a: &CsrMatrix) {
-        match self {
-            SessionPrecond::Jacobi(p) => p.refresh_from(a),
-            SessionPrecond::Ssor(slot) => *slot = Some(SsorPreconditioner::from_matrix(a, 1.0)),
-        }
-    }
-}
-
-impl Preconditioner for SessionPrecond {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        match self {
-            SessionPrecond::Jacobi(p) => p.apply(r, z),
-            SessionPrecond::Ssor(Some(p)) => p.apply(r, z),
-            SessionPrecond::Ssor(None) => {
-                unreachable!("SSOR preconditioner applied before refresh_from")
-            }
-        }
-    }
-}
+use kraftwerk_sparse::{CgWorkspace, JacobiPreconditioner};
 
 /// Reusable state for [`crate::PlacementSession::transform`], grouped by
 /// pipeline phase. All fields are buffers whose *contents* are rebuilt
-/// every iteration (or cached — see `asm_valid`); none carry semantic
-/// state across iterations.
+/// every iteration; none carry semantic state across iterations.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     /// Symmetric staging + CSR build scratch for system assembly.
     pub(crate) assembly: AssemblyScratch,
     /// The assembled system (matrices and linear terms, storage reused).
     pub(crate) asm: Assembled,
-    /// Whether `asm` is still valid for the current placement. Only ever
-    /// `true` for placement-independent assemblies (pure clique model, no
-    /// linearization), where the matrix can be cached across iterations.
-    pub(crate) asm_valid: bool,
     /// The unweighted assembly the hold force is derived from when timing
     /// weights are active.
     pub(crate) hold_asm: Assembled,
-    /// Whether `hold_asm` is valid (same caching rule as `asm_valid`).
-    pub(crate) hold_valid: bool,
     /// Cached diagonal of `asm.cx`, rebuilt with the assembly.
     pub(crate) diag_x: Vec<f64>,
     /// Cached diagonal of `asm.cy`, rebuilt with the assembly.
@@ -115,10 +47,10 @@ pub struct ScratchArena {
     pub(crate) xs0: Vec<f64>,
     /// Movable-cell y coordinates before the solve.
     pub(crate) ys0: Vec<f64>,
-    /// Preconditioner slot for the x system, refreshed with the assembly.
-    pub(crate) px: SessionPrecond,
-    /// Preconditioner slot for the y system.
-    pub(crate) py: SessionPrecond,
+    /// Jacobi preconditioner for the x system, refreshed with the assembly.
+    pub(crate) px: JacobiPreconditioner,
+    /// Jacobi preconditioner for the y system.
+    pub(crate) py: JacobiPreconditioner,
     /// Conjugate-gradient workspace for the x solve.
     pub(crate) cg_x: CgWorkspace,
     /// Conjugate-gradient workspace for the y solve.
@@ -134,13 +66,6 @@ pub struct ScratchArena {
 }
 
 impl ScratchArena {
-    /// Marks cached assemblies stale (placement-independent caching only
-    /// survives while the net weights are unchanged).
-    pub fn invalidate_assembly(&mut self) {
-        self.asm_valid = false;
-        self.hold_valid = false;
-    }
-
     /// Capacities of every directly owned growable buffer, in a fixed
     /// order. Two equal signatures around a block of transformations prove
     /// the block allocated nothing new from the arena's pools.

@@ -36,28 +36,14 @@ impl Default for NetModel {
     }
 }
 
-/// Which preconditioner the per-transformation conjugate-gradient solves
-/// use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecondKind {
-    /// Diagonal (Jacobi) preconditioning — cheap, refreshed in place, the
-    /// production default.
-    #[default]
-    Jacobi,
-    /// SSOR preconditioning — fewer CG iterations per solve but rebuilt
-    /// (with allocation) whenever the system matrix changes; the watchdog
-    /// demotes it to Jacobi when CG repeatedly fails to converge.
-    Ssor,
-}
-
 /// Numerical-guardrail controls for the [`crate::PlacementSession`]
 /// watchdog.
 ///
 /// The watchdog inspects every placement transformation. When a check
 /// trips it rolls the session back to the best-so-far checkpoint, damps
-/// the force step, demotes SSOR preconditioning to Jacobi on deeper
-/// recoveries and retries, up to [`max_recoveries`](Self::max_recoveries)
-/// times before the run gives up with the checkpointed result.
+/// the force step (and doubles the CG iteration budget after a CG stall)
+/// and retries, up to [`max_recoveries`](Self::max_recoveries) times in
+/// the session before the run gives up with the checkpointed result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogConfig {
     /// Master switch. Disabled, transformations run unguarded (the
@@ -76,8 +62,10 @@ pub struct WatchdogConfig {
     /// solves hit their iteration cap without converging. `0` disables
     /// the streak check.
     pub cg_stall_streak: usize,
-    /// Recovery attempts (rollback + damp + ladder step) per trip site
-    /// before the run gives up with the checkpointed result.
+    /// Recovery attempts (rollback + damp + ladder step) in one session,
+    /// counted across all trips, before the run gives up with the
+    /// checkpointed result. The multilevel flow runs one session per
+    /// level, so each level gets its own allowance.
     pub max_recoveries: usize,
     /// Optional wall-clock budget in seconds for a whole run; exceeded,
     /// the run stops with the best-so-far placement and
@@ -147,11 +135,8 @@ pub struct KraftwerkConfig {
     pub k: f64,
     /// Hard cap on placement transformations.
     pub max_transformations: usize,
-    /// Density grid bins along the longer core edge; `0` picks
-    /// `clamp(2·√cells, 16, 192)` automatically.
-    pub grid_bins: usize,
-    /// Divides the automatic grid resolution (fast mode trades field
-    /// resolution for speed). `1.0` keeps the automatic choice.
+    /// Divides the automatic density-grid resolution (fast mode trades
+    /// field resolution for speed). `1.0` keeps the automatic choice.
     pub grid_coarsening: f64,
     /// Net decomposition model.
     pub net_model: NetModel,
@@ -171,12 +156,6 @@ pub struct KraftwerkConfig {
     /// Stopping criterion factor: stop when no empty square larger than
     /// this multiple of the average cell area remains (paper: 4.0).
     pub stop_empty_square_factor: f64,
-    /// Wire-length relaxation: the fraction of the holding force released
-    /// each transformation, letting the springs pull cells back toward the
-    /// (linearized) wire-length optimum while the density forces push them
-    /// apart. `0.0` freezes the placement wherever the density flow left
-    /// it; values around `0.05–0.2` trade spreading speed for wire length.
-    pub relaxation: f64,
     /// Secondary stop: give up when the largest-empty-square area has not
     /// improved by at least 1% over this many consecutive transformations
     /// (guards low-utilization designs where the paper criterion can
@@ -188,8 +167,6 @@ pub struct KraftwerkConfig {
     /// value is applied via [`kraftwerk_par::set_threads`] when a session
     /// starts. Results are bitwise identical at every setting.
     pub threads: usize,
-    /// Preconditioner for the per-transformation CG solves.
-    pub precond: PrecondKind,
     /// Numerical-guardrail (watchdog) controls.
     pub watchdog: WatchdogConfig,
     /// Fault-injection knob: multiplies the per-transformation force
@@ -214,7 +191,6 @@ impl KraftwerkConfig {
         Self {
             k: 0.05,
             max_transformations: 120,
-            grid_bins: 0,
             grid_coarsening: 1.0,
             net_model: NetModel::default(),
             linearization: true,
@@ -224,11 +200,9 @@ impl KraftwerkConfig {
                 rel_tolerance: 1e-6,
                 abs_tolerance: 1e-12,
             },
-            relaxation: 0.05,
             stop_empty_square_factor: 4.0,
             stall_window: 16,
             threads: 0,
-            precond: PrecondKind::Jacobi,
             watchdog: WatchdogConfig::default(),
             force_scale_boost: 1.0,
             snapshot_every: 0,
@@ -288,15 +262,12 @@ impl KraftwerkConfig {
         self
     }
 
-    /// Effective density-grid resolution for a given cell count.
+    /// Density grid bins along the longer core edge for a given cell
+    /// count: `clamp(2·√cells / grid_coarsening, 16, 192)`.
     #[must_use]
     pub fn grid_bins_for(&self, num_cells: usize) -> usize {
-        if self.grid_bins > 0 {
-            self.grid_bins
-        } else {
-            let auto = ((num_cells as f64).sqrt() * 2.0 / self.grid_coarsening.max(0.1)).round();
-            (auto as usize).clamp(16, 192)
-        }
+        let auto = ((num_cells as f64).sqrt() * 2.0 / self.grid_coarsening.max(0.1)).round();
+        (auto as usize).clamp(16, 192)
     }
 }
 
@@ -340,11 +311,6 @@ mod tests {
         assert_eq!(c.grid_bins_for(64), 16);
         assert_eq!(c.grid_bins_for(2500), 100);
         assert_eq!(c.grid_bins_for(1_000_000), 192);
-        let fixed = KraftwerkConfig {
-            grid_bins: 40,
-            ..KraftwerkConfig::standard()
-        };
-        assert_eq!(fixed.grid_bins_for(1_000_000), 40);
     }
 
     #[test]
@@ -353,7 +319,6 @@ mod tests {
         assert!(c.watchdog.enabled);
         assert!(c.watchdog.wall_clock_budget.is_none(), "wall clock breaks determinism");
         assert_eq!(c.force_scale_boost, 1.0);
-        assert_eq!(c.precond, PrecondKind::Jacobi);
         assert!(c.watchdog.max_recoveries > 0);
     }
 

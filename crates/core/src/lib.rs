@@ -49,7 +49,7 @@ mod multilevel;
 mod quadratic;
 mod session;
 
-pub use config::{KraftwerkConfig, NetModel, PrecondKind, WatchdogConfig};
+pub use config::{KraftwerkConfig, NetModel, WatchdogConfig};
 pub use arena::ScratchArena;
 pub use error::KraftwerkError;
 pub use multilevel::{

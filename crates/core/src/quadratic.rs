@@ -27,7 +27,6 @@ pub const CLIQUE_DEGREE_CAP: usize = 256;
 pub struct QuadraticSystem {
     movable_of_cell: Vec<Option<u32>>,
     cell_of_movable: Vec<CellId>,
-    max_net_degree: usize,
 }
 
 /// One axis-separable assembled system: `C_x x + d_x = 0` and
@@ -81,11 +80,9 @@ impl QuadraticSystem {
                 cell_of_movable.push(id);
             }
         }
-        let max_net_degree = netlist.nets().map(|(_, net)| net.degree()).max().unwrap_or(0);
         Self {
             movable_of_cell,
             cell_of_movable,
-            max_net_degree,
         }
     }
 
@@ -93,23 +90,6 @@ impl QuadraticSystem {
     #[must_use]
     pub fn num_movable(&self) -> usize {
         self.cell_of_movable.len()
-    }
-
-    /// Largest net degree in the netlist this system was built for.
-    #[must_use]
-    pub fn max_net_degree(&self) -> usize {
-        self.max_net_degree
-    }
-
-    /// `true` when re-assembling under this model/linearization pair is
-    /// guaranteed to reproduce the same matrices regardless of the
-    /// placement, so a cached assembly stays valid across
-    /// transformations. Linearization, star centroids, B2B extremes and
-    /// the over-cap clique→star fallback all read the current placement,
-    /// so only an uncapped pure clique qualifies.
-    #[must_use]
-    pub fn assembly_is_static(&self, model: NetModel, linearization: bool) -> bool {
-        !linearization && model == NetModel::Clique && self.max_net_degree <= CLIQUE_DEGREE_CAP
     }
 
     /// Matrix index of a cell, `None` when fixed.
@@ -865,7 +845,6 @@ mod tests {
         );
         let nl = bld.build().unwrap();
         let sys = QuadraticSystem::new(&nl);
-        assert_eq!(sys.max_net_degree(), k);
         let p = nl.initial_placement();
         let asm_clique = sys.assemble(&nl, &p, None, NetModel::Clique, None);
         let asm_star = sys.assemble(&nl, &p, None, NetModel::Star, None);
@@ -875,39 +854,6 @@ mod tests {
         // A star of k pins touches only the diagonal: k entries, far from
         // the k(k-1)/2 off-diagonal pairs a clique would stage.
         assert!(asm_clique.cx.nnz() <= k, "nnz {}", asm_clique.cx.nnz());
-    }
-
-    #[test]
-    fn static_assembly_requires_uncapped_clique() {
-        let (nl, _, _) = chain();
-        let sys = QuadraticSystem::new(&nl);
-        assert!(sys.assembly_is_static(NetModel::Clique, false));
-        assert!(!sys.assembly_is_static(NetModel::Clique, true));
-        assert!(!sys.assembly_is_static(NetModel::B2B, false));
-        assert!(!sys.assembly_is_static(NetModel::Star, false));
-        assert!(!sys.assembly_is_static(NetModel::Hybrid { clique_threshold: 30 }, false));
-        // Past the cap even the pure clique becomes placement-dependent
-        // (star fallback reads the centroid).
-        let mut bld = NetlistBuilder::new();
-        bld.core_region(Rect::new(0.0, 0.0, 100.0, 100.0));
-        let ids: Vec<_> = (0..CLIQUE_DEGREE_CAP + 1)
-            .map(|i| bld.add_cell(format!("c{i}"), Size::new(1.0, 1.0)))
-            .collect();
-        bld.add_net(
-            "huge",
-            ids.iter()
-                .enumerate()
-                .map(|(i, &id)| {
-                    (
-                        id,
-                        if i == 0 { PinDirection::Output } else { PinDirection::Input },
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let nl = bld.build().unwrap();
-        let sys = QuadraticSystem::new(&nl);
-        assert!(!sys.assembly_is_static(NetModel::Clique, false));
     }
 
     /// pad(2,5) -- c -- pad(8,5), optionally plus a net listing `c` twice.

@@ -2,7 +2,7 @@
 //! accumulated additional forces.
 
 use crate::arena::ScratchArena;
-use crate::config::{KraftwerkConfig, PrecondKind};
+use crate::config::KraftwerkConfig;
 use crate::error::KraftwerkError;
 use crate::quadratic::QuadraticSystem;
 use kraftwerk_field::{
@@ -154,6 +154,12 @@ const SNAPSHOT_MAX_SIDE: usize = 32;
 
 /// Largest number of cell positions captured per `cells` snapshot.
 const SNAPSHOT_MAX_CELLS: usize = 512;
+
+/// Wire-length relaxation: the fraction of the holding force released
+/// each transformation, so the springs keep pulling cells toward the
+/// (linearized) wire-length optimum while the density forces push them
+/// apart.
+const RELAXATION: f64 = 0.05;
 
 /// Downsamples `map` and emits it as one grid snapshot record.
 fn emit_grid_snapshot(kind: &'static str, iteration: usize, map: &ScalarMap) {
@@ -332,14 +338,12 @@ impl<'a> PlacementSession<'a> {
 
     /// Fresh session reusing a scratch arena from a previous session
     /// (possibly over a *different* netlist — every buffer reshapes on
-    /// use, and the cached assembly is invalidated here). The multilevel
-    /// driver threads one arena through all hierarchy levels, and the
-    /// serving daemon pools arenas across requests, so the
-    /// zero-steady-state-allocation property holds per run instead of
-    /// paying a cold-start growth at each.
+    /// use). The multilevel driver threads one arena through all
+    /// hierarchy levels, and the serving daemon pools arenas across
+    /// requests, so the zero-steady-state-allocation property holds per
+    /// run instead of paying a cold-start growth at each.
     #[must_use]
-    pub fn with_arena(netlist: &'a Netlist, config: KraftwerkConfig, mut arena: ScratchArena) -> Self {
-        arena.invalidate_assembly();
+    pub fn with_arena(netlist: &'a Netlist, config: KraftwerkConfig, arena: ScratchArena) -> Self {
         let mut session = Self::new(netlist, config);
         session.arena = arena;
         session
@@ -398,15 +402,27 @@ impl<'a> PlacementSession<'a> {
             "one weight per net required"
         );
         self.extra_weights = Some(weights);
-        self.arena.invalidate_assembly();
     }
 
     /// Injects an additional supply/demand map (congestion or heat,
     /// section 5) blended into the density with the given weight before
-    /// every force computation. The map must use the session's
-    /// [`grid_dims`](PlacementSession::grid_dims).
-    pub fn set_demand_map(&mut self, map: ScalarMap, weight: f64) {
+    /// every force computation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::DimensionMismatch`] (as
+    /// [`KraftwerkError::Solver`]) and keeps the previous map when `map`
+    /// does not use the session's [`grid_dims`](PlacementSession::grid_dims).
+    pub fn set_demand_map(&mut self, map: ScalarMap, weight: f64) -> Result<(), KraftwerkError> {
+        let (nx, ny) = self.grid_dims();
+        let axes = [("demand map nx", nx, map.nx()), ("demand map ny", ny, map.ny())];
+        for (what, expected, got) in axes {
+            if got != expected {
+                return Err(SolverError::DimensionMismatch { what, expected, got }.into());
+            }
+        }
         self.demand = Some((map, weight));
+        Ok(())
     }
 
     /// Removes the injected demand map.
@@ -484,13 +500,12 @@ impl<'a> PlacementSession<'a> {
     ///
     /// All intermediate buffers live in the session's scratch arena: after
     /// the first transformation the steady-state loop reuses them without
-    /// further heap allocation, and with the pure-clique net model (no
-    /// linearization) the placement-independent system matrix, its
-    /// diagonal, and the Jacobi preconditioners are assembled once and
-    /// cached. The Poisson solve and the system assembly, and then the x
-    /// and y conjugate-gradient solves, run concurrently when more than
-    /// one worker thread is configured; results are bitwise identical at
-    /// any thread count.
+    /// further heap allocation. The system matrix, its diagonal and the
+    /// Jacobi preconditioners are rebuilt every transformation. The
+    /// Poisson solve and the system assembly, and then the x and y
+    /// conjugate-gradient solves, run concurrently when more than one
+    /// worker thread is configured; results are bitwise identical at any
+    /// thread count.
     ///
     /// # Panics
     ///
@@ -523,9 +538,7 @@ impl<'a> PlacementSession<'a> {
         let ScratchArena {
             assembly,
             asm,
-            asm_valid,
             hold_asm,
-            hold_valid,
             diag_x,
             diag_y,
             stiffness,
@@ -594,8 +607,7 @@ impl<'a> PlacementSession<'a> {
         let iteration = self.iteration;
         let (system, netlist, placement) = (&self.system, self.netlist, &self.placement);
         let extra_weights = self.extra_weights.as_deref();
-        let (net_model, precond) = (self.config.net_model, self.config.precond);
-        let static_model = system.assembly_is_static(net_model, self.config.linearization);
+        let net_model = self.config.net_model;
         // The two branches overlap in time, so they share one resource
         // bracket (per-branch heap deltas would double-count each other).
         let field_assembly_scope = PhaseScope::begin("place.field_assembly", tracing);
@@ -621,35 +633,21 @@ impl<'a> PlacementSession<'a> {
             },
             || {
                 // The assembly's diagonal is the per-cell stiffness the
-                // force scale must be expressed in. The pure clique model
-                // without linearization is placement-independent, so its
-                // matrix (and diagonal and preconditioner) survives across
-                // iterations until the net weights change.
+                // force scale must be expressed in.
                 let timer = kraftwerk_trace::span("place.force_assembly");
-                let rebuild = !(static_model && *asm_valid);
-                if rebuild {
-                    system.assemble_into(
-                        netlist,
-                        placement,
-                        extra_weights,
-                        net_model,
-                        lin_eps,
-                        asm,
-                        assembly,
-                    );
-                    *asm_valid = static_model;
-                    asm.cx.diagonal_into(diag_x);
-                    asm.cy.diagonal_into(diag_y);
-                }
-                // The watchdog ladder may demote the preconditioner
-                // mid-run; sync the slots before refreshing them against
-                // the current matrices.
-                let px_changed = px.set_kind(precond);
-                let py_changed = py.set_kind(precond);
-                if rebuild || px_changed || py_changed {
-                    px.refresh_from(&asm.cx);
-                    py.refresh_from(&asm.cy);
-                }
+                system.assemble_into(
+                    netlist,
+                    placement,
+                    extra_weights,
+                    net_model,
+                    lin_eps,
+                    asm,
+                    assembly,
+                );
+                asm.cx.diagonal_into(diag_x);
+                asm.cy.diagonal_into(diag_y);
+                px.refresh_from(&asm.cx);
+                py.refresh_from(&asm.cy);
                 timer.finish();
             },
         );
@@ -746,26 +744,23 @@ impl<'a> PlacementSession<'a> {
             // pull toward contraction until a new balance with the density
             // forces is reached — not a one-shot nudge.
             let hold = if self.extra_weights.is_some() {
-                if !(static_model && *hold_valid) {
-                    self.system.assemble_into(
-                        self.netlist,
-                        &self.placement,
-                        None,
-                        self.config.net_model,
-                        lin_eps,
-                        hold_asm,
-                        assembly,
-                    );
-                    *hold_valid = static_model;
-                }
+                self.system.assemble_into(
+                    self.netlist,
+                    &self.placement,
+                    None,
+                    self.config.net_model,
+                    lin_eps,
+                    hold_asm,
+                    assembly,
+                );
                 &*hold_asm
             } else {
                 &*asm
             };
             self.system.spring_force_into(hold, xs0, ys0, sx, sy);
-            // Release a `relaxation` fraction of the hold so the springs
+            // Release a `RELAXATION` fraction of the hold so the springs
             // keep optimizing wire length against the density forces.
-            let keep = 1.0 - self.config.relaxation.clamp(0.0, 1.0);
+            let keep = 1.0 - RELAXATION;
             hx.clear();
             hx.extend(sx.iter().map(|v| -v * keep));
             hy.clear();
@@ -1097,25 +1092,15 @@ impl<'a> PlacementSession<'a> {
         self.iteration = cp.iteration;
         self.last_empty_square.truncate(cp.empty_len);
         self.wd.cg_streak = 0;
-        // The linearized assembly depends on the placement; the cached
-        // static assembly is placement-independent but cheap to rebuild,
-        // and a preconditioner demotion needs fresh preconditioners
-        // either way.
-        self.arena.invalidate_assembly();
         true
     }
 
-    /// One step down the recovery ladder: always damp the force step;
-    /// deeper recoveries also demote the preconditioner (SSOR → Jacobi),
-    /// and a CG stall buys the solver a larger iteration budget.
+    /// One step down the recovery ladder: always damp the force step,
+    /// and after a CG stall double the solver's iteration budget.
     fn escalate(&mut self, trip: &'static str) {
         self.wd.damping *= 0.5;
         if trip == "cg stall streak" {
             self.config.cg.max_iterations *= 2;
-        }
-        if self.wd.recoveries >= 2 && self.config.precond == PrecondKind::Ssor {
-            self.config.precond = PrecondKind::Jacobi;
-            kraftwerk_trace::counter("watchdog.precond_demotions", 1);
         }
     }
 
@@ -1589,7 +1574,7 @@ mod tests {
             }
         }
         demand.balance();
-        session.set_demand_map(demand, 1.5);
+        session.set_demand_map(demand, 1.5).expect("map uses grid_dims");
         let result = session.run();
 
         // Mass shifts to the right relative to the plain run.
@@ -1620,7 +1605,7 @@ mod tests {
         let mut demand = ScalarMap::zeros(nl.core_region(), nx, ny);
         demand.set(0, 0, 5.0);
         demand.balance();
-        with_clear.set_demand_map(demand, 1.0);
+        with_clear.set_demand_map(demand, 1.0).expect("map uses grid_dims");
         with_clear.clear_demand_map();
         let a = with_clear.run();
         let b = GlobalPlacer::new(cfg).place(&nl);

@@ -42,4 +42,4 @@ pub mod vecops;
 
 pub use cg::{solve, solve_with, try_solve_with, CgOptions, CgResult, CgStats, CgWorkspace, SolverError};
 pub use csr::{CooMatrix, CsrBuildScratch, CsrMatrix, SymmetricStaging};
-pub use precond::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner};
+pub use precond::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner};

@@ -50,7 +50,9 @@ fn main() {
     let mut session = PlacementSession::new(&netlist, config.clone());
     for _ in 0..config.max_transformations {
         let map = congestion_map(&netlist, session.placement(), nx, ny, tracks);
-        session.set_demand_map(demand_for_session(&map), 2.5);
+        session
+            .set_demand_map(demand_for_session(&map), 2.5)
+            .expect("congestion map uses grid_dims");
         session.transform();
         if session.is_converged() {
             break;
@@ -69,7 +71,9 @@ fn main() {
     let mut session = PlacementSession::new(&netlist, config.clone());
     for _ in 0..config.max_transformations {
         let map = thermal_map(&netlist, session.placement(), nx, ny);
-        session.set_demand_map(demand_for_session(&map), 0.8);
+        session
+            .set_demand_map(demand_for_session(&map), 0.8)
+            .expect("thermal map uses grid_dims");
         session.transform();
         if session.is_converged() {
             break;

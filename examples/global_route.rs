@@ -57,7 +57,9 @@ fn main() {
         * kraftwerk::congestion::routing_demand_map(&netlist, &plain, nx, ny).max();
     for _ in 0..config.max_transformations {
         let map = congestion_map(&netlist, session.placement(), nx, ny, tracks_estimate);
-        session.set_demand_map(demand_for_session(&map), 2.0);
+        session
+            .set_demand_map(demand_for_session(&map), 2.0)
+            .expect("congestion map uses grid_dims");
         session.transform();
         if session.is_converged() {
             break;

@@ -96,7 +96,9 @@ fn heat_map_injection_flattens_a_hot_spot() {
     let mut session = PlacementSession::new(&nl, cfg.clone());
     for _ in 0..cfg.max_transformations {
         let t = thermal_map(&nl, session.placement(), nx, ny);
-        session.set_demand_map(demand_for_session(&t), 0.8);
+        session
+            .set_demand_map(demand_for_session(&t), 0.8)
+            .expect("thermal map uses grid_dims");
         session.transform();
         if session.is_converged() {
             break;

@@ -6,6 +6,7 @@
 //! rolled back to the best-so-far checkpoint, and either recovered or
 //! returned degraded — never a crash, never a garbage placement.
 
+use kraftwerk::field::ScalarMap;
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{
     metrics, Netlist, NetlistBuilder, PinDirection, ValidationIssue, MAX_NET_DEGREE,
@@ -13,7 +14,10 @@ use kraftwerk::netlist::{
 use kraftwerk::placer::{
     GlobalPlacer, KraftwerkConfig, KraftwerkError, PlacementSession, WatchdogConfig,
 };
+use kraftwerk::sparse::SolverError;
+use kraftwerk::trace::{self, RunRecorder, Value};
 use kraftwerk_geom::{Point, Rect, Size, Vector};
+use std::sync::Arc;
 
 fn placer() -> GlobalPlacer {
     GlobalPlacer::new(KraftwerkConfig::standard())
@@ -126,6 +130,28 @@ fn clique_net_above_degree_cap_is_rejected() {
 }
 
 #[test]
+fn wrong_size_demand_map_is_rejected_without_panic() {
+    let nl = generate(&SynthConfig::with_size("demand-size", 150, 200, 6));
+    let mut session = PlacementSession::new(&nl, KraftwerkConfig::standard());
+    let (nx, ny) = session.grid_dims();
+    let wide = ScalarMap::zeros(nl.core_region(), nx + 1, ny);
+    let err = session.set_demand_map(wide, 1.0).expect_err("a wider map must be rejected");
+    assert_eq!(
+        err,
+        KraftwerkError::Solver(SolverError::DimensionMismatch {
+            what: "demand map nx",
+            expected: nx,
+            got: nx + 1,
+        })
+    );
+    let short = ScalarMap::zeros(nl.core_region(), nx, ny - 1);
+    assert!(session.set_demand_map(short, 1.0).is_err());
+    // Neither map was stored, so the next transformation runs cleanly.
+    session.try_transform().expect("transformation after rejected maps");
+    assert!(session.health().is_clean());
+}
+
+#[test]
 fn ten_thousand_pin_net_places_without_panic() {
     // Below the degree cap a pathological high-fanout net must still go
     // through (the hybrid net model decomposes it as a star).
@@ -204,6 +230,35 @@ fn watchdog_recovers_from_one_shot_divergence() {
     assert!(health.trips >= 1, "the boosted attempt must trip");
     assert!(health.recoveries >= 1, "the retry must be a recovery");
     assert!(!health.degraded);
+}
+
+#[test]
+fn cg_stall_streak_doubles_the_cg_budget_and_recovers() {
+    // Standard mode spends about 25 CG iterations per axis on this
+    // netlist, so a 16-iteration budget stalls every solve until the
+    // watchdog's CG-stall rung doubles it.
+    let nl = generate(&SynthConfig::with_size("wd-stall", 150, 200, 6));
+    let mut config = KraftwerkConfig::standard();
+    config.cg.max_iterations = 16;
+    config.watchdog.cg_stall_streak = 2;
+    let recorder = Arc::new(RunRecorder::new());
+    let result = {
+        let _guard = trace::install_scoped(recorder.clone());
+        GlobalPlacer::new(config).try_place(&nl).expect("a stalled run recovers")
+    };
+    assert_eq!(result.health.trips, 1);
+    assert_eq!(result.health.recoveries, 1);
+    assert!(!result.health.degraded);
+    let last = result.stats.last().expect("transformations ran");
+    assert!(last.cg_converged, "the doubled budget must let CG converge");
+    // Over 16 iterations on one axis needs the raised budget; 32 per axis
+    // is its cap.
+    assert!(result.stats.iter().any(|s| s.cg_iterations > 2 * 16));
+    assert!(result.stats.iter().all(|s| s.cg_iterations <= 2 * 32));
+    let timeline = recorder.report().timeline;
+    assert_eq!(timeline.len(), 1, "{timeline:?}");
+    assert_eq!(timeline[0].get("reason").and_then(Value::as_str), Some("cg stall streak"));
+    assert_eq!(timeline[0].get("action").and_then(Value::as_str), Some("rollback"));
 }
 
 #[test]
