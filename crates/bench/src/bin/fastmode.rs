@@ -11,15 +11,12 @@
 //! cargo run --release -p kraftwerk-bench --bin fastmode            # E5
 //! cargo run --release -p kraftwerk-bench --bin fastmode -- --quick # E5, <= 7000 cells
 //! cargo run --release -p kraftwerk-bench --bin fastmode -- --large # E6
-//! cargo run --release -p kraftwerk-bench --bin fastmode -- --json  # + BENCH_place.json
 //! ```
 //!
-//! With `--json`, both the standard-mode and fast-mode runs are recorded
-//! under a [`kraftwerk_trace::RunRecorder`] and written (netlist, threads,
-//! per-phase wall seconds, wire length, iteration count) to
-//! `BENCH_place.json` in the working directory.
+//! The committed `BENCH_place.json` rows for both modes come from
+//! `kraftwerk bench --json --modes standard,fast`, not from this binary.
 
-use kraftwerk_bench::{run_kraftwerk, run_kraftwerk_recorded, table1_circuits, write_bench_json};
+use kraftwerk_bench::{run_kraftwerk, table1_circuits};
 use kraftwerk_core::KraftwerkConfig;
 use kraftwerk_netlist::synth::{generate, mcnc};
 
@@ -31,9 +28,7 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
     let circuits = table1_circuits(if quick { 7000 } else { usize::MAX });
-    let mut json_runs = Vec::new();
 
     console.info("E5: standard (K=0.2) vs fast mode — wire length [m] and CPU [s]");
     console.info(format!(
@@ -45,18 +40,8 @@ fn main() {
     let mut count = 0.0;
     for preset in circuits {
         let netlist = mcnc::by_name(preset.name);
-        let (std_run, fast_run) = if json {
-            let (s, sr) = run_kraftwerk_recorded(&netlist, KraftwerkConfig::standard(), "standard");
-            let (f, fr) = run_kraftwerk_recorded(&netlist, KraftwerkConfig::fast(), "fast");
-            json_runs.push(sr);
-            json_runs.push(fr);
-            (s, f)
-        } else {
-            (
-                run_kraftwerk(&netlist, KraftwerkConfig::standard()),
-                run_kraftwerk(&netlist, KraftwerkConfig::fast()),
-            )
-        };
+        let std_run = run_kraftwerk(&netlist, KraftwerkConfig::standard());
+        let fast_run = run_kraftwerk(&netlist, KraftwerkConfig::fast());
         let wire_pct = 100.0 * (fast_run.wirelength_m - std_run.wirelength_m) / std_run.wirelength_m;
         let speedup = std_run.seconds / fast_run.seconds;
         console.info(format!(
@@ -80,9 +65,6 @@ fn main() {
         wire_sum / count,
         speed_sum / count
     ));
-    if json {
-        write_bench_json(&console, &json_runs);
-    }
     console.info("\n(paper: fast mode is ~3x faster at ~6% wire-length cost)");
 }
 

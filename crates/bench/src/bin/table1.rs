@@ -9,19 +9,13 @@
 //! ```sh
 //! cargo run --release -p kraftwerk-bench --bin table1            # all 9 circuits
 //! cargo run --release -p kraftwerk-bench --bin table1 -- --quick # <= 7000 cells
-//! cargo run --release -p kraftwerk-bench --bin table1 -- --json  # + BENCH_place.json
 //! ```
 //!
-//! With `--json`, every Kraftwerk run is recorded under a
-//! [`kraftwerk_trace::RunRecorder`] and the machine-readable measurements
-//! (netlist, threads, per-phase wall seconds, wire length, iteration
-//! count) are written to `BENCH_place.json` in the working directory.
+//! The committed `BENCH_place.json` rows come from `kraftwerk bench
+//! --json` (README "Inspecting runs"), not from this binary.
 
 use kraftwerk_baselines::{AnnealingConfig, GordianConfig};
-use kraftwerk_bench::{
-    run_annealing, run_gordian, run_kraftwerk, run_kraftwerk_recorded, table1_circuits,
-    write_bench_json, write_csv,
-};
+use kraftwerk_bench::{run_annealing, run_gordian, run_kraftwerk, table1_circuits, write_csv};
 use kraftwerk_core::KraftwerkConfig;
 use kraftwerk_netlist::synth::mcnc;
 
@@ -29,9 +23,7 @@ fn main() {
     let console = kraftwerk_bench::console();
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
     let circuits = table1_circuits(if quick { 7000 } else { usize::MAX });
-    let mut json_runs = Vec::new();
 
     console.info("Table 1: wire length [m] and CPU [s] (legalized placements)");
     console.info(format!(
@@ -43,13 +35,7 @@ fn main() {
         let netlist = mcnc::by_name(preset.name);
         let sa = run_annealing(&netlist, AnnealingConfig::heavy());
         let gq = run_gordian(&netlist, GordianConfig::default());
-        let kw = if json {
-            let (result, run) = run_kraftwerk_recorded(&netlist, KraftwerkConfig::standard(), "standard");
-            json_runs.push(run);
-            result
-        } else {
-            run_kraftwerk(&netlist, KraftwerkConfig::standard())
-        };
+        let kw = run_kraftwerk(&netlist, KraftwerkConfig::standard());
         assert!(sa.legal && gq.legal && kw.legal, "illegal result on {}", preset.name);
         console.info(format!(
             "{:<12} {:>7} {:>7} | {:>10.4} {:>8.1} | {:>10.4} {:>8.1} | {:>10.4} {:>8.1}",
@@ -79,8 +65,5 @@ fn main() {
         "circuit;cells;tw_wire;tw_cpu;go_wire;go_cpu;our_wire;our_cpu",
         &rows,
     );
-    if json {
-        write_bench_json(&console, &json_runs);
-    }
     console.info("\ncached to bench_results/table1.csv (table2 derives from it)");
 }

@@ -2,18 +2,20 @@
 //! `BENCH_place.json` baseline.
 //!
 //! The gate reruns every baseline circuit that (a) is one of the Table 1
-//! presets — anything else cannot be regenerated deterministically — and
-//! (b) fits under the caller's `--max-cells` budget, then compares:
+//! presets or scale tiers — anything else cannot be regenerated
+//! deterministically — and (b) fits under the caller's `--max-cells`
+//! budget, then compares:
 //!
-//! * **HPWL** — hard signal. Legalized wire length is bitwise
-//!   deterministic for a given circuit/config at any thread count, so any
-//!   drift beyond the tolerance is a real quality regression (or a real
+//! * **HPWL** — legalized wire length is bitwise deterministic for a
+//!   given circuit/config at any thread count, so any drift beyond
+//!   [`HPWL_TOLERANCE`] is a real quality regression (or a real
 //!   improvement worth re-baselining).
-//! * **Legality** — hard signal. A rerun whose legalized placement fails
-//!   the legality check fails the gate whatever its wire length.
-//! * **Wall clock** — soft signal. Timing depends on the host, so the
-//!   verdict reports it but [`CompareReport::passed`] ignores it; CI
-//!   wrappers treat it as warn-only.
+//! * **Legality** — a rerun whose legalized placement fails the
+//!   legality check fails the gate whatever its wire length.
+//!
+//! Wall time is not compared: it depends on the host, and speed is
+//! measured by the repeated same-host runs of `perfbench` (see
+//! `BENCHMARK.json`).
 //!
 //! The verdict serializes through [`CompareReport::to_json`] so scripts
 //! (`scripts/bench_gate.sh`) can consume it without scraping the table.
@@ -23,27 +25,9 @@ use kraftwerk_core::MultilevelConfig;
 use kraftwerk_netlist::synth::{generate, mcnc, scale};
 use kraftwerk_trace::json::{self, Json, JsonObject};
 
-/// Tolerances and scope for one gate run.
-#[derive(Debug, Clone, Copy)]
-pub struct CompareConfig {
-    /// Relative HPWL tolerance (`0.02` = 2%). Exceeding it fails the gate.
-    pub hpwl_tolerance: f64,
-    /// Relative wall-clock tolerance. Exceeding it is reported as a
-    /// warning but never fails the gate.
-    pub wall_tolerance: f64,
-    /// Only rerun baseline circuits with at most this many cells.
-    pub max_cells: usize,
-}
-
-impl Default for CompareConfig {
-    fn default() -> Self {
-        CompareConfig {
-            hpwl_tolerance: 0.02,
-            wall_tolerance: 0.25,
-            max_cells: 2000,
-        }
-    }
-}
+/// Relative HPWL drift (`0.02` = 2% worse than baseline) beyond which a
+/// rerun fails the gate.
+pub const HPWL_TOLERANCE: f64 = 0.02;
 
 /// One run parsed out of a `BENCH_place.json` baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,10 +36,6 @@ pub struct BaselineRun {
     pub netlist: String,
     /// Mode label (one of [`crate::MODES`]).
     pub mode: String,
-    /// Movable cell count recorded in the baseline.
-    pub cells: usize,
-    /// Baseline wall-clock seconds.
-    pub wall_s: f64,
     /// Baseline legalized HPWL in meters.
     pub hpwl_m: f64,
 }
@@ -71,14 +51,8 @@ pub struct Delta {
     pub baseline_hpwl_m: f64,
     /// Fresh HPWL (meters).
     pub current_hpwl_m: f64,
-    /// Baseline wall-clock seconds.
-    pub baseline_wall_s: f64,
-    /// Fresh wall-clock seconds.
-    pub current_wall_s: f64,
-    /// `true` when the HPWL drift exceeds the hard tolerance.
+    /// `true` when the HPWL drift exceeds [`HPWL_TOLERANCE`].
     pub hpwl_regressed: bool,
-    /// `true` when the wall-clock drift exceeds the soft tolerance.
-    pub wall_regressed: bool,
     /// Whether the fresh legalized placement passed the legality check.
     pub legal: bool,
 }
@@ -89,12 +63,6 @@ impl Delta {
     pub fn hpwl_delta(&self) -> f64 {
         relative_delta(self.baseline_hpwl_m, self.current_hpwl_m)
     }
-
-    /// Relative wall-clock drift.
-    #[must_use]
-    pub fn wall_delta(&self) -> f64 {
-        relative_delta(self.baseline_wall_s, self.current_wall_s)
-    }
 }
 
 /// The gate verdict: every rerun pair plus what was skipped and why.
@@ -104,10 +72,6 @@ pub struct CompareReport {
     pub deltas: Vec<Delta>,
     /// Baseline runs not rerun, as `"<netlist>/<mode>: <reason>"`.
     pub skipped: Vec<String>,
-    /// The hard HPWL tolerance the verdict was computed with.
-    pub hpwl_tolerance: f64,
-    /// The soft wall-clock tolerance the verdict was computed with.
-    pub wall_tolerance: f64,
 }
 
 /// Relative drift of `current` against `baseline` (`+0.03` = 3% worse).
@@ -126,41 +90,11 @@ fn relative_delta(baseline: f64, current: f64) -> f64 {
 }
 
 impl CompareReport {
-    /// `true` when no rerun exceeded the hard HPWL tolerance and every
-    /// rerun placement is legal. Wall-clock drift never fails the gate.
+    /// `true` when no rerun exceeded [`HPWL_TOLERANCE`] and every rerun
+    /// placement is legal.
     #[must_use]
     pub fn passed(&self) -> bool {
         !self.deltas.iter().any(|d| d.hpwl_regressed || !d.legal)
-    }
-
-    /// Number of soft wall-clock warnings.
-    #[must_use]
-    pub fn wall_warnings(&self) -> usize {
-        self.deltas.iter().filter(|d| d.wall_regressed).count()
-    }
-
-    /// Human-readable warning strings for every soft (non-fatal)
-    /// finding: one per wall-clock drift beyond the soft tolerance, one
-    /// per skipped baseline run. Serialized as the verdict's `warnings`
-    /// array so CI can surface them without re-deriving the phrasing.
-    #[must_use]
-    pub fn warnings(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .deltas
-            .iter()
-            .filter(|d| d.wall_regressed)
-            .map(|d| {
-                format!(
-                    "{}/{}: wall clock {:+.1}% vs baseline (soft tolerance {:.0}%)",
-                    d.netlist,
-                    d.mode,
-                    d.wall_delta() * 100.0,
-                    self.wall_tolerance * 100.0
-                )
-            })
-            .collect();
-        out.extend(self.skipped.iter().map(|s| format!("skipped {s}")));
-        out
     }
 
     /// Machine-readable verdict consumed by `scripts/bench_gate.sh`.
@@ -168,8 +102,7 @@ impl CompareReport {
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
         o.str_field("verdict", if self.passed() { "pass" } else { "fail" });
-        o.f64_field("hpwl_tolerance", self.hpwl_tolerance);
-        o.f64_field("wall_tolerance", self.wall_tolerance);
+        o.f64_field("hpwl_tolerance", HPWL_TOLERANCE);
         o.u64_field(
             "hpwl_failures",
             self.deltas.iter().filter(|d| d.hpwl_regressed).count() as u64,
@@ -178,16 +111,6 @@ impl CompareReport {
             "legality_failures",
             self.deltas.iter().filter(|d| !d.legal).count() as u64,
         );
-        o.u64_field("wall_warnings", self.wall_warnings() as u64);
-        let mut warnings = String::from("[");
-        for (i, w) in self.warnings().iter().enumerate() {
-            if i > 0 {
-                warnings.push(',');
-            }
-            json::write_escaped(&mut warnings, w);
-        }
-        warnings.push(']');
-        o.raw_field("warnings", &warnings);
         let mut items = String::from("[");
         for (i, d) in self.deltas.iter().enumerate() {
             if i > 0 {
@@ -199,11 +122,7 @@ impl CompareReport {
             e.f64_field("baseline_hpwl_m", d.baseline_hpwl_m);
             e.f64_field("current_hpwl_m", d.current_hpwl_m);
             e.f64_field("hpwl_delta", d.hpwl_delta());
-            e.f64_field("baseline_wall_s", d.baseline_wall_s);
-            e.f64_field("current_wall_s", d.current_wall_s);
-            e.f64_field("wall_delta", d.wall_delta());
             e.bool_field("hpwl_regressed", d.hpwl_regressed);
-            e.bool_field("wall_regressed", d.wall_regressed);
             e.bool_field("legal", d.legal);
             items.push_str(&e.finish());
         }
@@ -227,9 +146,7 @@ impl CompareReport {
     /// Human-readable table, one line per delta plus the skip list.
     #[must_use]
     pub fn summary_table(&self) -> String {
-        let mut out = String::from(
-            "circuit      mode      hpwl Δ      wall Δ      status\n",
-        );
+        let mut out = String::from("circuit      mode      hpwl Δ      status\n");
         for d in &self.deltas {
             let status = if !d.hpwl_delta().is_finite() {
                 "FAIL (corrupt baseline)"
@@ -237,17 +154,14 @@ impl CompareReport {
                 "FAIL (illegal)"
             } else if d.hpwl_regressed {
                 "FAIL (hpwl)"
-            } else if d.wall_regressed {
-                "warn (wall)"
             } else {
                 "ok"
             };
             out.push_str(&format!(
-                "{:<12} {:<9} {:>+9.4}% {:>+10.1}% {:>11}\n",
+                "{:<12} {:<9} {:>+9.4}% {:>11}\n",
                 d.netlist,
                 d.mode,
                 d.hpwl_delta() * 100.0,
-                d.wall_delta() * 100.0,
                 status
             ));
         }
@@ -288,27 +202,45 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineRun>, String> {
         out.push(BaselineRun {
             netlist: field_str(run, "netlist")?,
             mode: field_str(run, "mode")?,
-            cells: field_f64(run, "cells")? as usize,
-            wall_s: field_f64(run, "wall_s")?,
             hpwl_m: field_f64(run, "hpwl_m")?,
         });
     }
     Ok(out)
 }
 
+/// Keeps the baseline rows whose mode is in `modes`, a `--modes`
+/// selection parsed by [`crate::parse_modes`]; `None` keeps every row.
+///
+/// # Errors
+///
+/// Fails when no row is kept, so a gate cannot pass without rerunning
+/// anything. A kept row that [`run_compare`] then skips (above
+/// `--max-cells`, say) still counts as kept.
+pub fn select_rows(
+    mut baseline: Vec<BaselineRun>,
+    modes: Option<&[&str]>,
+) -> Result<Vec<BaselineRun>, String> {
+    if let Some(modes) = modes {
+        baseline.retain(|run| modes.contains(&run.mode.as_str()));
+    }
+    if baseline.is_empty() {
+        return Err(match modes {
+            Some(modes) => format!("baseline has no row in mode {}", modes.join(" or ")),
+            None => "baseline has no rows".to_string(),
+        });
+    }
+    Ok(baseline)
+}
+
 /// Reruns the comparable subset of `baseline` and diffs it.
 ///
 /// Rows whose mode has no config (see [`config_for_mode`]) are skipped,
 /// as are circuits that are not Table 1 presets or scale tiers (never
-/// panics on an unknown name) and circuits above `config.max_cells`.
+/// panics on an unknown name) and circuits above `max_cells`.
 #[must_use]
-pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareReport {
-    let eligible = table1_circuits(config.max_cells);
-    let mut report = CompareReport {
-        hpwl_tolerance: config.hpwl_tolerance,
-        wall_tolerance: config.wall_tolerance,
-        ..CompareReport::default()
-    };
+pub fn run_compare(baseline: &[BaselineRun], max_cells: usize) -> CompareReport {
+    let eligible = table1_circuits(max_cells);
+    let mut report = CompareReport::default();
     // Regenerate each circuit once even when several modes reference it.
     let mut cache: Vec<(String, kraftwerk_netlist::Netlist)> = Vec::new();
     for run in baseline {
@@ -328,10 +260,10 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
                 report.skipped.push(format!("{tag}: not a scale tier"));
                 continue;
             };
-            if tier.cells > config.max_cells {
+            if tier.cells > max_cells {
                 report
                     .skipped
-                    .push(format!("{tag}: above --max-cells {}", config.max_cells));
+                    .push(format!("{tag}: above --max-cells {max_cells}"));
                 continue;
             }
             if !cache.iter().any(|(name, _)| name == run.netlist.as_str()) {
@@ -342,7 +274,7 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
                 continue;
             };
             let fresh = run_kraftwerk_multilevel(netlist, kw_config, &MultilevelConfig::default());
-            push_delta(&mut report, run, &fresh, config);
+            push_delta(&mut report, run, &fresh);
             continue;
         }
         if !mcnc::TABLE1.iter().any(|p| p.name == run.netlist) {
@@ -352,7 +284,7 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
         let Some(preset) = eligible.iter().find(|p| p.name == run.netlist) else {
             report
                 .skipped
-                .push(format!("{tag}: above --max-cells {}", config.max_cells));
+                .push(format!("{tag}: above --max-cells {max_cells}"));
             continue;
         };
         if !cache.iter().any(|(name, _)| name == run.netlist.as_str()) {
@@ -363,34 +295,25 @@ pub fn run_compare(baseline: &[BaselineRun], config: &CompareConfig) -> CompareR
             continue;
         };
         let fresh = run_kraftwerk(netlist, kw_config);
-        push_delta(&mut report, run, &fresh, config);
+        push_delta(&mut report, run, &fresh);
     }
     report
 }
 
 /// Diffs one fresh measurement against its baseline row.
-fn push_delta(
-    report: &mut CompareReport,
-    run: &BaselineRun,
-    fresh: &crate::FlowResult,
-    config: &CompareConfig,
-) {
+fn push_delta(report: &mut CompareReport, run: &BaselineRun, fresh: &crate::FlowResult) {
     let hpwl_delta = relative_delta(run.hpwl_m, fresh.wirelength_m);
-    let wall_delta = relative_delta(run.wall_s, fresh.seconds);
     report.deltas.push(Delta {
         netlist: run.netlist.clone(),
         mode: run.mode.clone(),
         baseline_hpwl_m: run.hpwl_m,
         current_hpwl_m: fresh.wirelength_m,
-        baseline_wall_s: run.wall_s,
-        current_wall_s: fresh.seconds,
         // Only *worse* wire length fails: improvements are flagged in
         // the table (large negative delta) but should prompt a
         // re-baseline, not a red build. A non-finite drift means the
         // baseline itself is corrupt — that is a hard failure, never
         // a silent pass.
-        hpwl_regressed: !hpwl_delta.is_finite() || hpwl_delta > config.hpwl_tolerance,
-        wall_regressed: !wall_delta.is_finite() || wall_delta > config.wall_tolerance,
+        hpwl_regressed: !hpwl_delta.is_finite() || hpwl_delta > HPWL_TOLERANCE,
         legal: fresh.legal,
     });
 }
@@ -398,34 +321,33 @@ fn push_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_json, run_kraftwerk_recorded, FlowResult, MODES};
+    use crate::{bench_json, FlowResult, JsonRun, MODES};
     use kraftwerk_core::KraftwerkConfig;
+
+    fn row(netlist: &str, mode: &str, hpwl_m: f64) -> BaselineRun {
+        BaselineRun {
+            netlist: netlist.to_string(),
+            mode: mode.to_string(),
+            hpwl_m,
+        }
+    }
 
     #[test]
     fn baseline_round_trips_through_bench_json() {
         let netlist = mcnc::by_name("fract");
-        let (_, run) = run_kraftwerk_recorded(&netlist, KraftwerkConfig::fast(), "fast");
+        let result = run_kraftwerk(&netlist, KraftwerkConfig::fast());
+        let run = JsonRun::new(&netlist, "fast", &result);
         let parsed = parse_baseline(&bench_json(std::slice::from_ref(&run)))
             .expect("bench_json parses as a baseline");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].netlist, "fract");
-        assert_eq!(parsed[0].mode, "fast");
-        assert!(parsed[0].hpwl_m > 0.0);
+        assert_eq!(parsed, vec![row("fract", "fast", result.wirelength_m)]);
     }
 
     #[test]
     fn identical_baseline_passes_and_injected_regression_fails() {
         let netlist = mcnc::by_name("fract");
         let fresh = run_kraftwerk(&netlist, KraftwerkConfig::fast());
-        let mut baseline = vec![BaselineRun {
-            netlist: "fract".to_string(),
-            mode: "fast".to_string(),
-            cells: 125,
-            wall_s: fresh.seconds,
-            hpwl_m: fresh.wirelength_m,
-        }];
-        let config = CompareConfig::default();
-        let report = run_compare(&baseline, &config);
+        let mut baseline = vec![row("fract", "fast", fresh.wirelength_m)];
+        let report = run_compare(&baseline, 2000);
         assert_eq!(report.deltas.len(), 1);
         assert!(
             report.passed(),
@@ -438,7 +360,7 @@ mod tests {
         // Injected regression: pretend the baseline was 3% better than
         // what the placer produces today.
         baseline[0].hpwl_m = fresh.wirelength_m / 1.03;
-        let report = run_compare(&baseline, &config);
+        let report = run_compare(&baseline, 2000);
         assert!(!report.passed(), "3% drift must trip the 2% gate");
         let verdict = kraftwerk_trace::json::parse(&report.to_json()).expect("verdict JSON");
         assert_eq!(
@@ -461,16 +383,8 @@ mod tests {
         // `NaN > tolerance` is false, so the run counted as a pass; a
         // zeroed baseline behaved the same through the zero-guard. Both
         // must now be hard failures with an explicit verdict.
-        let config = CompareConfig::default();
         for corrupt_hpwl in [f64::NAN, 0.0, f64::INFINITY] {
-            let baseline = vec![BaselineRun {
-                netlist: "fract".to_string(),
-                mode: "fast".to_string(),
-                cells: 125,
-                wall_s: 0.1,
-                hpwl_m: corrupt_hpwl,
-            }];
-            let report = run_compare(&baseline, &config);
+            let report = run_compare(&[row("fract", "fast", corrupt_hpwl)], 2000);
             assert_eq!(report.deltas.len(), 1);
             assert!(
                 !report.passed(),
@@ -492,51 +406,6 @@ mod tests {
                 Some("fail")
             );
         }
-    }
-
-    #[test]
-    fn verdict_warnings_array_names_wall_drift_and_skips() {
-        let report = CompareReport {
-            deltas: vec![Delta {
-                netlist: "fract".to_string(),
-                mode: "fast".to_string(),
-                baseline_hpwl_m: 1.0,
-                current_hpwl_m: 1.0,
-                baseline_wall_s: 1.0,
-                current_wall_s: 1.5,
-                hpwl_regressed: false,
-                wall_regressed: true,
-                legal: true,
-            }],
-            skipped: vec!["weird/\"mode\": not a Table 1 circuit".to_string()],
-            hpwl_tolerance: 0.02,
-            wall_tolerance: 0.25,
-        };
-        let warnings = report.warnings();
-        assert_eq!(warnings.len(), 2);
-        assert!(warnings[0].contains("fract/fast"));
-        assert!(warnings[0].contains("+50.0%"));
-        assert!(warnings[1].starts_with("skipped "));
-        // The verdict JSON stays parseable with a non-empty skip list
-        // (double-quoted skip entries used to corrupt the document) and
-        // round-trips the warnings array for CI.
-        let verdict =
-            kraftwerk_trace::json::parse(&report.to_json()).expect("verdict JSON parses");
-        let parsed = verdict
-            .get("warnings")
-            .and_then(kraftwerk_trace::json::Json::as_array)
-            .expect("warnings array");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(
-            parsed[0].as_str().map(|w| w.contains("wall clock")),
-            Some(true)
-        );
-        assert_eq!(
-            verdict
-                .get("wall_warnings")
-                .and_then(kraftwerk_trace::json::Json::as_f64),
-            Some(1.0)
-        );
     }
 
     #[test]
@@ -563,23 +432,18 @@ mod tests {
     #[test]
     fn an_illegal_rerun_fails_the_gate_even_within_the_hpwl_tolerance() {
         let netlist = mcnc::by_name("fract");
-        let baseline = BaselineRun {
-            netlist: "fract".to_string(),
-            mode: "fast".to_string(),
-            cells: 125,
-            wall_s: 1.0,
-            hpwl_m: 1.0,
-        };
+        let baseline = row("fract", "fast", 1.0);
         let fresh = |legal| FlowResult {
             placement: netlist.initial_placement(),
             wirelength_m: 1.0,
             seconds: 1.0,
             legal,
+            iterations: 1,
         };
         let mut report = CompareReport::default();
-        push_delta(&mut report, &baseline, &fresh(true), &CompareConfig::default());
+        push_delta(&mut report, &baseline, &fresh(true));
         assert!(report.passed());
-        push_delta(&mut report, &baseline, &fresh(false), &CompareConfig::default());
+        push_delta(&mut report, &baseline, &fresh(false));
         assert!(!report.passed(), "an illegal placement must fail the gate");
         assert!(!report.deltas[1].hpwl_regressed, "the wire length itself is unchanged");
         assert!(report.summary_table().contains("FAIL (illegal)"));
@@ -599,32 +463,44 @@ mod tests {
     #[test]
     fn unknown_circuits_and_oversized_circuits_are_skipped_not_fatal() {
         let baseline = vec![
-            BaselineRun {
-                netlist: "not_a_circuit".to_string(),
-                mode: "standard".to_string(),
-                cells: 10,
-                wall_s: 1.0,
-                hpwl_m: 1.0,
-            },
-            BaselineRun {
-                netlist: "avq.large".to_string(),
-                mode: "standard".to_string(),
-                cells: 25_114,
-                wall_s: 100.0,
-                hpwl_m: 2.7,
-            },
-            BaselineRun {
-                netlist: "fract".to_string(),
-                mode: "mystery".to_string(),
-                cells: 125,
-                wall_s: 1.0,
-                hpwl_m: 1.0,
-            },
+            // A double quote in a skip entry used to make the verdict
+            // JSON unparseable.
+            row("not_a_\"circuit\"", "standard", 1.0),
+            row("avq.large", "standard", 2.7),
+            row("fract", "mystery", 1.0),
         ];
-        let report = run_compare(&baseline, &CompareConfig::default());
+        let report = run_compare(&baseline, 2000);
         assert!(report.deltas.is_empty());
         assert_eq!(report.skipped.len(), 3);
         assert!(report.passed(), "skips alone never fail the gate");
+        let verdict = kraftwerk_trace::json::parse(&report.to_json()).expect("verdict JSON parses");
+        let skipped = verdict
+            .get("skipped")
+            .and_then(kraftwerk_trace::json::Json::as_array)
+            .expect("skipped array");
+        assert_eq!(skipped.len(), 3);
+        assert_eq!(
+            skipped[0].as_str(),
+            Some("not_a_\"circuit\"/standard: not a Table 1 circuit")
+        );
+    }
+
+    #[test]
+    fn a_selection_that_matches_no_row_is_an_error() {
+        let baseline = || vec![row("fract", "standard", 1.0), row("fract", "fast", 1.0)];
+        // A baseline without tier rows cannot pass a tier-only gate.
+        let err = select_rows(baseline(), Some(&["multilevel-b2b"])).expect_err("no tier rows");
+        assert!(err.contains("multilevel-b2b"), "{err}");
+        assert_eq!(
+            select_rows(baseline(), Some(&["fast"])),
+            Ok(vec![row("fract", "fast", 1.0)])
+        );
+        assert_eq!(select_rows(baseline(), None).map(|rows| rows.len()), Ok(2));
+        assert!(select_rows(Vec::new(), None).is_err());
+        // Rows kept but skipped for size still pass, as before.
+        let kept = select_rows(vec![row("avq.large", "standard", 2.7)], Some(&["standard"]))
+            .expect("one row kept");
+        assert!(run_compare(&kept, 2000).passed());
     }
 
     #[test]
@@ -633,22 +509,10 @@ mod tests {
         // --max-cells are skipped, not rerun (the big tiers would take
         // minutes in a unit test).
         let baseline = vec![
-            BaselineRun {
-                netlist: "fract".to_string(),
-                mode: "multilevel-b2b".to_string(),
-                cells: 125,
-                wall_s: 1.0,
-                hpwl_m: 1.0,
-            },
-            BaselineRun {
-                netlist: "scale10k".to_string(),
-                mode: "multilevel-b2b".to_string(),
-                cells: 10_000,
-                wall_s: 10.0,
-                hpwl_m: 5.0,
-            },
+            row("fract", "multilevel-b2b", 1.0),
+            row("scale10k", "multilevel-b2b", 5.0),
         ];
-        let report = run_compare(&baseline, &CompareConfig::default());
+        let report = run_compare(&baseline, 2000);
         assert!(report.deltas.is_empty());
         assert_eq!(report.skipped.len(), 2);
         assert!(report.skipped[0].contains("not a scale tier"));
@@ -660,14 +524,7 @@ mod tests {
     fn unknown_multilevel_modes_are_skipped_not_fatal() {
         // An unknown multilevel label is skipped, not fatal, and never
         // falls through to the Table 1 branch.
-        let baseline = vec![BaselineRun {
-            netlist: "scale10k".to_string(),
-            mode: "multilevel-annealed".to_string(),
-            cells: 10_000,
-            wall_s: 1.0,
-            hpwl_m: 1.0,
-        }];
-        let report = run_compare(&baseline, &CompareConfig::default());
+        let report = run_compare(&[row("scale10k", "multilevel-annealed", 1.0)], 2000);
         assert!(report.deltas.is_empty());
         assert_eq!(report.skipped.len(), 1);
         assert!(report.skipped[0].contains("not reproducible"));

@@ -12,8 +12,7 @@
 //!
 //! All harness binaries print through [`kraftwerk_trace::Console`] (get
 //! one with [`console`]) so `--quiet`/`-v` mean the same thing
-//! everywhere, and every completed flow reports its measurement as a
-//! `bench.flow` trace event when a sink is installed.
+//! everywhere.
 
 use kraftwerk_baselines::{AnnealingConfig, AnnealingPlacer, GordianConfig, GordianPlacer};
 use kraftwerk_core::{try_place_multilevel, GlobalPlacer, KraftwerkConfig, MultilevelConfig};
@@ -21,9 +20,8 @@ use kraftwerk_legalize::{check_legality, legalize, refine};
 use kraftwerk_netlist::{metrics, Netlist, Placement};
 use kraftwerk_timing::{optimize_timing_legalized, CriticalityTracker, DelayModel, Sta};
 use kraftwerk_trace::json::JsonObject;
-use kraftwerk_trace::{Console, RunRecorder, Value};
+use kraftwerk_trace::Console;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 pub mod compare;
@@ -51,31 +49,23 @@ pub struct FlowResult {
     pub seconds: f64,
     /// Whether the final placement passed the legality check.
     pub legal: bool,
+    /// Placement transformations the Kraftwerk flows performed, summed
+    /// over every level of the multilevel flow; 0 for the baseline
+    /// placers.
+    pub iterations: usize,
 }
 
-fn finish(flow: &'static str, netlist: &Netlist, global: Placement, started: Instant) -> FlowResult {
+fn finish(netlist: &Netlist, global: Placement, iterations: usize, started: Instant) -> FlowResult {
     let mut legal = legalize(netlist, &global).expect("row capacity");
     refine(netlist, &mut legal, 2);
     let seconds = started.elapsed().as_secs_f64();
-    let result = FlowResult {
+    FlowResult {
         wirelength_m: metrics::hpwl(netlist, &legal) * UNITS_TO_METERS,
         legal: check_legality(netlist, &legal, 1e-6).is_legal(),
         placement: legal,
         seconds,
-    };
-    if kraftwerk_trace::enabled() {
-        kraftwerk_trace::event(
-            "bench.flow",
-            vec![
-                ("flow", Value::from(flow)),
-                ("circuit", Value::from(netlist.name())),
-                ("wirelength_m", Value::from(result.wirelength_m)),
-                ("seconds", Value::from(result.seconds)),
-                ("legal", Value::from(result.legal)),
-            ],
-        );
+        iterations,
     }
-    result
 }
 
 /// The Kraftwerk flow (standard or any other config).
@@ -96,7 +86,8 @@ pub fn run_kraftwerk(netlist: &Netlist, config: KraftwerkConfig) -> FlowResult {
         "benchmark run needed watchdog recovery: {:?}",
         result.health
     );
-    finish("kraftwerk", netlist, result.placement, started)
+    let iterations = result.iterations();
+    finish(netlist, result.placement, iterations, started)
 }
 
 /// The multilevel Kraftwerk flow: V-cycle clustering hierarchy with the
@@ -123,7 +114,8 @@ pub fn run_kraftwerk_multilevel(
         "benchmark run degraded: {:?}",
         result.health
     );
-    finish("kraftwerk-multilevel", netlist, result.placement, started)
+    let iterations = result.iterations();
+    finish(netlist, result.placement, iterations, started)
 }
 
 /// The TimberWolf-class simulated annealing flow.
@@ -131,7 +123,7 @@ pub fn run_kraftwerk_multilevel(
 pub fn run_annealing(netlist: &Netlist, config: AnnealingConfig) -> FlowResult {
     let started = Instant::now();
     let (global, _) = AnnealingPlacer::new(config).place(netlist);
-    finish("annealing", netlist, global, started)
+    finish(netlist, global, 0, started)
 }
 
 /// The GORDIAN-class quadratic/partitioning flow.
@@ -139,12 +131,14 @@ pub fn run_annealing(netlist: &Netlist, config: AnnealingConfig) -> FlowResult {
 pub fn run_gordian(netlist: &Netlist, config: GordianConfig) -> FlowResult {
     let started = Instant::now();
     let global = GordianPlacer::new(config).place(netlist);
-    finish("gordian", netlist, global, started)
+    finish(netlist, global, 0, started)
 }
 
-/// One `--json` measurement: a Kraftwerk flow executed under a
-/// [`RunRecorder`] so the per-phase wall times of the PR 1 trace spans
-/// ride along with the headline numbers.
+/// One `BENCH_place.json` row: what `kraftwerk bench --json` records
+/// of a Kraftwerk flow and `kraftwerk bench --compare` gates on. Wall
+/// time is left out on purpose: speed is measured by the repeated
+/// same-host runs of `perfbench` (see `BENCHMARK.json`), not by single
+/// shots.
 #[derive(Debug, Clone)]
 pub struct JsonRun {
     /// Circuit name.
@@ -153,81 +147,36 @@ pub struct JsonRun {
     pub cells: usize,
     /// Net count.
     pub nets: usize,
-    /// Config label (`"standard"`, `"fast"`, …).
+    /// Mode label (one of [`MODES`]).
     pub mode: String,
     /// Worker threads the data-parallel runtime used for this run.
     pub threads: usize,
-    /// Wall-clock seconds for the complete flow.
-    pub wall_s: f64,
     /// Legalized half-perimeter wire length in meters.
     pub hpwl_m: f64,
     /// Placement transformations performed.
     pub iterations: usize,
     /// Whether the final placement passed the legality check.
     pub legal: bool,
-    /// Cumulative per-phase wall time, most expensive first.
-    pub phases: Vec<kraftwerk_trace::PhaseStat>,
 }
 
-/// Runs a flow under a private [`RunRecorder`] and builds its [`JsonRun`]
-/// record. Any previously installed trace sink is replaced for the
-/// duration of the run.
-fn record_flow(
-    netlist: &Netlist,
-    mode: &str,
-    flow: impl FnOnce() -> FlowResult,
-) -> (FlowResult, JsonRun) {
-    let recorder = Arc::new(RunRecorder::new());
-    kraftwerk_trace::install(recorder.clone());
-    let result = flow();
-    kraftwerk_trace::uninstall();
-    let report = recorder.report();
-    let run = JsonRun {
-        netlist: netlist.name().to_owned(),
-        cells: netlist.num_movable(),
-        nets: netlist.num_nets(),
-        mode: mode.to_owned(),
-        threads: kraftwerk_par::current_threads(),
-        wall_s: result.seconds,
-        hpwl_m: result.wirelength_m,
-        iterations: report.iterations.len(),
-        legal: result.legal,
-        phases: report.profile,
-    };
-    (result, run)
+impl JsonRun {
+    /// The row for `result`, a flow run on `netlist` in `mode`.
+    #[must_use]
+    pub fn new(netlist: &Netlist, mode: &str, result: &FlowResult) -> Self {
+        JsonRun {
+            netlist: netlist.name().to_owned(),
+            cells: netlist.num_movable(),
+            nets: netlist.num_nets(),
+            mode: mode.to_owned(),
+            threads: kraftwerk_par::current_threads(),
+            hpwl_m: result.wirelength_m,
+            iterations: result.iterations,
+            legal: result.legal,
+        }
+    }
 }
 
-/// Runs the Kraftwerk flow under a private [`RunRecorder`] and returns
-/// the result together with its [`JsonRun`] record.
-#[must_use]
-pub fn run_kraftwerk_recorded(netlist: &Netlist, config: KraftwerkConfig, mode: &str) -> (FlowResult, JsonRun) {
-    record_flow(netlist, mode, || run_kraftwerk(netlist, config))
-}
-
-/// Runs the multilevel Kraftwerk flow under a private [`RunRecorder`] and
-/// returns the result together with its [`JsonRun`] record.
-#[must_use]
-pub fn run_kraftwerk_multilevel_recorded(
-    netlist: &Netlist,
-    config: KraftwerkConfig,
-    ml: &MultilevelConfig,
-    mode: &str,
-) -> (FlowResult, JsonRun) {
-    record_flow(netlist, mode, || run_kraftwerk_multilevel(netlist, config, ml))
-}
-
-/// Rounds wall-clock seconds to microsecond precision for the JSON
-/// schema: timer noise below a microsecond is meaningless, and a fixed
-/// precision keeps committed baselines diffable.
-#[must_use]
-pub fn round_seconds(seconds: f64) -> f64 {
-    (seconds * 1e6).round() / 1e6
-}
-
-/// Serializes `--json` runs into the `BENCH_place.json` schema. The
-/// `phases` keys are sorted by name and every wall-clock figure is
-/// rounded with [`round_seconds`], so the output is deterministic up to
-/// actual timing differences.
+/// Serializes `--json` runs into the `BENCH_place.json` schema.
 #[must_use]
 pub fn bench_json(runs: &[JsonRun]) -> String {
     let mut out = String::from("{\"bench\":\"place\",\"host_cpus\":");
@@ -244,35 +193,13 @@ pub fn bench_json(runs: &[JsonRun]) -> String {
         o.u64_field("nets", run.nets as u64);
         o.str_field("mode", &run.mode);
         o.u64_field("threads", run.threads as u64);
-        o.f64_field("wall_s", round_seconds(run.wall_s));
         o.f64_field("hpwl_m", run.hpwl_m);
         o.u64_field("iterations", run.iterations as u64);
         o.bool_field("legal", run.legal);
-        let mut stats: Vec<&kraftwerk_trace::PhaseStat> = run.phases.iter().collect();
-        stats.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut phases = JsonObject::new();
-        for stat in stats {
-            let mut p = JsonObject::new();
-            p.u64_field("calls", stat.calls);
-            p.f64_field("wall_s", round_seconds(stat.seconds));
-            phases.raw_field(&stat.name, &p.finish());
-        }
-        o.raw_field("phases", &phases.finish());
         out.push_str(&o.finish());
     }
     out.push_str("]}");
     out
-}
-
-/// Writes `BENCH_place.json` into the current directory (the repo root
-/// when run via `cargo run`) and reports the path on the console.
-///
-/// # Panics
-///
-/// Panics on I/O errors (harness tooling).
-pub fn write_bench_json(console: &Console, runs: &[JsonRun]) {
-    std::fs::write("BENCH_place.json", bench_json(runs)).expect("write BENCH_place.json");
-    console.info(format!("wrote BENCH_place.json ({} runs)", runs.len()));
 }
 
 /// Timing measurement of a finished flow: longest path in ns.
@@ -295,21 +222,6 @@ pub struct TimingOutcome {
     pub seconds: f64,
 }
 
-fn emit_timing(flow: &'static str, netlist: &Netlist, outcome: &TimingOutcome) {
-    if kraftwerk_trace::enabled() {
-        kraftwerk_trace::event(
-            "bench.timing",
-            vec![
-                ("flow", Value::from(flow)),
-                ("circuit", Value::from(netlist.name())),
-                ("without_ns", Value::from(outcome.without_ns)),
-                ("with_ns", Value::from(outcome.with_ns)),
-                ("seconds", Value::from(outcome.seconds)),
-            ],
-        );
-    }
-}
-
 /// Kraftwerk timing-driven flow (the paper's iterative net weighting,
 /// measured on legal placements).
 #[must_use]
@@ -320,13 +232,11 @@ pub fn run_kraftwerk_timing(netlist: &Netlist, model: DelayModel) -> TimingOutco
     let optimized = optimize_timing_legalized(netlist, model, cfg, 3)
         .expect("synthetic circuits are acyclic")
         .placement;
-    let outcome = TimingOutcome {
+    TimingOutcome {
         without_ns: longest_path(netlist, &plain.placement, model),
         with_ns: longest_path(netlist, &optimized, model),
         seconds: started.elapsed().as_secs_f64(),
-    };
-    emit_timing("kraftwerk", netlist, &outcome);
-    outcome
+    }
 }
 
 /// Timing-driven baseline: iterate (place → STA → net weights) a few
@@ -355,13 +265,11 @@ pub fn run_baseline_timing(
         best = best.min(report.max_delay);
         weights = tracker.update(&report);
     }
-    let outcome = TimingOutcome {
+    TimingOutcome {
         without_ns,
         with_ns: best,
         seconds: started.elapsed().as_secs_f64(),
-    };
-    emit_timing("baseline", netlist, &outcome);
-    outcome
+    }
 }
 
 /// Zero-wire lower bound of a circuit (Table 4).
@@ -424,6 +332,27 @@ pub fn read_csv(name: &str) -> Option<Vec<Vec<String>>> {
 /// others run the flat flow on the Table 1 circuits.
 pub const MODES: [&str; 3] = ["standard", "fast", "multilevel-b2b"];
 
+/// Parses a `--modes` selection: comma-separated labels of [`MODES`],
+/// returned in [`MODES`] order without repeats.
+///
+/// # Errors
+///
+/// Names the first label that is not in [`MODES`], so a typo can never
+/// select nothing and pass.
+pub fn parse_modes(spec: &str) -> Result<Vec<&'static str>, String> {
+    let labels: Vec<&str> = spec.split(',').map(str::trim).collect();
+    if let Some(unknown) = labels.iter().find(|label| !MODES.contains(label)) {
+        return Err(format!(
+            "--modes: unknown mode `{unknown}` (expected {})",
+            MODES.join(", ")
+        ));
+    }
+    Ok(MODES
+        .into_iter()
+        .filter(|mode| labels.contains(mode))
+        .collect())
+}
+
 /// The placer config a bench mode label runs, or `None` for a label no
 /// flow reproduces. Both `kraftwerk bench --json` (measuring) and
 /// [`compare::run_compare`] (gating) build their configs here, so a
@@ -468,32 +397,36 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_captures_phases_and_serializes() {
+    fn bench_rows_count_transformations_and_carry_no_wall_time() {
         let nl = generate(&SynthConfig::with_size("jsonrun", 120, 150, 6));
-        let (result, run) = run_kraftwerk_recorded(&nl, KraftwerkConfig::fast(), "fast");
+        let result = run_kraftwerk(&nl, KraftwerkConfig::fast());
         assert!(result.legal);
+        let run = JsonRun::new(&nl, "fast", &result);
         assert_eq!(run.netlist, "jsonrun");
         assert_eq!(run.mode, "fast");
-        assert!(run.iterations > 0, "no iteration records captured");
         assert!(run.threads >= 1);
-        assert!(run.phases.iter().any(|p| p.name == "place.density_map"));
         let json = bench_json(std::slice::from_ref(&run));
         let parsed = kraftwerk_trace::json::parse(&json).expect("valid JSON");
-        let runs = parsed.get("runs").and_then(|r| r.as_array()).expect("runs array");
+        let runs = parsed
+            .get("runs")
+            .and_then(|r| r.as_array())
+            .expect("runs array");
         assert_eq!(runs.len(), 1);
+        let row = &runs[0];
         assert_eq!(
-            runs[0].get("netlist").and_then(kraftwerk_trace::json::Json::as_str),
+            row.get("netlist")
+                .and_then(kraftwerk_trace::json::Json::as_str),
             Some("jsonrun")
         );
         assert!(
-            runs[0]
-                .get("phases")
-                .and_then(|p| p.get("place.solve_x"))
-                .and_then(|p| p.get("wall_s"))
+            row.get("iterations")
                 .and_then(kraftwerk_trace::json::Json::as_f64)
-                .is_some(),
-            "per-phase wall time missing: {json}"
+                .is_some_and(|n| n > 0.0),
+            "no transformations counted: {json}"
         );
+        for key in ["wall_s", "phases"] {
+            assert!(row.get(key).is_none(), "row carries `{key}`: {json}");
+        }
     }
 
     #[test]
@@ -503,11 +436,23 @@ mod tests {
             coarsest_movable: 100,
             ..MultilevelConfig::default()
         };
-        let (result, run) =
-            run_kraftwerk_multilevel_recorded(&nl, KraftwerkConfig::fast(), &ml, "multilevel-b2b");
+        let result = run_kraftwerk_multilevel(&nl, KraftwerkConfig::fast(), &ml);
         assert!(result.legal);
-        assert_eq!(run.mode, "multilevel-b2b");
-        assert!(run.iterations > 0, "no iteration records captured");
+        assert!(result.iterations > 0, "no transformations counted");
+    }
+
+    #[test]
+    fn mode_selections_reject_typos_and_mixed_lists() {
+        let err = parse_modes("standrd").expect_err("typo");
+        assert!(err.contains("`standrd`"), "{err}");
+        let err = parse_modes("fast,multilevel-bb2").expect_err("mixed list");
+        assert!(err.contains("`multilevel-bb2`"), "{err}");
+        assert!(parse_modes("").is_err());
+        assert_eq!(
+            parse_modes(" fast,standard,fast"),
+            Ok(vec!["standard", "fast"])
+        );
+        assert_eq!(parse_modes("multilevel-b2b"), Ok(vec!["multilevel-b2b"]));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 # result against the committed BENCH_place.json baseline.
 #
 # HPWL is bitwise deterministic for a given circuit/config at any thread
-# count, so any drift beyond the hard tolerance (2% by default) is a
-# real quality regression and fails the gate with a non-zero exit; so
-# does an illegal placement. Wall clock depends on the host: drift is
-# recorded in the verdict JSON but is warn-only — it never fails the
-# build.
+# count, so drift beyond 2% is a real quality regression and fails the
+# gate with exit 1; so does an illegal placement. Wall time is not
+# gated here: speed is measured by perfbench (see BENCHMARK.json).
+# Any other non-zero exit (an unreadable baseline, an unknown mode, a
+# mode selection that keeps no baseline row) fails the gate with that
+# exit code.
 #
 # Environment overrides:
 #   KRAFTWERK_BIN  path to a prebuilt `kraftwerk` binary (skips cargo)
@@ -36,18 +37,17 @@ MODE_ARGS=()
 if [ -n "$MODES" ]; then
     MODE_ARGS=(--modes "$MODES")
 fi
-if ! "$KRAFTWERK" bench --compare "$BASELINE" --max-cells "$MAX_CELLS" "${MODE_ARGS[@]}" -o "$verdict" -q; then
-    echo "bench-gate: FAILED — HPWL regressed beyond tolerance or a placement was illegal against $BASELINE" >&2
+status=0
+"$KRAFTWERK" bench --compare "$BASELINE" --max-cells "$MAX_CELLS" "${MODE_ARGS[@]}" \
+    -o "$verdict" -q || status=$?
+if [ "$status" -eq 1 ]; then
+    echo "bench-gate: FAILED (exit 1) — HPWL regressed beyond 2% or a placement was illegal against $BASELINE" >&2
     cat "$verdict" >&2 || true
     exit 1
+elif [ "$status" -ne 0 ]; then
+    echo "bench-gate: FAILED (exit $status) — kraftwerk bench --compare could not gate against $BASELINE" >&2
+    exit "$status"
 fi
-warnings=$(sed -n 's/.*"wall_warnings":\([0-9][0-9]*\).*/\1/p' "$verdict")
-warnings=${warnings:-0}
-if [ "$warnings" -eq 0 ]; then
-    echo "bench-gate: OK (hpwl within tolerance, placements legal, wall clock steady)"
-else
-    # The verdict's `warnings` array carries one human-readable string
-    # per soft finding; the count summarizes it for CI logs.
-    echo "bench-gate: OK with $warnings wall-clock drift warning(s) (warn-only); verdict:"
-    cat "$verdict"
-fi
+# Every delta carries a "netlist" key; skip entries are plain strings.
+rerun=$(grep -o '"netlist":' "$verdict" | wc -l) || true
+echo "bench-gate: OK ($rerun rows rerun: hpwl within 2%, placements legal)"

@@ -30,13 +30,29 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 # invariants only — see scripts/panic-allowlist.txt).
 bash scripts/panic_audit.sh
 # Bench schema smoke (writes to a scratch file, never the committed
-# baseline) and the regression gate: HPWL drift beyond 2% against
-# BENCH_place.json or an illegal placement is fatal, wall-clock drift is
-# warn-only.
+# baseline): the writer's rows carry exactly the gated keys, and the gate
+# reproduces them exactly. Then the regression gate: HPWL drift beyond 2%
+# against BENCH_place.json or an illegal placement is fatal. Wall time is
+# not gated; speed is measured by perfbench.
 bench_smoke=$(mktemp)
 obs_dir=$(mktemp -d)
 trap 'rm -f "$bench_smoke"; rm -rf "$obs_dir"' EXIT
 cargo run --release --bin kraftwerk -- bench --json --max-cells 200 -o "$bench_smoke" -q
+target/release/kraftwerk bench --compare "$bench_smoke" --max-cells 200 -q \
+    > "$obs_dir/smoke-verdict.json"
+python3 - "$bench_smoke" "$obs_dir/smoke-verdict.json" <<'EOF'
+import json, sys
+runs = json.load(open(sys.argv[1]))["runs"]
+keys = {"netlist", "cells", "nets", "mode", "threads", "hpwl_m", "iterations", "legal"}
+assert [(r["netlist"], r["mode"]) for r in runs] == [("fract", "standard"), ("fract", "fast")], runs
+for r in runs:
+    assert set(r) == keys, f"row keys {sorted(r)}"
+    assert r["legal"] and r["iterations"] > 0, r
+verdict = json.load(open(sys.argv[2]))
+assert verdict["verdict"] == "pass" and len(verdict["deltas"]) == 2, verdict
+assert all(d["hpwl_delta"] == 0 for d in verdict["deltas"]), verdict
+print("bench schema smoke: OK (2 rows written and reproduced exactly)")
+EOF
 KRAFTWERK_BIN=target/release/kraftwerk bash scripts/bench_gate.sh
 # The committed multilevel-b2b scale-tier rows (scale10k/scale50k/
 # scale250k) are enforcing too: rerun the V-cycle flow and fail on HPWL
@@ -267,7 +283,9 @@ runs = json.load(open(sys.argv[1]))["runs"]
 tiers = {r["netlist"]: r for r in runs if r["mode"] == "multilevel-b2b"}
 assert "scale1m" in tiers, f"scale1m row missing: {sorted(tiers)}"
 assert all(r["legal"] for r in tiers.values()), "scale1m smoke produced illegal placement"
-print("scale1m smoke: OK (" + ", ".join(f"{n} in {r['wall_s']:.1f}s" for n, r in sorted(tiers.items())) + ")")
+print("scale1m smoke: OK (" + ", ".join(
+    f"{n}: {r['hpwl_m']:.4g} m over {r['iterations']} transformations"
+    for n, r in sorted(tiers.items())) + ")")
 EOF
 fi
 

@@ -7,7 +7,7 @@
 //!                                [--alloc-stats] [--perfetto trace.json] [-v|--verbose] [-q|--quiet]
 //! kraftwerk inspect    <telemetry>... [-o report.html] [--perfetto trace.json] [--service]
 //! kraftwerk bench      [--json] [--compare baseline.json] [-o out.json] [--max-cells N]
-//!                      [--modes standard,fast,multilevel-b2b] [--hpwl-tol PCT] [--wall-tol PCT]
+//!                      [--modes standard,fast,multilevel-b2b]
 //! kraftwerk timing     <netlist> [--requirement NS] [-v|--verbose] [-q|--quiet]
 //! kraftwerk gen        <name> <cells> <nets> <rows> [--seed N] [--blocks N] [-o netlist.kw]
 //! kraftwerk stats      <netlist>
@@ -41,10 +41,12 @@
 //! (overlaid convergence curves, phase deltas, peak memory, parallel
 //! efficiency); with `--perfetto <json>` it exports the Chrome
 //! trace-event document instead of (or alongside `-o`) the dashboard.
-//! `bench --json` measures the Table 1 subset; `bench --compare`
-//! re-measures against a committed `BENCH_place.json` baseline and exits
-//! non-zero on an HPWL regression beyond `--hpwl-tol` (default 2%) or an
-//! illegal placement; wall-clock drift beyond `--wall-tol` is warn-only.
+//! `bench --json` measures the Table 1 subset (and the scale tiers the
+//! `--max-cells` budget reaches); `bench --compare` re-measures against a
+//! committed `BENCH_place.json` baseline and exits non-zero on an HPWL
+//! regression beyond 2% or an illegal placement. Both check `--modes`
+//! against the known mode labels, and `--compare` fails when the
+//! selection keeps no baseline row. Wall time is printed, never gated.
 //!
 //! `--threads N` sets the worker-thread count of the data-parallel
 //! runtime (`0` or absent: the `KRAFTWERK_THREADS` environment variable,
@@ -119,7 +121,7 @@ impl CliError {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace [<jsonl>]] [--report <json>] [--profile]\n                      [--alloc-stats] [--perfetto <json>]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [--hpwl-tol <pct>] [--wall-tol <pct>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
+        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace [<jsonl>]] [--report <json>] [--profile]\n                      [--alloc-stats] [--perfetto <json>]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
     );
     ExitCode::from(2)
 }
@@ -550,27 +552,15 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A percentage-valued flag (`--hpwl-tol 2` = 2%) as a fraction.
-fn tolerance_flag(args: &[String], flag: &str, default_pct: f64) -> Result<f64, CliError> {
-    match flag_value(args, flag)? {
-        Some(v) => {
-            let pct: f64 = v
-                .parse()
-                .map_err(|_| format!("{flag}: `{v}` is not a number"))?;
-            if !pct.is_finite() || pct < 0.0 {
-                return Err(format!("{flag}: `{v}` must be finite and non-negative").into());
-            }
-            Ok(pct / 100.0)
-        }
-        None => Ok(default_pct / 100.0),
-    }
-}
-
 /// `kraftwerk bench`: `--json` measures the Table 1 subset fresh;
 /// `--compare <baseline>` re-measures and gates against a committed
-/// `BENCH_place.json` (hard-fail on HPWL drift, warn-only on wall clock).
+/// `BENCH_place.json` (HPWL drift and legality).
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    use kraftwerk::bench::compare::{parse_baseline, run_compare, CompareConfig};
+    use kraftwerk::bench::compare::{parse_baseline, run_compare, select_rows, HPWL_TOLERANCE};
+    use kraftwerk::bench::{
+        config_for_mode, parse_modes, run_kraftwerk, run_kraftwerk_multilevel, table1_circuits,
+        JsonRun, MODES,
+    };
     use kraftwerk::netlist::synth::{generate, mcnc, scale};
     use kraftwerk::trace::Console;
 
@@ -584,6 +574,13 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             .map_err(|_| format!("--max-cells: `{v}` is not a number"))?,
         None => 2000,
     };
+    // --modes narrows the run to some modes, so the cheap MCNC sweep and
+    // the big multilevel scale tiers can run in separate invocations with
+    // different --max-cells budgets.
+    let modes = match flag_value(args, "--modes")? {
+        Some(spec) => Some(parse_modes(&spec).map_err(|message| CliError { message, code: 2 })?),
+        None => None,
+    };
     let out = flag_value(args, "-o")?;
     if let Some(path) = &out {
         require_parent_dir(path)?;
@@ -596,23 +593,15 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                 message: e.to_string(),
             })
         })?;
-        let mut baseline = parse_baseline(&text).map_err(|e| CliError {
+        let baseline = parse_baseline(&text).map_err(|e| CliError {
             message: format!("{baseline_path}: {e}"),
             code: 4,
         })?;
-        // --modes narrows the gate to a subset of baseline rows, so the
-        // cheap MCNC sweep and the big multilevel scale tiers can gate in
-        // separate invocations with different --max-cells budgets.
-        if let Some(modes) = flag_value(args, "--modes")? {
-            let selected: Vec<String> = modes.split(',').map(|m| m.trim().to_owned()).collect();
-            baseline.retain(|run| selected.contains(&run.mode));
-        }
-        let config = CompareConfig {
-            hpwl_tolerance: tolerance_flag(args, "--hpwl-tol", 2.0)?,
-            wall_tolerance: tolerance_flag(args, "--wall-tol", 25.0)?,
-            max_cells,
-        };
-        let report = run_compare(&baseline, &config);
+        let baseline = select_rows(baseline, modes.as_deref()).map_err(|e| CliError {
+            message: format!("bench: {baseline_path}: {e}, so nothing would be compared"),
+            code: 2,
+        })?;
+        let report = run_compare(&baseline, max_cells);
         console.info(report.summary_table());
         match &out {
             Some(path) => {
@@ -626,16 +615,9 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             return Err(format!(
                 "bench: HPWL regression beyond {:.2}% or illegal placement against \
                  {baseline_path}",
-                config.hpwl_tolerance * 100.0
+                HPWL_TOLERANCE * 100.0
             )
             .into());
-        }
-        if report.wall_warnings() > 0 {
-            console.info(format!(
-                "bench: {} wall-clock drift warning(s) beyond {:.0}% (not fatal)",
-                report.wall_warnings(),
-                config.wall_tolerance * 100.0
-            ));
         }
         return Ok(());
     }
@@ -643,49 +625,42 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     if !has_flag(args, "--json") {
         return Err("bench: pass --json to measure or --compare <baseline> to gate".into());
     }
-    // --modes restricts which configs run (comma-separated), so scaling
-    // measurements don't have to re-run the whole MCNC × mode matrix.
-    let selected: Option<Vec<String>> = flag_value(args, "--modes")?
-        .map(|v| v.split(',').map(|m| m.trim().to_owned()).collect());
-    let wants = |mode: &str| selected.as_ref().is_none_or(|s| s.iter().any(|m| m == mode));
-    let mut runs = Vec::new();
-    let (ml_modes, mcnc_modes): (Vec<&str>, Vec<&str>) = kraftwerk::bench::MODES
+    let (ml_modes, mcnc_modes): (Vec<&str>, Vec<&str>) = modes
+        .unwrap_or_else(|| MODES.to_vec())
         .into_iter()
-        .filter(|m| wants(m))
         .partition(|m| m.starts_with("multilevel-"));
-    for preset in kraftwerk::bench::table1_circuits(if mcnc_modes.is_empty() { 0 } else { max_cells }) {
+    let mut runs = Vec::new();
+    let mut record = |netlist: &kraftwerk::netlist::Netlist, mode: &str, result| {
+        let run = JsonRun::new(netlist, mode, &result);
+        // The wall time is console output only: single shots are no
+        // speed measurement, so the rows leave it out.
+        console.info(format!(
+            "{} ({mode}): hpwl {:.6} m in {:.2}s over {} transformations",
+            run.netlist, run.hpwl_m, result.seconds, run.iterations
+        ));
+        runs.push(run);
+    };
+    for preset in table1_circuits(if mcnc_modes.is_empty() { 0 } else { max_cells }) {
         let netlist = generate(&mcnc::config_for(preset));
         for &mode in &mcnc_modes {
-            let config = kraftwerk::bench::config_for_mode(mode)
-                .ok_or("bench: mode without a config")?;
-            let (_, run) = kraftwerk::bench::run_kraftwerk_recorded(&netlist, config, mode);
-            console.info(format!(
-                "{} ({mode}): hpwl {:.6} m in {:.2}s over {} transformations",
-                run.netlist, run.hpwl_m, run.wall_s, run.iterations
-            ));
-            runs.push(run);
+            let config = config_for_mode(mode).ok_or("bench: mode without a config")?;
+            record(&netlist, mode, run_kraftwerk(&netlist, config));
         }
     }
     // Scaling-curve tiers (10k → 1M cells) run in the multilevel +
     // bound-to-bound flow, the documented path past ~25k cells. They only
     // enter the measurement when --max-cells is raised to reach them, so
     // the default quick run stays quick.
+    let ml = kraftwerk::placer::MultilevelConfig::default();
     for tier in scale::TIERS.iter().filter(|t| !ml_modes.is_empty() && t.cells <= max_cells) {
         let netlist = generate(&scale::config_for(*tier));
         for &mode in &ml_modes {
-            let config = kraftwerk::bench::config_for_mode(mode)
-                .ok_or("bench: mode without a config")?;
-            let (_, run) = kraftwerk::bench::run_kraftwerk_multilevel_recorded(
+            let config = config_for_mode(mode).ok_or("bench: mode without a config")?;
+            record(
                 &netlist,
-                config,
-                &kraftwerk::placer::MultilevelConfig::default(),
                 mode,
+                run_kraftwerk_multilevel(&netlist, config, &ml),
             );
-            console.info(format!(
-                "{} ({mode}): hpwl {:.6} m in {:.2}s over {} transformations",
-                run.netlist, run.hpwl_m, run.wall_s, run.iterations
-            ));
-            runs.push(run);
         }
     }
     let json = kraftwerk::bench::bench_json(&runs);
