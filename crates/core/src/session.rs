@@ -173,63 +173,67 @@ fn emit_grid_snapshot(kind: &'static str, iteration: usize, map: &ScalarMap) {
     );
 }
 
-/// Per-phase resource bracket: samples the heap counters (when
-/// `--alloc-stats` tracking is on) and the worker-pool utilization
-/// counters (when a trace sink is installed) at phase entry, and emits
-/// the deltas as `alloc` / `par.utilization` events at phase exit.
+/// The one guard of a transformation phase: opens the phase's
+/// [`kraftwerk_trace::span`] and, while a trace sink is installed,
+/// samples the worker-pool utilization counters and (when `--alloc-stats`
+/// tracking is on) the heap counters at phase entry, emitting the deltas
+/// as `par.utilization` / `alloc` events under the span's name at phase
+/// exit.
 ///
 /// All telemetry-side work runs under [`kraftwerk_trace::alloc::untracked`]
 /// so the act of measuring never shows up in the heap measurement, and
-/// nothing here reads a clock or touches an atomic unless the matching
-/// consumer is switched on — an untraced, untracked run pays two branch
-/// tests per phase.
+/// nothing here reads a clock or touches an atomic unless a sink is
+/// installed — an untraced, untracked run pays two branch tests per phase.
 struct PhaseScope {
     phase: &'static str,
-    tracing: bool,
-    alloc_base: Option<kraftwerk_trace::alloc::AllocStats>,
-    util_base: Option<(std::time::Instant, kraftwerk_par::UtilizationSnapshot)>,
+    span: kraftwerk_trace::SpanGuard,
+    base: Option<PhaseBase>,
+}
+
+/// What a traced [`PhaseScope`] samples at phase entry.
+struct PhaseBase {
+    alloc: Option<kraftwerk_trace::alloc::AllocStats>,
+    started: std::time::Instant,
+    util: kraftwerk_par::UtilizationSnapshot,
 }
 
 impl PhaseScope {
     fn begin(phase: &'static str, tracing: bool) -> Self {
-        let alloc_base = kraftwerk_trace::alloc::tracking().then(kraftwerk_trace::alloc::stats);
-        let util_base = tracing.then(|| {
-            kraftwerk_trace::alloc::untracked(|| {
-                (
-                    std::time::Instant::now(),
-                    kraftwerk_par::UtilizationSnapshot::capture(),
-                )
+        let span = kraftwerk_trace::span(phase);
+        let base = tracing.then(|| {
+            kraftwerk_trace::alloc::untracked(|| PhaseBase {
+                alloc: kraftwerk_trace::alloc::tracking().then(kraftwerk_trace::alloc::stats),
+                started: std::time::Instant::now(),
+                util: kraftwerk_par::UtilizationSnapshot::capture(),
             })
         });
-        Self { phase, tracing, alloc_base, util_base }
+        Self { phase, span, base }
     }
 
     fn finish(self) {
         use kraftwerk_trace::Value;
-        if let Some(base) = self.alloc_base {
-            let delta = kraftwerk_trace::alloc::stats().since(&base);
-            kraftwerk_trace::alloc::record_phase(self.phase, delta);
-            if self.tracing {
-                kraftwerk_trace::event(
-                    kraftwerk_trace::ALLOC_EVENT,
-                    vec![
-                        ("phase", Value::from(self.phase)),
-                        ("allocs", Value::from(delta.allocs)),
-                        ("deallocs", Value::from(delta.deallocs)),
-                        ("bytes", Value::from(delta.bytes_allocated)),
-                        ("peak_bytes", Value::from(delta.peak_bytes)),
-                    ],
-                );
-            }
-        }
-        if let Some((started, base)) = self.util_base {
-            kraftwerk_trace::alloc::untracked(|| {
-                let wall_s = started.elapsed().as_secs_f64();
-                let spun = kraftwerk_par::UtilizationSnapshot::capture().since(&base);
+        let Self { phase, span, base } = self;
+        if let Some(base) = base {
+            let alloc = base.alloc.map(|b| kraftwerk_trace::alloc::stats().since(&b));
+            kraftwerk_trace::alloc::untracked(move || {
+                if let Some(delta) = alloc {
+                    kraftwerk_trace::event(
+                        kraftwerk_trace::ALLOC_EVENT,
+                        vec![
+                            ("phase", Value::from(phase)),
+                            ("allocs", Value::from(delta.allocs)),
+                            ("deallocs", Value::from(delta.deallocs)),
+                            ("bytes", Value::from(delta.bytes_allocated)),
+                            ("peak_bytes", Value::from(delta.peak_bytes)),
+                        ],
+                    );
+                }
+                let wall_s = base.started.elapsed().as_secs_f64();
+                let spun = kraftwerk_par::UtilizationSnapshot::capture().since(&base.util);
                 kraftwerk_trace::event(
                     kraftwerk_trace::UTILIZATION_EVENT,
                     vec![
-                        ("span", Value::from(self.phase)),
+                        ("span", Value::from(phase)),
                         ("wall_s", Value::from(wall_s)),
                         ("busy_s", Value::from(spun.busy_seconds())),
                         ("chunks", Value::from(spun.total_chunks())),
@@ -239,6 +243,7 @@ impl PhaseScope {
                 );
             });
         }
+        span.finish();
     }
 }
 
@@ -563,7 +568,6 @@ impl<'a> PlacementSession<'a> {
 
         // 1. Density deviation of the current placement (eq. 4), plus any
         //    injected congestion/heat demand.
-        let density_timer = kraftwerk_trace::span("place.density_map");
         let density_scope = PhaseScope::begin("place.density_map", tracing);
         let density =
             density_slot.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
@@ -583,15 +587,15 @@ impl<'a> PlacementSession<'a> {
                 }
             }
             if snap_due {
-                emit_grid_snapshot(
-                    kraftwerk_trace::SNAPSHOT_DENSITY,
-                    self.iteration,
-                    density,
-                );
+                // Snapshot copies are telemetry: they stay out of the
+                // heap accounting, like every other record.
+                let kind = kraftwerk_trace::SNAPSHOT_DENSITY;
+                kraftwerk_trace::alloc::untracked(|| {
+                    emit_grid_snapshot(kind, self.iteration, density);
+                });
             }
         }
         density_scope.finish();
-        density_timer.finish();
 
         // 2. + 3. Force field (eq. 9 / Poisson solve) and the quadratic
         //    system of the current placement. Neither reads the other's
@@ -608,8 +612,9 @@ impl<'a> PlacementSession<'a> {
         let (system, netlist, placement) = (&self.system, self.netlist, &self.placement);
         let extra_weights = self.extra_weights.as_deref();
         let net_model = self.config.net_model;
-        // The two branches overlap in time, so they share one resource
-        // bracket (per-branch heap deltas would double-count each other).
+        // The two branches overlap in time, so they share one phase guard
+        // (per-branch heap deltas would double-count each other); each
+        // branch keeps a plain span of its own.
         let field_assembly_scope = PhaseScope::begin("place.field_assembly", tracing);
         let (field, ()) = kraftwerk_par::join(
             move || {
@@ -624,9 +629,12 @@ impl<'a> PlacementSession<'a> {
                 let field = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
                 solver.solve_reusing(density, mg, field);
                 if snap_due {
-                    if let Some(phi) = solver.potential_map(density, mg) {
-                        emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
-                    }
+                    kraftwerk_trace::alloc::untracked(|| {
+                        if let Some(phi) = solver.potential_map(density, mg) {
+                            let kind = kraftwerk_trace::SNAPSHOT_POTENTIAL;
+                            emit_grid_snapshot(kind, iteration, &phi);
+                        }
+                    });
                 }
                 timer.finish();
                 &*field
@@ -667,7 +675,6 @@ impl<'a> PlacementSession<'a> {
         //    raw force keeps the step size meaningful under GORDIAN-L
         //    linearization, where edge weights — and with them all force
         //    units — shrink with 1/length.)
-        let rhs_timer = kraftwerk_trace::span("place.force_rhs");
         let rhs_scope = PhaseScope::begin("place.force_rhs", tracing);
         let n = self.system.num_movable();
         // Robust stiffness floor: cells that are barely connected (only
@@ -783,7 +790,6 @@ impl<'a> PlacementSession<'a> {
             by.push(-asm.dy[i] + hy[i] + f.y);
         }
         rhs_scope.finish();
-        rhs_timer.finish();
 
         // 6. Solve, warm-started from the current placement. The x and y
         //    systems are independent, so the two conjugate-gradient solves
@@ -791,8 +797,8 @@ impl<'a> PlacementSession<'a> {
         //    thread (each keeps its own workspace and preconditioner, so
         //    the results are identical to the sequential order).
         let cg_opts = &self.config.cg;
-        // The two axis solves overlap in time, so they share one resource
-        // bracket (per-axis heap deltas would double-count each other).
+        // The two axis solves overlap in time, so they share one phase
+        // guard (per-axis heap deltas would double-count each other).
         let solve_scope = PhaseScope::begin("place.solve_xy", tracing);
         let (rx, ry) = kraftwerk_par::join(
             || {
@@ -855,18 +861,16 @@ impl<'a> PlacementSession<'a> {
             .write_back(&mut self.placement, cg_x.solution(), cg_y.solution());
         self.clamp_into_core();
         if snap_due {
-            self.emit_cells_snapshot();
+            kraftwerk_trace::alloc::untracked(|| self.emit_cells_snapshot());
         }
 
         // 7. Progress metrics.
-        let metrics_timer = kraftwerk_trace::span("place.metrics");
         let metrics_scope = PhaseScope::begin("place.metrics", tracing);
         let empty_square_area =
             largest_empty_square(self.netlist, &self.placement, self.empty_square_resolution());
         self.last_empty_square.push(empty_square_area);
         let hpwl = metrics::hpwl(self.netlist, &self.placement);
         metrics_scope.finish();
-        metrics_timer.finish();
         let stats = IterationStats {
             iteration: self.iteration,
             hpwl,
@@ -879,30 +883,34 @@ impl<'a> PlacementSession<'a> {
         };
         if tracing {
             let wall_s = iter_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
-            kraftwerk_trace::event(
-                kraftwerk_trace::ITERATION_EVENT,
-                vec![
-                    ("iteration", kraftwerk_trace::Value::from(stats.iteration)),
-                    ("hpwl", kraftwerk_trace::Value::from(stats.hpwl)),
-                    ("peak_density", kraftwerk_trace::Value::from(stats.peak_density)),
-                    (
-                        "empty_square_area",
-                        kraftwerk_trace::Value::from(stats.empty_square_area),
-                    ),
-                    (
-                        "cg_iterations",
-                        kraftwerk_trace::Value::from(stats.cg_iterations),
-                    ),
-                    ("max_force", kraftwerk_trace::Value::from(stats.max_force)),
-                    (
-                        "max_displacement",
-                        kraftwerk_trace::Value::from(stats.max_displacement),
-                    ),
-                    ("wall_s", kraftwerk_trace::Value::from(wall_s)),
-                ],
-            );
             self.hists.cg_iterations.record(cg_iters as f64);
-            self.hists.flush();
+            // The record and the histogram flush allocate; telemetry stays
+            // out of the heap accounting.
+            kraftwerk_trace::alloc::untracked(|| {
+                kraftwerk_trace::event(
+                    kraftwerk_trace::ITERATION_EVENT,
+                    vec![
+                        ("iteration", kraftwerk_trace::Value::from(stats.iteration)),
+                        ("hpwl", kraftwerk_trace::Value::from(stats.hpwl)),
+                        ("peak_density", kraftwerk_trace::Value::from(stats.peak_density)),
+                        (
+                            "empty_square_area",
+                            kraftwerk_trace::Value::from(stats.empty_square_area),
+                        ),
+                        (
+                            "cg_iterations",
+                            kraftwerk_trace::Value::from(stats.cg_iterations),
+                        ),
+                        ("max_force", kraftwerk_trace::Value::from(stats.max_force)),
+                        (
+                            "max_displacement",
+                            kraftwerk_trace::Value::from(stats.max_displacement),
+                        ),
+                        ("wall_s", kraftwerk_trace::Value::from(wall_s)),
+                    ],
+                );
+                self.hists.flush();
+            });
         }
         Ok(stats)
     }

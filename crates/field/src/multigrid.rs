@@ -428,9 +428,14 @@ impl MultigridSolver {
         phi.clear();
         phi.resize(m * m, 0.0);
         // Per-V-cycle residual norms for telemetry (collected only while a
-        // trace sink is installed).
+        // trace sink is installed), reserved and emitted outside the heap
+        // accounting: the solve runs inside the session's phase guard.
         let tracing = kraftwerk_trace::enabled();
-        let mut cycle_residuals = Vec::new();
+        let mut cycle_residuals = if tracing {
+            kraftwerk_trace::alloc::untracked(|| Vec::with_capacity(self.max_cycles))
+        } else {
+            Vec::new()
+        };
         let mut converged = rhs_norm == 0.0;
         if rhs_norm > 0.0 {
             converged = vcycle_to_tolerance(
@@ -448,17 +453,19 @@ impl MultigridSolver {
             );
         }
         if tracing {
-            kraftwerk_trace::event(
-                "multigrid.solve",
-                vec![
-                    ("vertices_per_side", kraftwerk_trace::Value::from(m)),
-                    ("levels", kraftwerk_trace::Value::from(level_count(m))),
-                    ("cycles", kraftwerk_trace::Value::from(cycle_residuals.len())),
-                    ("converged", kraftwerk_trace::Value::from(converged)),
-                    ("relative_residuals", kraftwerk_trace::Value::from(cycle_residuals)),
-                ],
-            );
-            kraftwerk_trace::counter("multigrid.solves", 1);
+            kraftwerk_trace::alloc::untracked(|| {
+                kraftwerk_trace::event(
+                    "multigrid.solve",
+                    vec![
+                        ("vertices_per_side", kraftwerk_trace::Value::from(m)),
+                        ("levels", kraftwerk_trace::Value::from(level_count(m))),
+                        ("cycles", kraftwerk_trace::Value::from(cycle_residuals.len())),
+                        ("converged", kraftwerk_trace::Value::from(converged)),
+                        ("relative_residuals", kraftwerk_trace::Value::from(cycle_residuals)),
+                    ],
+                );
+                kraftwerk_trace::counter("multigrid.solves", 1);
+            });
         }
 
         grid::write_forces(phi, &solve_grid, density, out);

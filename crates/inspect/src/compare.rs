@@ -110,7 +110,7 @@ fn solver_curves(runs: &[(String, RunData)]) -> String {
         out = empty_chart(
             "cmp-solvers-none",
             "Solver convergence",
-            "no solver convergence records in any run — run with --trace or --report",
+            "no solver convergence records in any run — record it with --trace",
         );
     }
     out
@@ -238,7 +238,7 @@ fn utilization_table(runs: &[(String, RunData)]) -> String {
     });
     if spans.is_empty() {
         return "<p class=\"cn\">no worker-utilization telemetry in any run — \
-                run with --trace or --report</p>"
+                record it with --trace</p>"
             .to_string();
     }
     let mut out = String::new();
@@ -367,6 +367,8 @@ mod tests {
             "\"deallocs\":4,\"bytes\":2048,\"peak_bytes\":1048576}\n",
             "{\"type\":\"utilization\",\"span\":\"place.field_solve\",\"samples\":2,",
             "\"wall_s\":0.01,\"busy_s\":0.009,\"chunks\":8,\"threads\":1,\"efficiency\":0.9}\n",
+            "{\"type\":\"summary\",\"total_s\":0.04,\"profile\":[{\"phase\":\"place.solve_x\",",
+            "\"calls\":2,\"total_s\":0.02,\"mean_s\":0.01}]}\n",
         );
         ("a.jsonl".to_string(), parse_run(text).expect("run a parses"))
     }
@@ -378,6 +380,9 @@ mod tests {
             "\"wall_s\":0.01,\"phases\":{\"place.solve_x\":0.005,\"place.metrics\":0.001}}\n",
             "{\"type\":\"utilization\",\"span\":\"place.field_solve\",\"samples\":1,",
             "\"wall_s\":0.004,\"busy_s\":0.02,\"chunks\":8,\"threads\":8,\"efficiency\":0.62}\n",
+            "{\"type\":\"summary\",\"total_s\":0.01,\"profile\":[{\"phase\":\"place.solve_x\",",
+            "\"calls\":1,\"total_s\":0.005,\"mean_s\":0.005},{\"phase\":\"place.metrics\",",
+            "\"calls\":1,\"total_s\":0.001,\"mean_s\":0.001}]}\n",
         );
         ("b.jsonl".to_string(), parse_run(text).expect("run b parses"))
     }

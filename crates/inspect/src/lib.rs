@@ -1,12 +1,12 @@
 //! # kraftwerk-inspect — run dashboards for placement telemetry
 //!
-//! Turns the telemetry the placer already writes (`--trace` JSONL
-//! streams, `--report` summaries) into a **self-contained HTML
-//! dashboard**: convergence curves, a flamegraph-style phase breakdown,
-//! the watchdog trip/recovery timeline, density/potential heatmaps, and
-//! log2-bucket histogram charts — all as inline SVG, no scripts, no
-//! network, no dependencies beyond `kraftwerk-trace` for the JSON
-//! codec and bucket bounds.
+//! Turns the telemetry the placer already writes (the `--trace` JSONL
+//! stream, also written per job by the daemon's `--report-dir`) into a
+//! **self-contained HTML dashboard**: convergence curves, a
+//! flamegraph-style phase breakdown, the watchdog trip/recovery
+//! timeline, density/potential heatmaps, and log2-bucket histogram
+//! charts — all as inline SVG, no scripts, no network, no dependencies
+//! beyond `kraftwerk-trace` for the JSON codec and bucket bounds.
 //!
 //! ```
 //! let jsonl = "{\"iteration\":1,\"hpwl\":42.0,\"phases\":{\"place.solve_x\":0.01}}";
@@ -51,8 +51,7 @@ pub use svg::{
     timeline_strip, PhaseSlice, Series, TimelineMark, CHART_H, CHART_W,
 };
 
-/// Parses telemetry text (JSONL stream or `--report` summary) and
-/// renders the full dashboard.
+/// Parses a `--trace` JSONL stream and renders the full dashboard.
 ///
 /// # Errors
 ///

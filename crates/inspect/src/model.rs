@@ -1,19 +1,16 @@
-//! The run-data model and its two parsers.
+//! The run-data model and its parser.
 //!
-//! `kraftwerk inspect` accepts both telemetry artifacts the placer
-//! writes:
+//! `kraftwerk inspect` reads the placer's one run artifact, the `--trace`
+//! **JSONL stream**: one iteration record per line with
+//! `meta`/`snapshot`/`watchdog`/`convergence`/`histogram`/`alloc`/
+//! `utilization` lines interleaved, closed by one `summary` line that
+//! carries the run's cumulative phase profile. The daemon's
+//! `--report-dir` files have the same shape.
 //!
-//! * the `--trace` **JSONL stream** — one iteration record per line with
-//!   `meta`/`histogram`/`snapshot`/`watchdog` lines interleaved, and
-//! * the `--report` **summary object** — a single JSON document that
-//!   embeds the same record stream under `records`, `histograms`,
-//!   `snapshots`, and `timeline`.
-//!
-//! Both collapse into one [`RunData`], so the renderer never cares which
-//! file it was given. Parsing is strict about structure (bad JSON is an
-//! error) but lenient about content: unknown record types and missing
-//! optional metrics are kept or skipped, never fatal, so dashboards stay
-//! renderable across schema evolution.
+//! The stream collapses into one [`RunData`]. Parsing is strict about
+//! structure (bad JSON is an error) but lenient about content: unknown
+//! record types and missing optional metrics are kept or skipped, never
+//! fatal, so dashboards stay renderable across schema evolution.
 
 use kraftwerk_trace::json::{self, Json};
 
@@ -160,7 +157,8 @@ pub struct RunData {
     pub histograms: Vec<HistogramData>,
     /// Watchdog (and future) timeline events.
     pub timeline: Vec<TimelinePoint>,
-    /// Cumulative per-phase cost, most expensive first.
+    /// Cumulative per-phase cost, most expensive first, as the stream's
+    /// `summary` line lists it (empty when the stream has none).
     pub profile: Vec<PhaseCost>,
     /// Retained solver-convergence records, in stream order.
     pub convergence: Vec<ConvergenceTrace>,
@@ -253,8 +251,7 @@ fn get_u64(obj: &Json, key: &str) -> Option<u64> {
     get_f64(obj, key).filter(|v| *v >= 0.0).map(|v| v as u64)
 }
 
-/// Decodes one parsed iteration record (a JSONL line without `type`, or
-/// an element of the summary's `records` array).
+/// Decodes one parsed iteration record (a JSONL line without `type`).
 fn decode_iteration(obj: &Json) -> Option<IterationPoint> {
     let iteration = get_u64(obj, "iteration")?;
     let mut phases = Vec::new();
@@ -373,7 +370,7 @@ fn decode_utilization(obj: &Json) -> Option<UtilizationPoint> {
     })
 }
 
-/// Decodes a typed line/timeline entry into a [`TimelinePoint`]. The
+/// Decodes a typed line into a [`TimelinePoint`]. The
 /// detail string concatenates every field except the ones shown
 /// structurally, so new watchdog fields surface without a schema change.
 fn decode_timeline(kind: &str, obj: &Json) -> TimelinePoint {
@@ -453,119 +450,32 @@ fn fold_typed(run: &mut RunData, kind: &str, obj: &Json) {
                 run.utilization.push(point);
             }
         }
+        "summary" => {
+            for entry in obj.get("profile").and_then(Json::as_array).unwrap_or(&[]) {
+                if let Some(name) = entry.get("phase").and_then(Json::as_str) {
+                    run.profile.push(PhaseCost {
+                        name: name.to_string(),
+                        calls: get_u64(entry, "calls").unwrap_or(0),
+                        seconds: get_f64(entry, "total_s").unwrap_or(0.0),
+                    });
+                }
+            }
+        }
         other => run.timeline.push(decode_timeline(other, obj)),
     }
 }
 
-/// Aggregates per-iteration phase timings into a run-level profile
-/// (used for JSONL inputs, which carry no precomputed profile).
-fn aggregate_profile(iterations: &[IterationPoint]) -> Vec<PhaseCost> {
-    let mut profile: Vec<PhaseCost> = Vec::new();
-    for point in iterations {
-        for (name, seconds) in &point.phases {
-            if let Some(cost) = profile.iter_mut().find(|c| &c.name == name) {
-                cost.calls += 1;
-                cost.seconds += seconds;
-            } else {
-                profile.push(PhaseCost {
-                    name: name.clone(),
-                    calls: 1,
-                    seconds: *seconds,
-                });
-            }
-        }
-    }
-    profile.sort_by(|a, b| {
-        b.seconds
-            .partial_cmp(&a.seconds)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    profile
-}
-
-/// Parses a `--report` summary object.
-fn parse_summary(doc: &Json) -> RunData {
-    let mut run = RunData::default();
-    for (key, value) in doc
-        .get("meta")
-        .and_then(Json::as_object)
-        .unwrap_or(&[])
-    {
-        run.meta.push((key.clone(), scalar_to_string(value)));
-    }
-    for record in doc.get("records").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(point) = decode_iteration(record) {
-            run.iterations.push(point);
-        }
-    }
-    for hist in doc.get("histograms").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(decoded) = decode_histogram(hist) {
-            merge_histogram(&mut run.histograms, decoded);
-        }
-    }
-    for snap in doc.get("snapshots").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(decoded) = decode_snapshot(snap) {
-            run.snapshots.push(decoded);
-        }
-    }
-    for event in doc.get("timeline").and_then(Json::as_array).unwrap_or(&[]) {
-        let kind = event.get("type").and_then(Json::as_str).unwrap_or("event");
-        run.timeline.push(decode_timeline(kind, event));
-    }
-    for record in doc.get("convergence").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(trace) = decode_convergence(record) {
-            run.convergence.push(trace);
-        }
-    }
-    for stat in doc.get("alloc").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(point) = decode_alloc(stat) {
-            run.alloc.push(point);
-        }
-    }
-    for stat in doc.get("utilization").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(point) = decode_utilization(stat) {
-            run.utilization.push(point);
-        }
-    }
-    for entry in doc.get("profile").and_then(Json::as_array).unwrap_or(&[]) {
-        if let Some(name) = entry.get("phase").and_then(Json::as_str) {
-            run.profile.push(PhaseCost {
-                name: name.to_string(),
-                calls: get_u64(entry, "calls").unwrap_or(0),
-                seconds: get_f64(entry, "total_s").unwrap_or(0.0),
-            });
-        }
-    }
-    if run.profile.is_empty() {
-        run.profile = aggregate_profile(&run.iterations);
-    }
-    run
-}
-
-/// Parses either telemetry format into a [`RunData`].
-///
-/// A document that parses as one JSON object with a `records` array is
-/// treated as a `--report` summary; anything else is treated as a JSONL
-/// stream, one record per non-empty line.
+/// Parses a `--trace` JSONL stream, one record per non-empty line, into
+/// a [`RunData`].
 ///
 /// # Errors
 ///
-/// [`InspectError::Parse`] when a line (or the document) is not valid
-/// JSON, [`InspectError::Empty`] when nothing renderable was found.
+/// [`InspectError::Parse`] when a line is not valid JSON,
+/// [`InspectError::Empty`] when the stream has no iteration record.
 pub fn parse_run(text: &str) -> Result<RunData, InspectError> {
     let trimmed = text.trim();
     if trimmed.is_empty() {
         return Err(InspectError::Empty);
-    }
-    if let Ok(doc) = json::parse(trimmed) {
-        if doc.get("records").is_some() {
-            let run = parse_summary(&doc);
-            if run.iterations.is_empty() {
-                return Err(InspectError::Empty);
-            }
-            return Ok(run);
-        }
     }
     let mut run = RunData::default();
     for (number, line) in trimmed.lines().enumerate() {
@@ -586,7 +496,6 @@ pub fn parse_run(text: &str) -> Result<RunData, InspectError> {
     if run.iterations.is_empty() {
         return Err(InspectError::Empty);
     }
-    run.profile = aggregate_profile(&run.iterations);
     Ok(run)
 }
 
@@ -609,6 +518,11 @@ mod tests {
         "\"buckets\":[[10,2],[12,1]]}\n",
         "{\"type\":\"histogram\",\"name\":\"place.displacement\",\"count\":2,",
         "\"buckets\":[[10,1],[13,1]]}\n",
+        "{\"type\":\"summary\",\"total_s\":0.05,\"profile\":[",
+        "{\"phase\":\"place.solve_x\",\"calls\":2,\"total_s\":0.013,\"mean_s\":0.0065},",
+        "{\"phase\":\"legalize.abacus\",\"calls\":1,\"total_s\":0.004,\"mean_s\":0.004},",
+        "{\"phase\":\"place.density_map\",\"calls\":1,\"total_s\":0.001,\"mean_s\":0.001}],",
+        "\"counters\":{\"cg.solves\":4},\"gauges\":{},\"events\":{\"watchdog\":1}}\n",
     );
 
     #[test]
@@ -628,37 +542,26 @@ mod tests {
         assert_eq!(run.histograms.len(), 1);
         assert_eq!(run.histograms[0].buckets, vec![(10, 3), (12, 1), (13, 1)]);
         assert_eq!(run.histograms[0].total(), 5);
-        // Profile aggregated from the per-iteration phases.
-        assert_eq!(run.profile[0].name, "place.solve_x");
+        // The profile is the summary line's, in its order: it includes
+        // legalization, which ran after the last iteration record.
+        let names: Vec<&str> = run.profile.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["place.solve_x", "legalize.abacus", "place.density_map"]);
         assert_eq!(run.profile[0].calls, 2);
         assert!((run.profile[0].seconds - 0.013).abs() < 1e-12);
+        // The summary line is no timeline event.
+        assert_eq!(run.timeline.len(), 1);
         assert_eq!(run.last_iteration(), 2);
     }
 
     #[test]
-    fn summary_object_parses_into_the_same_model() {
-        let summary = concat!(
-            "{\"meta\":{\"netlist\":\"demo\",\"threads\":2},\"iterations\":1,",
-            "\"total_s\":0.5,",
-            "\"profile\":[{\"phase\":\"place.solve_x\",\"calls\":7,\"total_s\":0.2,\"mean_s\":0.03}],",
-            "\"records\":[{\"iteration\":1,\"hpwl\":42.0,\"phases\":{\"place.solve_x\":0.2}}],",
-            "\"histograms\":[{\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"buckets\":[[3,1]]}],",
-            "\"snapshots\":[{\"type\":\"snapshot\",\"kind\":\"cells\",\"iteration\":1,\"nx\":1,\"ny\":2,\"values\":[4.0,5.0]}],",
-            "\"timeline\":[{\"type\":\"watchdog\",\"iteration\":1,\"reason\":\"x\",\"action\":\"give_up\"}]}",
-        );
-        let run = parse_run(summary).expect("summary parses");
-        assert_eq!(run.meta_value("netlist"), Some("demo"));
-        assert_eq!(run.meta_value("threads"), Some("2"));
-        assert_eq!(run.iterations.len(), 1);
-        assert_eq!(run.iterations[0].hpwl, Some(42.0));
-        assert_eq!(run.histograms.len(), 1);
-        assert_eq!(run.snapshots_of("cells").len(), 1);
-        assert_eq!(run.timeline[0].action, "give_up");
-        assert_eq!(run.profile[0].calls, 7);
+    fn a_stream_without_a_summary_line_has_no_profile() {
+        let run = parse_run("{\"iteration\":1,\"hpwl\":1.0,\"phases\":{\"place.solve_x\":0.5}}")
+            .expect("iteration line carries the run");
+        assert!(run.profile.is_empty());
     }
 
     #[test]
-    fn resource_and_convergence_records_parse_from_both_formats() {
+    fn resource_and_convergence_records_parse() {
         let jsonl = concat!(
             "{\"iteration\":1,\"hpwl\":10.0,\"phases\":{}}\n",
             "{\"type\":\"convergence\",\"solver\":\"cg\",\"iteration\":1,\"dim\":128,",
@@ -694,23 +597,6 @@ mod tests {
         assert!((run.utilization[0].efficiency - 0.9).abs() < 1e-12);
         // None of the typed resource records leak into the timeline.
         assert!(run.timeline.is_empty());
-
-        let summary = concat!(
-            "{\"meta\":{\"netlist\":\"demo\"},",
-            "\"records\":[{\"iteration\":1,\"hpwl\":10.0,\"phases\":{}}],",
-            "\"convergence\":[{\"type\":\"convergence\",\"solver\":\"multigrid\",",
-            "\"iteration\":1,\"cycles\":4,\"converged\":true,",
-            "\"relative_residuals\":[0.5,0.01]}],",
-            "\"alloc\":[{\"type\":\"alloc\",\"phase\":\"place.metrics\",\"samples\":1,",
-            "\"allocs\":2,\"deallocs\":2,\"bytes\":64,\"peak_bytes\":128}],",
-            "\"utilization\":[{\"type\":\"utilization\",\"span\":\"place.density_map\",",
-            "\"samples\":1,\"wall_s\":0.1,\"busy_s\":0.08,\"chunks\":8,\"threads\":1,",
-            "\"efficiency\":0.8}]}",
-        );
-        let run = parse_run(summary).expect("summary parses");
-        assert_eq!(run.convergence_of("multigrid")[0].curve, vec![0.5, 0.01]);
-        assert_eq!(run.alloc[0].phase, "place.metrics");
-        assert_eq!(run.utilization[0].chunks, 8);
     }
 
     #[test]

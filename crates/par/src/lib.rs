@@ -298,16 +298,6 @@ impl UtilizationSnapshot {
             .filter(|&(&b, &c)| b > 0 || c > 0)
             .count()
     }
-
-    /// Parallel efficiency of a span: busy time divided by the
-    /// wall-clock capacity `wall_s * threads`. 1.0 means every thread
-    /// was busy for the whole span; returns `None` for a degenerate
-    /// (zero-capacity) span.
-    #[must_use]
-    pub fn parallel_efficiency(&self, wall_s: f64, threads: usize) -> Option<f64> {
-        let capacity = wall_s * threads as f64;
-        (capacity > 0.0).then(|| self.busy_seconds() / capacity)
-    }
 }
 
 /// Runs two independent closures, concurrently when more than one thread
@@ -674,9 +664,6 @@ mod tests {
             assert_eq!(spun.total_chunks(), 16, "each chunk counted once");
             assert!(spun.workers_engaged() >= 1);
             assert!(spun.busy_seconds() >= 0.0);
-            assert!(spun.parallel_efficiency(0.0, 2).is_none());
-            let eff = spun.parallel_efficiency(1.0, 2).unwrap();
-            assert!(eff >= 0.0);
         });
     }
 

@@ -177,6 +177,8 @@ pub(crate) struct Pool {
     work_cv: Condvar,
     next_seq: AtomicU64,
     spawned: Mutex<usize>,
+    /// Workers that have started running (see `ensure_workers`).
+    running: AtomicUsize,
 }
 
 /// The singleton instance.
@@ -187,6 +189,7 @@ pub(crate) fn pool() -> &'static Pool {
         work_cv: Condvar::new(),
         next_seq: AtomicU64::new(1),
         spawned: Mutex::new(0),
+        running: AtomicUsize::new(0),
     })
 }
 
@@ -265,14 +268,26 @@ impl Pool {
 
     /// Tops the worker head-count up to `target` (never shrinks; surplus
     /// workers, index `max_helpers` and up, simply skip the job).
+    ///
+    /// Waits until each new worker runs, so the thread's start-up
+    /// allocations land in the phase that started the pool (a
+    /// deterministic `--alloc-stats` table), not in whichever phase runs
+    /// when the thread first gets scheduled. The wait itself allocates
+    /// nothing.
     fn ensure_workers(&'static self, target: usize) {
         let mut spawned = self.spawned.lock().expect("par: spawn count poisoned");
         while *spawned < target.min(MAX_THREADS - 1) {
             let index = *spawned;
             std::thread::Builder::new()
                 .name(format!("kraftwerk-par-{index}"))
-                .spawn(move || self.worker_loop(index))
+                .spawn(move || {
+                    self.running.fetch_add(1, Ordering::SeqCst);
+                    self.worker_loop(index);
+                })
                 .expect("par: spawn worker thread");
+            while self.running.load(Ordering::SeqCst) <= index {
+                std::thread::yield_now();
+            }
             *spawned += 1;
         }
     }

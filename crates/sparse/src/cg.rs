@@ -155,20 +155,24 @@ impl CgWorkspace {
 /// longer than this report a truncated (prefix) trajectory.
 const TRACE_TRAJECTORY_CAP: usize = 1024;
 
-/// Emits the `cg.solve` telemetry event (only called when tracing is on).
+/// Emits the `cg.solve` telemetry event (only called when tracing is
+/// on), outside the heap accounting: the solve runs inside the session's
+/// phase guard, and telemetry must not count itself.
 fn emit_solve_event(dim: usize, stats: &CgStats, trajectory: Vec<f64>) {
-    kraftwerk_trace::event(
-        "cg.solve",
-        vec![
-            ("dim", kraftwerk_trace::Value::from(dim)),
-            ("iterations", kraftwerk_trace::Value::from(stats.iterations)),
-            ("residual", kraftwerk_trace::Value::from(stats.residual_norm)),
-            ("converged", kraftwerk_trace::Value::from(stats.converged)),
-            ("residual_trajectory", kraftwerk_trace::Value::from(trajectory)),
-        ],
-    );
-    kraftwerk_trace::counter("cg.iterations", stats.iterations as u64);
-    kraftwerk_trace::counter("cg.solves", 1);
+    kraftwerk_trace::alloc::untracked(|| {
+        kraftwerk_trace::event(
+            "cg.solve",
+            vec![
+                ("dim", kraftwerk_trace::Value::from(dim)),
+                ("iterations", kraftwerk_trace::Value::from(stats.iterations)),
+                ("residual", kraftwerk_trace::Value::from(stats.residual_norm)),
+                ("converged", kraftwerk_trace::Value::from(stats.converged)),
+                ("residual_trajectory", kraftwerk_trace::Value::from(trajectory)),
+            ],
+        );
+        kraftwerk_trace::counter("cg.iterations", stats.iterations as u64);
+        kraftwerk_trace::counter("cg.solves", 1);
+    });
 }
 
 /// Solves `A x = b` for symmetric positive definite `A` by preconditioned
@@ -291,9 +295,16 @@ fn cg_inner(
     let mut rz = dot(r, z);
 
     // Residual trajectory for telemetry; only collected while a trace
-    // sink is installed, so the hot loop pays one branch otherwise.
+    // sink is installed, so the hot loop pays one branch otherwise. Its
+    // full length is reserved up front, outside the heap accounting, so
+    // the pushes below never allocate.
     let tracing = kraftwerk_trace::enabled();
-    let mut trajectory = Vec::new();
+    let mut trajectory = if tracing {
+        let len = (options.max_iterations + 1).min(TRACE_TRAJECTORY_CAP);
+        kraftwerk_trace::alloc::untracked(|| Vec::with_capacity(len))
+    } else {
+        Vec::new()
+    };
     let mut residual = norm2(r);
     if tracing {
         trajectory.push(residual);

@@ -9,13 +9,10 @@
 //! `--alloc-stats` CLI flag — so library users and the untraced hot path
 //! pay nothing they can measure.
 //!
-//! Two consumers sit on top of the raw counters:
-//!
-//! * [`stats`] / [`AllocStats::since`] sample process-wide totals, which
-//!   the placement session brackets around each instrumented phase;
-//! * [`record_phase`] folds those per-phase deltas into a process-wide
-//!   per-phase table ([`phase_report`]) that is readable *without* a
-//!   trace sink, so `--alloc-stats` alone can verify the arena claim.
+//! [`stats`] / [`AllocStats::since`] sample the process-wide totals. The
+//! placement session brackets each phase with them and emits the delta
+//! as an `alloc` event, which [`RunRecorder`](crate::RunRecorder) folds
+//! into the run's per-phase heap table ([`RunReport::alloc_table`](crate::RunReport::alloc_table)).
 //!
 //! Telemetry must not falsify its own measurement: delivering an event to
 //! a sink allocates (the recorder clones field vectors), so the sink
@@ -24,9 +21,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Whether an installed [`CountingAllocator`] updates the counters.
 static TRACK: AtomicBool = AtomicBool::new(false);
@@ -147,36 +142,6 @@ pub fn tracking() -> bool {
     TRACK.load(Ordering::Relaxed)
 }
 
-/// Whether a [`CountingAllocator`] is actually installed as the global
-/// allocator: probes with one small allocation under temporary tracking.
-/// Intended for CLI startup diagnostics, not concurrent use.
-#[must_use]
-pub fn allocator_installed() -> bool {
-    let was = TRACK.swap(true, Ordering::SeqCst);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let probe = std::hint::black_box(Box::new(0u8));
-    drop(probe);
-    let counted = ALLOCS.load(Ordering::SeqCst) > before;
-    TRACK.store(was, Ordering::SeqCst);
-    counted
-}
-
-/// Zeroes every counter and the per-phase table (the peak restarts from
-/// the current moment, not from the historical live-byte level — a reset
-/// mid-run measures the run from here on).
-///
-/// # Panics
-///
-/// Panics if the phase-table lock is poisoned.
-pub fn reset() {
-    ALLOCS.store(0, Ordering::SeqCst);
-    DEALLOCS.store(0, Ordering::SeqCst);
-    ALLOC_BYTES.store(0, Ordering::SeqCst);
-    IN_USE.store(0, Ordering::SeqCst);
-    PEAK.store(0, Ordering::SeqCst);
-    PHASES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-}
-
 /// A point-in-time sample of the process-wide allocation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -238,97 +203,6 @@ pub fn untracked<R>(f: impl FnOnce() -> R) -> R {
     result
 }
 
-/// Accumulated heap accounting for one instrumented phase across a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseAllocTotals {
-    /// Samples recorded (one per phase execution).
-    pub samples: u64,
-    /// Total allocations across all samples.
-    pub allocs: u64,
-    /// Total deallocations across all samples.
-    pub deallocs: u64,
-    /// Total bytes allocated across all samples.
-    pub bytes: u64,
-    /// Highest process-wide peak observed at any sample.
-    pub peak_bytes: u64,
-    /// Allocations in the most recent sample (steady-state probe: after
-    /// arena warm-up this must read zero for the hot phases).
-    pub last_allocs: u64,
-}
-
-static PHASES: Mutex<Vec<(&'static str, PhaseAllocTotals)>> = Mutex::new(Vec::new());
-
-/// Folds one per-phase delta (produced via [`AllocStats::since`]) into
-/// the process-wide per-phase table. Call sites bracket a phase with
-/// [`stats`] and hand the delta here; the table itself is maintained
-/// under [`untracked`] so it never pollutes the counters.
-///
-/// # Panics
-///
-/// Panics if the phase-table lock is poisoned.
-pub fn record_phase(phase: &'static str, delta: AllocStats) {
-    untracked(|| {
-        let mut phases = PHASES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, totals)) = phases.iter_mut().find(|(name, _)| *name == phase) {
-            totals.samples += 1;
-            totals.allocs += delta.allocs;
-            totals.deallocs += delta.deallocs;
-            totals.bytes += delta.bytes_allocated;
-            totals.peak_bytes = totals.peak_bytes.max(delta.peak_bytes);
-            totals.last_allocs = delta.allocs;
-        } else {
-            phases.push((
-                phase,
-                PhaseAllocTotals {
-                    samples: 1,
-                    allocs: delta.allocs,
-                    deallocs: delta.deallocs,
-                    bytes: delta.bytes_allocated,
-                    peak_bytes: delta.peak_bytes,
-                    last_allocs: delta.allocs,
-                },
-            ));
-        }
-    });
-}
-
-/// The per-phase table accumulated via [`record_phase`], in first-seen
-/// order.
-///
-/// # Panics
-///
-/// Panics if the phase-table lock is poisoned.
-#[must_use]
-pub fn phase_report() -> Vec<(&'static str, PhaseAllocTotals)> {
-    PHASES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-}
-
-/// A human-readable rendering of [`phase_report`] plus the process-wide
-/// totals — the `--alloc-stats` CLI view.
-#[must_use]
-pub fn report_table() -> String {
-    let totals = stats();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>8} {:>10} {:>12} {:>12} {:>10}",
-        "phase", "samples", "allocs", "bytes", "peak bytes", "last"
-    );
-    for (phase, t) in phase_report() {
-        let _ = writeln!(
-            out,
-            "{:<24} {:>8} {:>10} {:>12} {:>12} {:>10}",
-            phase, t.samples, t.allocs, t.bytes, t.peak_bytes, t.last_allocs
-        );
-    }
-    let _ = writeln!(
-        out,
-        "process totals: {} allocs / {} deallocs, {} bytes allocated, peak {} bytes in use",
-        totals.allocs, totals.deallocs, totals.bytes_allocated, totals.peak_bytes
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,31 +232,6 @@ mod tests {
         assert_eq!(delta.bytes_allocated, 600);
         assert_eq!(delta.bytes_in_use, 700);
         assert_eq!(delta.peak_bytes, 900);
-    }
-
-    #[test]
-    fn phase_table_accumulates_and_resets() {
-        reset();
-        record_phase(
-            "test.phase",
-            AllocStats { allocs: 3, deallocs: 1, bytes_allocated: 64, peak_bytes: 128, ..AllocStats::default() },
-        );
-        record_phase(
-            "test.phase",
-            AllocStats { allocs: 0, deallocs: 0, bytes_allocated: 0, peak_bytes: 256, ..AllocStats::default() },
-        );
-        let report = phase_report();
-        let (_, totals) = report.iter().find(|(n, _)| *n == "test.phase").expect("phase recorded");
-        assert_eq!(totals.samples, 2);
-        assert_eq!(totals.allocs, 3);
-        assert_eq!(totals.bytes, 64);
-        assert_eq!(totals.peak_bytes, 256);
-        assert_eq!(totals.last_allocs, 0, "steady-state probe keeps the latest sample");
-        let table = report_table();
-        assert!(table.contains("test.phase"));
-        reset();
-        assert!(phase_report().is_empty());
-        assert_eq!(stats(), AllocStats::default());
     }
 
     #[test]

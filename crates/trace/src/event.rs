@@ -1,6 +1,6 @@
 //! Telemetry event model: typed values and the four event kinds.
 
-use crate::json::{write_escaped, write_f64, JsonObject};
+use crate::json::{write_escaped, write_f64};
 use std::fmt::Write as _;
 
 /// A structured field value.
@@ -175,19 +175,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's name, whichever kind it is.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Span { name, .. }
-            | TraceEvent::Counter { name, .. }
-            | TraceEvent::Gauge { name, .. }
-            | TraceEvent::Event { name, .. }
-            | TraceEvent::Histogram { name, .. } => name,
-            TraceEvent::Snapshot { kind, .. } => kind,
-        }
-    }
-
     /// Looks up a field by key (structured events only).
     #[must_use]
     pub fn field(&self, key: &str) -> Option<&Value> {
@@ -198,78 +185,6 @@ impl TraceEvent {
             _ => None,
         }
     }
-
-    /// Encodes the event as one JSON object (one JSONL line, no newline).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        match self {
-            TraceEvent::Span { name, seconds } => {
-                o.str_field("type", "span");
-                o.str_field("name", name);
-                o.f64_field("seconds", *seconds);
-            }
-            TraceEvent::Counter { name, value } => {
-                o.str_field("type", "counter");
-                o.str_field("name", name);
-                o.u64_field("value", *value);
-            }
-            TraceEvent::Gauge { name, value } => {
-                o.str_field("type", "gauge");
-                o.str_field("name", name);
-                o.f64_field("value", *value);
-            }
-            TraceEvent::Event { name, fields } => {
-                o.str_field("type", "event");
-                o.str_field("name", name);
-                for (key, value) in fields {
-                    let mut raw = String::new();
-                    value.write_json(&mut raw);
-                    o.raw_field(key, &raw);
-                }
-            }
-            TraceEvent::Histogram { name, buckets } => {
-                o.str_field("type", "histogram");
-                o.str_field("name", name);
-                let count: u64 = buckets.iter().map(|(_, c)| c).sum();
-                o.u64_field("count", count);
-                o.raw_field("buckets", &write_sparse_buckets(buckets));
-            }
-            TraceEvent::Snapshot { kind, iteration, nx, ny, values } => {
-                o.str_field("type", "snapshot");
-                o.str_field("kind", kind);
-                o.u64_field("iteration", *iteration);
-                o.u64_field("nx", u64::from(*nx));
-                o.u64_field("ny", u64::from(*ny));
-                let mut raw = String::from("[");
-                for (i, v) in values.iter().enumerate() {
-                    if i > 0 {
-                        raw.push(',');
-                    }
-                    write_f64(&mut raw, *v);
-                }
-                raw.push(']');
-                o.raw_field("values", &raw);
-            }
-        }
-        o.finish()
-    }
-}
-
-/// Encodes sparse histogram buckets as a JSON array of `[index, count]`
-/// pairs — the wire format shared by the `histogram` event kind and the
-/// run-report folding.
-#[must_use]
-pub(crate) fn write_sparse_buckets(buckets: &[(u8, u64)]) -> String {
-    let mut raw = String::from("[");
-    for (i, (idx, count)) in buckets.iter().enumerate() {
-        if i > 0 {
-            raw.push(',');
-        }
-        let _ = write!(raw, "[{idx},{count}]");
-    }
-    raw.push(']');
-    raw
 }
 
 #[cfg(test)]
@@ -278,41 +193,17 @@ mod tests {
     use crate::json::{parse, Json};
 
     #[test]
-    fn events_encode_to_parseable_json() {
-        let ev = TraceEvent::Event {
-            name: "iteration",
-            fields: vec![
-                ("iteration", Value::from(3usize)),
-                ("hpwl", Value::from(1234.5)),
-                ("tag", Value::from("a\"b")),
-                ("residuals", Value::from(vec![1.0, 0.5])),
-            ],
+    fn values_encode_to_parseable_json() {
+        let encode = |value: Value| {
+            let mut out = String::new();
+            value.write_json(&mut out);
+            parse(&out).expect("valid json")
         };
-        let v = parse(&ev.to_json()).expect("valid json");
-        assert_eq!(v.get("type").and_then(Json::as_str), Some("event"));
-        assert_eq!(v.get("iteration").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(v.get("hpwl").and_then(Json::as_f64), Some(1234.5));
-        assert_eq!(v.get("tag").and_then(Json::as_str), Some("a\"b"));
-        assert_eq!(
-            v.get("residuals").and_then(Json::as_array).map(<[Json]>::len),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn span_and_counter_encode() {
-        let span = TraceEvent::Span {
-            name: "place.field",
-            seconds: 0.125,
-        };
-        let v = parse(&span.to_json()).unwrap();
-        assert_eq!(v.get("seconds").and_then(Json::as_f64), Some(0.125));
-        let counter = TraceEvent::Counter {
-            name: "cg.iterations",
-            value: 42,
-        };
-        let v = parse(&counter.to_json()).unwrap();
-        assert_eq!(v.get("value").and_then(Json::as_f64), Some(42.0));
+        assert_eq!(encode(Value::from(3usize)).as_f64(), Some(3.0));
+        assert_eq!(encode(Value::from(1234.5)).as_f64(), Some(1234.5));
+        assert_eq!(encode(Value::from("a\"b")).as_str(), Some("a\"b"));
+        assert_eq!(encode(Value::from(vec![1.0, 0.5])).as_array().map(<[Json]>::len), Some(2));
+        assert_eq!(encode(Value::from(f64::NAN)), Json::Null);
     }
 
     #[test]

@@ -629,12 +629,11 @@ mod tests {
 
     #[test]
     fn histogram_records_round_trip_through_jsonl() {
-        let ev = crate::TraceEvent::Histogram {
-            name: "place.displacement",
+        let stat = crate::HistogramStat {
+            name: "place.displacement".to_string(),
             buckets: vec![(0, 2), (25, 7), (63, 1)],
         };
-        let line = ev.to_json();
-        let v = parse(&line).expect("histogram line parses");
+        let v = parse(&stat.to_json()).expect("histogram line parses");
         assert_eq!(v.get("type").and_then(Json::as_str), Some("histogram"));
         assert_eq!(
             v.get("name").and_then(Json::as_str),
@@ -653,26 +652,19 @@ mod tests {
             })
             .collect();
         assert_eq!(decoded, vec![(0, 2), (25, 7), (63, 1)]);
-        // The merged run-report form encodes identically.
-        let stat = crate::HistogramStat {
-            name: "place.displacement".to_string(),
-            buckets: vec![(0, 2), (25, 7), (63, 1)],
-        };
-        assert_eq!(stat.to_json(), line);
     }
 
     #[test]
     fn snapshot_records_round_trip_through_jsonl() {
         let values = vec![0.0, 0.25, -1.5, 1e6];
-        let ev = crate::TraceEvent::Snapshot {
-            kind: "density",
+        let rec = crate::SnapshotRecord {
+            kind: "density".to_string(),
             iteration: 15,
             nx: 2,
             ny: 2,
             values: values.clone(),
         };
-        let line = ev.to_json();
-        let v = parse(&line).expect("snapshot line parses");
+        let v = parse(&rec.to_json()).expect("snapshot line parses");
         assert_eq!(v.get("type").and_then(Json::as_str), Some("snapshot"));
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("density"));
         assert_eq!(v.get("iteration").and_then(Json::as_f64), Some(15.0));
@@ -686,14 +678,5 @@ mod tests {
             .map(|x| x.as_f64().unwrap())
             .collect();
         assert_eq!(decoded, values);
-        // The decoded SnapshotRecord form encodes identically.
-        let rec = crate::SnapshotRecord {
-            kind: "density".to_string(),
-            iteration: 15,
-            nx: 2,
-            ny: 2,
-            values,
-        };
-        assert_eq!(rec.to_json(), line);
     }
 }

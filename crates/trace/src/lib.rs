@@ -20,15 +20,14 @@
 //! * [`RunRecorder`] is the standard sink: it folds the stream into a
 //!   [`RunReport`] — one JSONL record per placement transformation (every
 //!   span since the previous `iteration` event becomes that record's
-//!   per-phase time) plus a cumulative phase profile, counter totals, and
-//!   latest gauges.
+//!   per-phase time), closed by one `summary` record with the cumulative
+//!   phase profile, counter totals, and latest gauges.
 //! * [`Histogram`] accumulates fixed log2-bucketed distributions (CG
 //!   iteration counts, cell displacements, density overflow) with a
 //!   lock-free record path that is a single relaxed load when disabled;
 //!   flushing emits a `histogram` record.
 //! * [`snapshot`] emits downsampled density/potential grids and sampled
-//!   cell positions as `snapshot` records every N transformations;
-//!   [`SnapshotRecorder`] collects just those.
+//!   cell positions as `snapshot` records every N transformations.
 //! * [`metrics`] is the *service* counterpart: an instance-scoped
 //!   registry of always-on labelled counters, gauges, and cumulative
 //!   histograms with a deterministic snapshot and Prometheus text
@@ -88,11 +87,9 @@ pub use report::{
 };
 pub use sink::{
     counter, current_scoped, emit, enabled, event, gauge, install, install_scoped, uninstall,
-    CollectorSink,
-    FanoutSink, JsonlEventSink, ScopedSinkGuard, TraceSink,
+    CollectorSink, FanoutSink, ScopedSinkGuard, TraceSink,
 };
 pub use snapshot::{
-    snapshot, SnapshotRecord, SnapshotRecorder, SNAPSHOT_CELLS, SNAPSHOT_DENSITY,
-    SNAPSHOT_POTENTIAL,
+    snapshot, SnapshotRecord, SNAPSHOT_CELLS, SNAPSHOT_DENSITY, SNAPSHOT_POTENTIAL,
 };
 pub use span::{span, SpanGuard};

@@ -1,7 +1,7 @@
 //! Run-level telemetry aggregation: the event stream folded into
 //! per-iteration JSONL records plus a cumulative phase profile.
 
-use crate::event::{write_sparse_buckets, TraceEvent, Value};
+use crate::event::{TraceEvent, Value};
 use crate::json::JsonObject;
 use crate::sink::TraceSink;
 use crate::snapshot::SnapshotRecord;
@@ -17,12 +17,12 @@ pub const ITERATION_EVENT: &str = "iteration";
 
 /// Name of the structured event the placement watchdog emits on every
 /// trip, rollback, and give-up. Counted under `events` in the run
-/// summary, so degraded runs are visible in `--report` output.
+/// summary, so degraded runs are visible in the `--trace` stream.
 pub const WATCHDOG_EVENT: &str = "watchdog";
 
 /// Name of the per-phase heap-accounting event the placement session
-/// emits while `--alloc-stats` tracking is on; folded into
-/// [`RunReport::alloc`].
+/// emits while `--alloc-stats` tracking is on and a sink is installed;
+/// folded into [`RunReport::alloc`].
 pub const ALLOC_EVENT: &str = "alloc";
 
 /// Name of the per-span worker-pool utilization event; folded into
@@ -62,12 +62,6 @@ impl IterationRecord {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Total seconds across all phases of this record.
-    #[must_use]
-    pub fn phase_seconds(&self) -> f64 {
-        self.phases.iter().map(|(_, s)| s).sum()
-    }
-
     /// Encodes the record as one JSON object (one JSONL line, no newline).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -95,6 +89,18 @@ pub struct PhaseStat {
     pub calls: u64,
     /// Total seconds across all calls.
     pub seconds: f64,
+}
+
+impl PhaseStat {
+    /// Mean seconds per call (0 when there were none).
+    #[must_use]
+    pub fn mean_seconds(&self) -> f64 {
+        if self.calls > 0 {
+            self.seconds / self.calls as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Merged histogram buckets for one metric across the whole run.
@@ -125,6 +131,20 @@ impl HistogramStat {
         o.raw_field("buckets", &write_sparse_buckets(&self.buckets));
         o.finish()
     }
+}
+
+/// Encodes sparse histogram buckets as a JSON array of `[index, count]`
+/// pairs.
+fn write_sparse_buckets(buckets: &[(u8, u64)]) -> String {
+    let mut raw = String::from("[");
+    for (i, (idx, count)) in buckets.iter().enumerate() {
+        if i > 0 {
+            raw.push(',');
+        }
+        let _ = write!(raw, "[{idx},{count}]");
+    }
+    raw.push(']');
+    raw
 }
 
 /// One retained structured event (watchdog trips/recoveries), kept with
@@ -218,6 +238,9 @@ pub struct AllocStat {
     pub bytes: u64,
     /// Highest process-wide peak (bytes in use) observed at any sample.
     pub peak_bytes: u64,
+    /// Allocations in the most recent sample — the steady-state probe:
+    /// after arena warm-up this reads zero for the hot phases.
+    pub last_allocs: u64,
 }
 
 impl AllocStat {
@@ -232,6 +255,7 @@ impl AllocStat {
         o.u64_field("deallocs", self.deallocs);
         o.u64_field("bytes", self.bytes);
         o.u64_field("peak_bytes", self.peak_bytes);
+        o.u64_field("last_allocs", self.last_allocs);
         o.finish()
     }
 }
@@ -319,19 +343,19 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// One JSONL line per iteration record (trailing newline included when
-    /// any records exist) — the `--trace` output format.
+    /// The run as JSONL, one record per line with a trailing newline —
+    /// the `--trace` output format and the run's one artifact.
     ///
     /// When run metadata was set, the stream opens with one
-    /// `{"type":"meta",...}` line so downstream consumers (`kraftwerk
-    /// inspect`) see the same run identity the `--report` summary
-    /// carries. Snapshot and watchdog-timeline records (when any were
-    /// captured) interleave after the iteration record they belong to,
-    /// each as its own line carrying a distinguishing `"type"` field;
-    /// iteration records have no `"type"` field. Histogram records follow
-    /// at the end. A run with no metadata, snapshots, trips, or
-    /// histograms therefore still emits exactly one line per
-    /// transformation.
+    /// `{"type":"meta",...}` line. Then comes one line per placement
+    /// transformation; iteration records have no `"type"` field.
+    /// Snapshot, watchdog-timeline and convergence records interleave
+    /// after the iteration record they belong to, each as its own line
+    /// carrying a distinguishing `"type"` field. Histogram, alloc and
+    /// utilization records follow, and one `{"type":"summary",...}` line
+    /// closes the stream: `total_s`, the cumulative `profile` (every span,
+    /// including those after the last transformation such as
+    /// legalization), `counters`, `gauges` and `events`.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -399,25 +423,16 @@ impl RunReport {
             out.push_str(&stat.to_json());
             out.push('\n');
         }
+        out.push_str(&self.summary_json());
+        out.push('\n');
         out
     }
 
-    /// The single-object run summary — the `--report` output format.
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    /// The closing `{"type":"summary",...}` record of [`to_jsonl`](Self::to_jsonl).
+    fn summary_json(&self) -> String {
         let mut o = JsonObject::new();
-        let mut meta = JsonObject::new();
-        for (key, value) in &self.meta {
-            let mut raw = String::new();
-            value.write_json(&mut raw);
-            meta.raw_field(key, &raw);
-        }
-        o.raw_field("meta", &meta.finish());
-        o.u64_field("iterations", self.iterations.len() as u64);
+        o.str_field("type", "summary");
         o.f64_field("total_s", self.total_seconds);
-        if let Some(last) = self.iterations.last() {
-            o.raw_field("final", &last.to_json());
-        }
         let mut profile = String::from("[");
         for (i, stat) in self.profile.iter().enumerate() {
             if i > 0 {
@@ -427,14 +442,7 @@ impl RunReport {
             p.str_field("phase", &stat.name);
             p.u64_field("calls", stat.calls);
             p.f64_field("total_s", stat.seconds);
-            p.f64_field(
-                "mean_s",
-                if stat.calls > 0 {
-                    stat.seconds / stat.calls as f64
-                } else {
-                    0.0
-                },
-            );
+            p.f64_field("mean_s", stat.mean_seconds());
             profile.push_str(&p.finish());
         }
         profile.push(']');
@@ -454,66 +462,54 @@ impl RunReport {
             events.u64_field(name, *value);
         }
         o.raw_field("events", &events.finish());
-        // The full per-iteration record stream plus captured snapshots,
-        // histograms, and the watchdog timeline, so a single `--report`
-        // file is self-sufficient for `kraftwerk inspect`.
-        o.raw_field("records", &json_list(self.iterations.iter().map(IterationRecord::to_json)));
-        o.raw_field("histograms", &json_list(self.histograms.iter().map(HistogramStat::to_json)));
-        o.raw_field("snapshots", &json_list(self.snapshots.iter().map(SnapshotRecord::to_json)));
-        o.raw_field("timeline", &json_list(self.timeline.iter().map(TimelineEvent::to_json)));
-        o.raw_field(
-            "convergence",
-            &json_list(self.convergence.iter().map(ConvergenceRecord::to_json)),
-        );
-        o.raw_field("alloc", &json_list(self.alloc.iter().map(AllocStat::to_json)));
-        o.raw_field(
-            "utilization",
-            &json_list(self.utilization.iter().map(UtilizationStat::to_json)),
-        );
         o.finish()
     }
 
     /// A human-readable cumulative phase profile (the `--profile` view).
+    /// Rows nest: a phase's time includes the spans that ran inside it
+    /// (`place.field_assembly` holds `place.field_solve`, which holds
+    /// `multigrid.solve`), so the rows do not add up to the run time.
     #[must_use]
     pub fn profile_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<24} {:>7} {:>11} {:>10} {:>6}",
-            "phase", "calls", "total [s]", "mean [ms]", "%"
+            "{:<24} {:>7} {:>11} {:>10}",
+            "phase", "calls", "total [s]", "mean [ms]"
         );
         for stat in &self.profile {
-            let mean_ms = if stat.calls > 0 {
-                1e3 * stat.seconds / stat.calls as f64
-            } else {
-                0.0
-            };
-            let pct = if self.total_seconds > 0.0 {
-                100.0 * stat.seconds / self.total_seconds
-            } else {
-                0.0
-            };
             let _ = writeln!(
                 out,
-                "{:<24} {:>7} {:>11.4} {:>10.3} {:>6.1}",
-                stat.name, stat.calls, stat.seconds, mean_ms, pct
+                "{:<24} {:>7} {:>11.4} {:>10.3}",
+                stat.name,
+                stat.calls,
+                stat.seconds,
+                1e3 * stat.mean_seconds()
             );
         }
         out
     }
-}
 
-/// Joins already-encoded JSON fragments into one JSON array.
-fn json_list(items: impl Iterator<Item = String>) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// A human-readable per-phase heap table (the `--alloc-stats` view):
+    /// samples, allocations, bytes, the highest peak and the allocations
+    /// of the last sample, one row per instrumented phase.
+    #[must_use]
+    pub fn alloc_table(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:<24} {:>8} {:>10} {:>12} {:>12} {:>10}",
+            "phase", "samples", "allocs", "bytes", "peak bytes", "last"
+        );
+        for a in &self.alloc {
+            let _ = writeln!(
+                out,
+                "{:<24} {:>8} {:>10} {:>12} {:>12} {:>10}",
+                a.phase, a.samples, a.allocs, a.bytes, a.peak_bytes, a.last_allocs
+            );
         }
-        out.push_str(&item);
+        out
     }
-    out.push(']');
-    out
 }
 
 #[derive(Debug, Default)]
@@ -573,7 +569,7 @@ impl RunRecorder {
     }
 
     /// Attaches run metadata (netlist name, cell counts, mode flags)
-    /// surfaced under `meta` in the run summary.
+    /// surfaced as the stream's opening `meta` record.
     ///
     /// # Panics
     ///
@@ -689,6 +685,7 @@ impl TraceSink for RunRecorder {
                     stat.deallocs += field_u64("deallocs");
                     stat.bytes += field_u64("bytes");
                     stat.peak_bytes = stat.peak_bytes.max(field_u64("peak_bytes"));
+                    stat.last_allocs = field_u64("allocs");
                 } else if *name == UTILIZATION_EVENT {
                     let span = field("span").and_then(Value::as_str).unwrap_or("?").to_string();
                     let stat =
@@ -797,9 +794,9 @@ mod tests {
         let report = recorder.report();
         let jsonl = report.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4, "three iterations and the summary");
         let mut prev = 0u64;
-        for line in lines {
+        for line in &lines[..3] {
             let v = parse(line).expect("parseable line");
             let n = v.get("iteration").and_then(Json::as_f64).unwrap() as u64;
             assert!(n > prev, "iterations strictly increasing");
@@ -810,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_carries_meta_profile_and_final_record() {
+    fn summary_line_closes_the_stream_with_profile_and_totals() {
         let recorder = RunRecorder::new();
         recorder.set_meta("netlist", Value::from("demo"));
         recorder.set_meta("cells", Value::from(150usize));
@@ -818,19 +815,27 @@ mod tests {
         recorder.event(&TraceEvent::Span { name: "p", seconds: 1.0 });
         recorder.event(&iteration_event(1, 42.0));
         recorder.event(&TraceEvent::Event { name: "cg.solve", fields: vec![] });
-        let summary = parse(&recorder.report().to_json()).expect("valid summary");
-        assert_eq!(
-            summary.get("meta").and_then(|m| m.get("netlist")).and_then(Json::as_str),
-            Some("demo2")
-        );
-        assert_eq!(summary.get("iterations").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(
-            summary.get("final").and_then(|f| f.get("hpwl")).and_then(Json::as_f64),
-            Some(42.0)
-        );
+        // A span after the last transformation (legalization) still
+        // reaches the profile.
+        recorder.event(&TraceEvent::Span { name: "late", seconds: 0.5 });
+        recorder.event(&TraceEvent::Counter { name: "c", value: 4 });
+        let jsonl = recorder.report().to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let meta = parse(lines[0]).expect("meta line");
+        assert_eq!(meta.get("type").and_then(Json::as_str), Some("meta"));
+        assert_eq!(meta.get("netlist").and_then(Json::as_str), Some("demo2"));
+        let summary = parse(lines[lines.len() - 1]).expect("summary line");
+        assert_eq!(summary.get("type").and_then(Json::as_str), Some("summary"));
+        assert!(summary.get("total_s").and_then(Json::as_f64).is_some());
         let profile = summary.get("profile").and_then(Json::as_array).unwrap();
         assert_eq!(profile[0].get("phase").and_then(Json::as_str), Some("p"));
         assert_eq!(profile[0].get("calls").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(profile[1].get("phase").and_then(Json::as_str), Some("late"));
+        assert_eq!(profile[1].get("mean_s").and_then(Json::as_f64), Some(0.5));
+        assert_eq!(
+            summary.get("counters").and_then(|c| c.get("c")).and_then(Json::as_f64),
+            Some(4.0)
+        );
         assert_eq!(
             summary.get("events").and_then(|e| e.get("cg.solve")).and_then(Json::as_f64),
             Some(1.0)
@@ -878,7 +883,7 @@ mod tests {
     #[test]
     fn alloc_and_utilization_events_aggregate_per_key() {
         let recorder = RunRecorder::new();
-        for (allocs, peak) in [(3u64, 1000u64), (0, 2000)] {
+        for (allocs, peak) in [(3u64, 1000u64), (1, 2000)] {
             recorder.event(&TraceEvent::Event {
                 name: ALLOC_EVENT,
                 fields: vec![
@@ -907,26 +912,31 @@ mod tests {
         let alloc = &report.alloc[0];
         assert_eq!(alloc.phase, "place.density_map");
         assert_eq!(alloc.samples, 2);
-        assert_eq!(alloc.allocs, 3);
-        assert_eq!(alloc.bytes, 192);
+        assert_eq!(alloc.allocs, 4);
+        assert_eq!(alloc.bytes, 256);
         assert_eq!(alloc.peak_bytes, 2000, "peaks max, not sum");
+        assert_eq!(alloc.last_allocs, 1, "steady-state probe keeps the latest sample");
         assert_eq!(report.utilization.len(), 1);
         let util = &report.utilization[0];
         assert_eq!(util.samples, 2);
         assert_eq!(util.chunks, 80);
         assert!((util.busy_seconds - 0.14).abs() < 1e-12);
         assert!((util.efficiency() - 0.7).abs() < 1e-9, "busy / (wall * threads)");
-        // Both serialize as typed JSONL lines and into the summary.
+        // Both serialize as typed JSONL lines.
         let jsonl = report.to_jsonl();
-        assert!(jsonl.lines().any(|l| l.contains("\"type\":\"alloc\"")));
-        assert!(jsonl.lines().any(|l| l.contains("\"type\":\"utilization\"")));
-        let summary = parse(&report.to_json()).unwrap();
-        assert_eq!(
-            summary.get("alloc").and_then(Json::as_array).map(<[Json]>::len),
-            Some(1)
-        );
-        let util_json = summary.get("utilization").and_then(Json::as_array).unwrap();
-        assert!(util_json[0].get("efficiency").and_then(Json::as_f64).is_some());
+        let typed = |kind: &str| {
+            jsonl
+                .lines()
+                .map(|l| parse(l).unwrap())
+                .find(|v| v.get("type").and_then(Json::as_str) == Some(kind))
+                .unwrap_or_else(|| panic!("no {kind} line"))
+        };
+        assert_eq!(typed("alloc").get("last_allocs").and_then(Json::as_f64), Some(1.0));
+        assert!(typed("utilization").get("efficiency").and_then(Json::as_f64).is_some());
+        // The heap table shows the same row.
+        let table = report.alloc_table();
+        let row: Vec<&str> = table.lines().nth(1).unwrap().split_whitespace().collect();
+        assert_eq!(row, ["place.density_map", "2", "4", "256", "2000", "1"]);
     }
 
     #[test]
@@ -938,8 +948,9 @@ mod tests {
         recorder.event(&iteration_event(2, 9.0));
         let jsonl = recorder.report().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 4);
-        // iteration 1, its convergence record, iteration 2, its record.
+        assert_eq!(lines.len(), 5);
+        // iteration 1, its convergence record, iteration 2, its record,
+        // then the summary.
         assert!(lines[1].contains("\"solver\":\"cg\""));
         assert!(lines[3].contains("\"solver\":\"multigrid\""));
         for line in lines {
@@ -958,5 +969,8 @@ mod tests {
         let slow_line = table.lines().position(|l| l.contains("slow")).unwrap();
         let quick_line = table.lines().position(|l| l.contains("quick")).unwrap();
         assert!(slow_line < quick_line, "sorted by total time");
+        // Rows nest, so a share-of-run column would count nested time
+        // twice; the table has none.
+        assert!(!table.contains('%'), "{table}");
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::event::TraceEvent;
 use std::cell::RefCell;
-use std::io::Write;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -229,49 +228,6 @@ impl TraceSink for CollectorSink {
     }
 }
 
-/// A sink that writes every raw event as one JSONL line to a writer.
-///
-/// This is the firehose view (every span/counter/event); for the
-/// per-iteration record stream use
-/// [`RunRecorder`](crate::report::RunRecorder) instead.
-pub struct JsonlEventSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonlEventSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        Self { out: Mutex::new(out) }
-    }
-
-    /// Flushes and returns the writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    pub fn into_inner(self) -> W {
-        let mut w = self.out.into_inner().expect("jsonl sink poisoned");
-        let _ = w.flush();
-        w
-    }
-}
-
-impl<W: Write + Send> std::fmt::Debug for JsonlEventSink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JsonlEventSink")
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlEventSink<W> {
-    fn event(&self, event: &TraceEvent) {
-        let mut line = event.to_json();
-        line.push('\n');
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
-        // Telemetry must never take the run down with it.
-        let _ = out.write_all(line.as_bytes());
-    }
-}
-
 /// Fans every event out to several sinks (e.g. a recorder plus a live
 /// progress printer).
 #[derive(Default)]
@@ -370,20 +326,6 @@ mod tests {
         fan.event(&TraceEvent::Counter { name: "c", value: 1 });
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn jsonl_event_sink_writes_one_line_per_event() {
-        let sink = JsonlEventSink::new(Vec::new());
-        sink.event(&TraceEvent::Counter { name: "a", value: 1 });
-        sink.event(&TraceEvent::Gauge { name: "b", value: 2.0 });
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            crate::json::parse(line).expect("each line parses");
-        }
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //!
 //! The session emits [`TraceEvent::Snapshot`] records through the normal
 //! sink machinery; [`RunRecorder`](crate::RunRecorder) folds them into
-//! the JSONL report next to the iteration records, and the standalone
-//! [`SnapshotRecorder`] collects just the snapshots for ad-hoc tooling.
+//! the JSONL report next to the iteration records.
 
 use crate::event::TraceEvent;
 use crate::json::{write_f64, JsonObject};
-use crate::sink::{emit, enabled, TraceSink};
-use std::sync::Mutex;
+use crate::sink::{emit, enabled};
 
 /// Snapshot kind for downsampled cell-density grids.
 pub const SNAPSHOT_DENSITY: &str = "density";
@@ -72,108 +70,5 @@ pub fn snapshot(kind: &'static str, iteration: u64, nx: usize, ny: usize, values
             ny: ny as u32,
             values,
         });
-    }
-}
-
-/// A sink that collects only [`TraceEvent::Snapshot`] records.
-///
-/// Usually composed into a [`FanoutSink`](crate::FanoutSink) next to a
-/// [`RunRecorder`](crate::RunRecorder).
-#[derive(Debug, Default)]
-pub struct SnapshotRecorder {
-    snapshots: Mutex<Vec<SnapshotRecord>>,
-}
-
-impl SnapshotRecorder {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Everything captured so far, in emission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<SnapshotRecord> {
-        self.snapshots.lock().expect("snapshot recorder poisoned").clone()
-    }
-
-    /// Number of snapshots captured so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock is poisoned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.snapshots.lock().expect("snapshot recorder poisoned").len()
-    }
-
-    /// Whether nothing has been captured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TraceSink for SnapshotRecorder {
-    fn event(&self, event: &TraceEvent) {
-        if let TraceEvent::Snapshot { kind, iteration, nx, ny, values } = event {
-            let mut slot = self.snapshots.lock().expect("snapshot recorder poisoned");
-            slot.push(SnapshotRecord {
-                kind: (*kind).to_string(),
-                iteration: *iteration,
-                nx: *nx as usize,
-                ny: *ny as usize,
-                values: values.clone(),
-            });
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sink::test_support::with_global_sink_lock;
-    use crate::{install, uninstall};
-    use std::sync::Arc;
-
-    #[test]
-    fn recorder_collects_only_snapshots() {
-        with_global_sink_lock(|| {
-            let rec = Arc::new(SnapshotRecorder::new());
-            install(rec.clone());
-            crate::counter("noise", 1);
-            snapshot(SNAPSHOT_DENSITY, 5, 2, 2, vec![0.0, 1.0, 2.0, 3.0]);
-            uninstall();
-            snapshot(SNAPSHOT_DENSITY, 6, 1, 1, vec![9.0]);
-            let got = rec.snapshots();
-            assert_eq!(got.len(), 1);
-            assert_eq!(got[0].kind, SNAPSHOT_DENSITY);
-            assert_eq!(got[0].iteration, 5);
-            assert_eq!((got[0].nx, got[0].ny), (2, 2));
-            assert_eq!(got[0].values, vec![0.0, 1.0, 2.0, 3.0]);
-        });
-    }
-
-    #[test]
-    fn record_json_matches_event_json() {
-        let rec = SnapshotRecord {
-            kind: "cells".to_string(),
-            iteration: 3,
-            nx: 2,
-            ny: 2,
-            values: vec![1.0, 2.0, 3.0, 4.0],
-        };
-        let ev = TraceEvent::Snapshot {
-            kind: "cells",
-            iteration: 3,
-            nx: 2,
-            ny: 2,
-            values: vec![1.0, 2.0, 3.0, 4.0],
-        };
-        assert_eq!(rec.to_json(), ev.to_json());
     }
 }

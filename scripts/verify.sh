@@ -65,68 +65,93 @@ KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-b2b MAX_CELLS=250000 \
     timeout 240 bash scripts/bench_gate.sh \
     || { echo "verify: multilevel-b2b gate failed or exceeded 240s" >&2; exit 1; }
 
-# Observability smoke on a fract-scale run. Four contracts:
+# Observability smoke on a fract-scale run. The `--trace` JSONL stream
+# is the run's one artifact; everything below reads it. Five contracts:
 #   1. telemetry is observation-only — the placement with every probe on
-#      (trace + report + alloc tracking + perfetto) is bitwise identical
-#      to the untraced one;
+#      (trace + alloc tracking + profile) is bitwise identical to the
+#      untraced one, and tracing leaves the --alloc-stats heap table
+#      unchanged (telemetry does not count itself);
 #   2. the arena claim holds at runtime — per-phase steady-state heap
 #      allocation is bounded (density_map amortizes to zero allocations
 #      per iteration, no phase exceeds a small per-iteration constant);
-#   3. the Perfetto export is a valid trace whose span tree carries the
-#      report's phases;
-#   4. worker utilization is counted once per thread — no span reports
-#      more busy time than threads × wall. The fract report and a
+#   3. the stream closes with a summary line whose profile covers the
+#      whole run, legalization included, and every alloc record is named
+#      after a span of that profile;
+#   4. `inspect --perfetto` exports a valid trace whose span tree carries
+#      the alloc phases;
+#   5. worker utilization is counted once per thread — no span reports
+#      more busy time than threads × wall. The fract stream and a
 #      two-thread run of the 2,600-cell determinism netlist (whose
 #      m = 513 Poisson grid fans out inside the field/assembly join, so
 #      nested fan-outs are exercised) are both checked.
 target/release/kraftwerk gen fract 125 147 6 -o "$obs_dir/fract.kw" > /dev/null
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/plain.pl" --quiet
+target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/alloc.pl" \
+    --alloc-stats --quiet > "$obs_dir/alloc-plain.txt"
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/traced.pl" \
-    --alloc-stats --trace "$obs_dir/run.jsonl" --report "$obs_dir/report.json" \
-    --perfetto "$obs_dir/trace.json" --quiet > /dev/null
-cmp "$obs_dir/plain.pl" "$obs_dir/traced.pl" \
-    || { echo "verify: telemetry perturbed the placement" >&2; exit 1; }
+    --alloc-stats --trace "$obs_dir/run.jsonl" --profile --quiet > "$obs_dir/alloc-traced.txt"
+for pl in alloc traced; do
+    cmp "$obs_dir/plain.pl" "$obs_dir/$pl.pl" \
+        || { echo "verify: telemetry perturbed the placement ($pl)" >&2; exit 1; }
+done
+target/release/kraftwerk inspect "$obs_dir/run.jsonl" --perfetto "$obs_dir/trace.json" --quiet
 target/release/kraftwerk gen det 2600 3200 24 -o "$obs_dir/det.kw" > /dev/null
 target/release/kraftwerk place "$obs_dir/det.kw" --fast --threads 2 \
-    --report "$obs_dir/det-report.json" -o "$obs_dir/det.pl" --quiet > /dev/null
+    --trace "$obs_dir/det.jsonl" -o "$obs_dir/det.pl" --quiet > /dev/null
 python3 - "$obs_dir" <<'EOF'
 import json, sys
 d = sys.argv[1]
-report = json.load(open(f"{d}/report.json"))
-for name in ("report.json", "det-report.json"):
-    records = json.load(open(f"{d}/{name}"))["utilization"]
+
+def stream(name):
+    """The typed lines of one --trace stream, grouped by type."""
+    lines = [json.loads(line) for line in open(f"{d}/{name}")]
+    assert lines[-1].get("type") == "summary", f"{name}: last line is not the summary"
+    typed = {}
+    for line in lines:
+        if "type" in line:
+            typed.setdefault(line["type"], []).append(line)
+    return typed
+
+def alloc_rows(name):
+    """The per-phase rows of the --alloc-stats table printed to stdout,
+    every column but `peak bytes` (the process-wide high-water mark moves
+    with how a worker's release of a finished job interleaves with the
+    next allocation)."""
+    out = open(f"{d}/{name}").read().splitlines()
+    start = next(i for i, l in enumerate(out) if l.split()[:2] == ["phase", "samples"])
+    end = next(i for i, l in enumerate(out) if l.startswith("process totals"))
+    return [l.split()[:4] + l.split()[5:] for l in out[start + 1:end]]
+
+run = stream("run.jsonl")
+for name, typed in (("run.jsonl", run), ("det.jsonl", stream("det.jsonl"))):
+    records = typed.get("utilization", [])
     assert records, f"{name}: no utilization records"
     for u in records:
         assert u["busy_s"] <= u["threads"] * u["wall_s"], (
             f"{name}: {u['span']} busy {u['busy_s']} s exceeds "
             f"{u['threads']} threads x {u['wall_s']} s wall")
-alloc = {a["phase"]: a for a in report["alloc"]}
-assert alloc, "no alloc records in report"
+alloc = {a["phase"]: a for a in run.get("alloc", [])}
+assert alloc, "no alloc records in the stream"
 for phase, a in alloc.items():
     per_iter = a["allocs"] / max(a["samples"], 1)
     assert per_iter <= 32, f"{phase}: {per_iter:.1f} allocs/iteration — arena regression"
 dm = alloc["place.density_map"]
 assert dm["allocs"] < dm["samples"], "density_map no longer allocation-free at steady state"
-assert {u["span"] for u in report["utilization"]} >= set(alloc), "utilization spans missing"
+assert {u["span"] for u in run["utilization"]} >= set(alloc), "utilization spans missing"
+profile = {p["phase"] for p in run["summary"][0]["profile"]}
+assert set(alloc) <= profile, f"alloc records without a span: {set(alloc) - profile}"
+assert {"legalize.abacus", "legalize.refine"} <= profile, "legalization missing from the profile"
+plain, traced = alloc_rows("alloc-plain.txt"), alloc_rows("alloc-traced.txt")
+assert plain and plain == traced, f"tracing changed the heap table:\n{plain}\n{traced}"
 trace = json.load(open(f"{d}/trace.json"))
 events = trace["traceEvents"]
 assert events and all("ph" in e and "name" in e for e in events), "malformed trace events"
 spans = {e["name"] for e in events if e["ph"] == "X"}
-# Each alloc bracket wraps a join as one phase: the field solve beside
-# the system assembly (`place.field_assembly`) and the X/Y solves
-# (`place.solve_xy`); the timed span tree records the overlapped
-# branches individually.
-for bracket, branches in {
-    "place.field_assembly": {"place.field_solve", "place.force_assembly"},
-    "place.solve_xy": {"place.solve_x", "place.solve_y"},
-}.items():
-    if branches <= spans:
-        spans.add(bracket)
 missing = set(alloc) - spans
-assert not missing, f"report phases absent from perfetto span tree: {missing}"
+assert not missing, f"alloc phases absent from perfetto span tree: {missing}"
 assert any(e["ph"] == "C" for e in events), "no counter tracks in perfetto export"
 print(f"observability smoke: OK ({len(events)} trace events, "
-      f"{len(alloc)} instrumented phases)")
+      f"{len(alloc)} instrumented phases, heap table unchanged by tracing)")
 EOF
 
 # Daemon smoke: the served path end to end against a real process — one

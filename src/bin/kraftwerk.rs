@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! kraftwerk place      <netlist> [-o placement.pl] [--fast] [--multilevel] [--svg out.svg]
-//!                                [--threads N] [--trace [run.jsonl]] [--report report.json]
-//!                                [--snapshot-every N] [--k F] [--force-scale F] [--profile]
-//!                                [--alloc-stats] [--perfetto trace.json] [-v|--verbose] [-q|--quiet]
+//!                                [--threads N] [--trace run.jsonl] [--profile] [--alloc-stats]
+//!                                [--snapshot-every N] [--k F] [--force-scale F]
+//!                                [-v|--verbose] [-q|--quiet]
 //! kraftwerk inspect    <telemetry>... [-o report.html] [--perfetto trace.json] [--service]
 //! kraftwerk bench      [--json] [--compare baseline.json] [-o out.json] [--max-cells N]
 //!                      [--modes standard,fast,multilevel-b2b]
@@ -19,28 +19,27 @@
 //! Netlists use the text format of `kraftwerk::netlist::format` (see the
 //! `gen` subcommand to create one).
 //!
-//! `place` telemetry: `--trace` enables recording (with a path it also
-//! writes one JSON record per placement transformation as JSONL),
-//! `--report` the end-of-run summary with the cumulative phase profile
-//! and the full embedded record stream, `--snapshot-every N` captures
-//! downsampled density/potential fields and cell positions every N
-//! transformations, `--profile` prints the phase profile as a table, and
-//! `-v` streams per-iteration progress to stderr. See the README
-//! "Observability" and "Inspecting runs" sections for the record schema.
+//! `place` telemetry: `--trace run.jsonl` writes the run's one artifact,
+//! a JSONL stream with one record per placement transformation, closed
+//! by a `summary` record with the cumulative phase profile.
+//! `--snapshot-every N` captures downsampled density/potential fields
+//! and cell positions every N transformations, `--profile` prints the
+//! phase profile as a table, and `-v` streams per-iteration progress to
+//! stderr. See the README "Observability" and "Inspecting runs" sections
+//! for the record schema.
 //!
 //! `place --alloc-stats` switches the counting global allocator's
-//! accounting on and prints the per-phase heap table after the run (the
-//! arena claim as a runtime-verified metric); with `--trace`/`--report`
-//! the same per-phase deltas land in the telemetry as `alloc` records.
-//! `place --perfetto trace.json` additionally exports the run as a
-//! Chrome trace-event document that loads in Perfetto.
+//! accounting on around the run and prints the per-phase heap table
+//! after it (the arena claim as a runtime-verified metric); with
+//! `--trace` the same per-phase rows land in the stream as `alloc`
+//! records.
 //!
-//! `inspect` turns either telemetry artifact (the `--trace` JSONL stream
-//! or the `--report` summary) into a self-contained HTML dashboard.
-//! With two or more inputs it renders a cross-run comparison instead
-//! (overlaid convergence curves, phase deltas, peak memory, parallel
-//! efficiency); with `--perfetto <json>` it exports the Chrome
-//! trace-event document instead of (or alongside `-o`) the dashboard.
+//! `inspect` turns the `--trace` JSONL stream into a self-contained HTML
+//! dashboard. With two or more inputs it renders a cross-run comparison
+//! instead (overlaid convergence curves, phase deltas, peak memory,
+//! parallel efficiency); with `--perfetto <json>` it exports the Chrome
+//! trace-event document (it loads in Perfetto) instead of (or alongside
+//! `-o`) the dashboard.
 //! `bench --json` measures the Table 1 subset (and the scale tiers the
 //! `--max-cells` budget reaches); `bench --compare` re-measures against a
 //! committed `BENCH_place.json` baseline and exits non-zero on an HPWL
@@ -55,7 +54,8 @@
 //!
 //! Every failure prints a one-line `error:` diagnostic to stderr — never a
 //! panic backtrace — and exits with the stage's code from the
-//! `KraftwerkError` taxonomy: `2` usage, `3` I/O, `4` parse, `5`
+//! `KraftwerkError` taxonomy: `2` usage (an unknown subcommand or flag),
+//! `3` I/O, `4` parse, `5`
 //! build/validation, `6` solver/divergence, `7` legalization, `8`
 //! floorplan, `9` timing (`1` is anything uncategorized). `place
 //! --force-scale <f>` multiplies the force scale (fault injection for the
@@ -121,7 +121,7 @@ impl CliError {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace [<jsonl>]] [--report <json>] [--profile]\n                      [--alloc-stats] [--perfetto <json>]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
+        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace <jsonl>] [--profile] [--alloc-stats]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
     );
     ExitCode::from(2)
 }
@@ -149,20 +149,24 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// Like [`flag_value`] but the value is optional: `Ok(None)` when the
-/// flag is absent, `Ok(Some(None))` when it is passed bare (last, or
-/// followed by another flag), `Ok(Some(Some(v)))` with a value.
-#[allow(clippy::option_option)]
-fn optional_flag_value(args: &[String], flag: &str) -> Option<Option<String>> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with('-') => Some(Some(value.clone())),
-        _ => Some(None),
-    }
-}
-
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// Rejects — usage taxonomy, exit 2 — any `-`-prefixed argument of
+/// `cmd` that is neither one of its value flags nor one of its
+/// switches (both space-separated lists), before anything runs or is
+/// written, so a mistyped flag is never silently ignored. Values never
+/// start with `-` (see [`flag_value`]), so every such argument is a flag.
+fn check_flags(cmd: &str, args: &[String], values: &str, switches: &str) -> Result<(), CliError> {
+    let known = |arg: &str| values.split(' ').chain(switches.split(' ')).any(|f| f == arg);
+    match args.iter().find(|a| a.starts_with('-') && !known(a)) {
+        Some(flag) => Err(CliError {
+            message: format!("{cmd}: unknown flag `{flag}` (run `kraftwerk` for usage)"),
+            code: 2,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Fails fast — I/O taxonomy, exit 3 — when the directory that will hold
@@ -217,31 +221,32 @@ fn snapshot(netlist: &Netlist, placement: &Placement, path: &str) -> Result<(), 
 }
 
 fn cmd_place(args: &[String]) -> Result<(), CliError> {
-    use kraftwerk::trace::{Console, FanoutSink, ProgressSink, RunRecorder, Value, Verbosity};
+    use kraftwerk::trace::{
+        alloc, Console, FanoutSink, ProgressSink, RunRecorder, Value, Verbosity,
+    };
     use std::sync::Arc;
 
+    check_flags(
+        "place",
+        args,
+        "-o --svg --threads --trace --snapshot-every --k --force-scale",
+        "--fast --multilevel --profile --alloc-stats -v --verbose -q --quiet",
+    )?;
     let console = Console::from_flags(
         has_flag(args, "--quiet") || has_flag(args, "-q"),
         has_flag(args, "--verbose") || has_flag(args, "-v"),
     );
     // Validate every value-taking flag before the (possibly long) run.
-    // `--trace` may be passed bare: recording on, no JSONL file.
-    let trace_flag = optional_flag_value(args, "--trace");
-    let trace_path = trace_flag.clone().flatten();
-    let report_path = flag_value(args, "--report")?;
+    let trace_path = flag_value(args, "--trace")?;
     let out_path = flag_value(args, "-o")?;
     let svg_path = flag_value(args, "--svg")?;
-    let perfetto_path = flag_value(args, "--perfetto")?;
     let profile = has_flag(args, "--profile");
     let alloc_stats = has_flag(args, "--alloc-stats");
     let Some(input) = args.first().filter(|a| !a.starts_with('-')) else {
         return Err("place: missing netlist path (it comes before the flags)".into());
     };
     // Output locations must be writable before the (possibly long) run.
-    for path in [&trace_path, &report_path, &out_path, &svg_path, &perfetto_path]
-        .into_iter()
-        .flatten()
-    {
+    for path in [&trace_path, &out_path, &svg_path].into_iter().flatten() {
         require_parent_dir(path)?;
     }
     let threads = match flag_value(args, "--threads")? {
@@ -300,19 +305,10 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     }
     config.force_scale_boost = force_scale;
 
-    // Heap accounting: the counting global allocator is always installed;
-    // `--alloc-stats` switches its counters on for this run.
-    if alloc_stats {
-        kraftwerk::trace::alloc::set_tracking(true);
-    }
-
-    // Telemetry: a recorder feeds --trace/--report/--profile/--perfetto;
+    // Telemetry: one recorder feeds --trace, --profile and --alloc-stats;
     // verbose mode additionally streams per-iteration progress to stderr.
-    let recorder = (trace_flag.is_some()
-        || report_path.is_some()
-        || perfetto_path.is_some()
-        || profile)
-        .then(|| Arc::new(RunRecorder::new()));
+    let recorder =
+        (trace_path.is_some() || profile || alloc_stats).then(|| Arc::new(RunRecorder::new()));
     if let Some(rec) = &recorder {
         rec.set_meta("netlist", Value::from(netlist.name()));
         rec.set_meta("cells", Value::from(netlist.num_movable()));
@@ -326,7 +322,7 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         if let Ok(value) = std::env::var("KRAFTWERK_THREADS") {
             rec.set_meta("env.KRAFTWERK_THREADS", Value::from(value));
         }
-        rec.set_meta("alloc.tracking", Value::from(kraftwerk::trace::alloc::tracking()));
+        rec.set_meta("alloc.tracking", Value::from(alloc_stats));
     }
     let progress = (console.verbosity() == Verbosity::Verbose)
         .then(|| Arc::new(ProgressSink::new(console)));
@@ -339,6 +335,10 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         (None, None) => {}
     }
 
+    // Heap accounting: the counting global allocator is always installed;
+    // `--alloc-stats` switches its counters on around the run only, so the
+    // totals leave out the CLI's own set-up and reporting.
+    alloc::set_tracking(alloc_stats);
     let started = std::time::Instant::now();
     let place_result = if has_flag(args, "--multilevel") {
         // The multilevel driver shares the session watchdog; validate the
@@ -357,6 +357,7 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     let global = match place_result {
         Ok(g) => g,
         Err(e) => {
+            alloc::set_tracking(false);
             kraftwerk::trace::uninstall();
             return Err(kerr(e));
         }
@@ -375,6 +376,8 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
         refine(&netlist, legal, 2);
     }
     let elapsed = started.elapsed().as_secs_f64();
+    alloc::set_tracking(false);
+    let alloc_totals = alloc::stats();
     kraftwerk::trace::uninstall();
 
     if let Some(rec) = &recorder {
@@ -394,28 +397,21 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
             write_file(path, run.to_jsonl())?;
             console.info(format!("wrote {path}"));
         }
-        if let Some(path) = &report_path {
-            write_file(path, run.to_json())?;
-            console.info(format!("wrote {path}"));
-        }
-        if let Some(path) = &perfetto_path {
-            // The exporter reads the same stream `--trace` writes, so the
-            // Perfetto span tree always matches the JSONL report.
-            let data = kraftwerk::inspect::parse_run(&run.to_jsonl()).map_err(|e| CliError {
-                message: format!("--perfetto: {e}"),
-                code: 4,
-            })?;
-            write_file(path, kraftwerk::inspect::render_perfetto(&data))?;
-            console.info(format!("wrote {path}"));
-        }
+        // Explicitly requested tables: printed even under --quiet.
         if profile {
-            // Explicitly requested output: printed even under --quiet.
             println!("{}", run.profile_table());
         }
-    }
-    if alloc_stats {
-        // Explicitly requested output: printed even under --quiet.
-        println!("{}", kraftwerk::trace::alloc::report_table());
+        if alloc_stats {
+            println!(
+                "{}process totals: {} allocs / {} deallocs, {} bytes allocated, \
+                 peak {} bytes in use\n",
+                run.alloc_table(),
+                alloc_totals.allocs,
+                alloc_totals.deallocs,
+                alloc_totals.bytes_allocated,
+                alloc_totals.peak_bytes
+            );
+        }
     }
     let legal = legal_result.map_err(kerr)?;
 
@@ -441,15 +437,16 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
 
 /// `kraftwerk inspect <telemetry>... [-o report.html] [--perfetto
 /// trace.json] [--service]`: renders recorded runs (`--trace` JSONL
-/// streams or `--report` summaries). One input yields the single-run
-/// HTML dashboard and/or a Chrome trace-event export; two or more yield
-/// the cross-run comparison document. With `--service` the inputs are
+/// streams). One input yields the single-run HTML dashboard and/or a
+/// Chrome trace-event export; two or more yield the cross-run
+/// comparison document. With `--service` the inputs are
 /// service telemetry instead — `loadgen --latency-out` job records
 /// and/or a scraped `/metrics` snapshot — rendered as the deployment
 /// dashboard (latency percentiles, queue depth, throughput, outcomes).
 fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     use kraftwerk::trace::Console;
 
+    check_flags("inspect", args, "-o --perfetto", "--service -v --verbose -q --quiet")?;
     let console = Console::from_flags(
         has_flag(args, "--quiet") || has_flag(args, "-q"),
         has_flag(args, "--verbose") || has_flag(args, "-v"),
@@ -470,9 +467,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         inputs.push(arg);
     }
     if inputs.is_empty() {
-        return Err(
-            "inspect: missing telemetry path (a --trace JSONL stream or --report summary)".into(),
-        );
+        return Err("inspect: missing telemetry path (a --trace JSONL stream)".into());
     }
     let perfetto_path = flag_value(args, "--perfetto")?;
     let out_flag = flag_value(args, "-o")?;
@@ -564,6 +559,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     use kraftwerk::netlist::synth::{generate, mcnc, scale};
     use kraftwerk::trace::Console;
 
+    check_flags(
+        "bench",
+        args,
+        "--compare -o --max-cells --modes",
+        "--json -v --verbose -q --quiet",
+    )?;
     let console = Console::from_flags(
         has_flag(args, "--quiet") || has_flag(args, "-q"),
         has_flag(args, "--verbose") || has_flag(args, "-v"),
@@ -677,6 +678,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 fn cmd_timing(args: &[String]) -> Result<(), CliError> {
     use kraftwerk::trace::Console;
 
+    check_flags("timing", args, "--requirement", "-v --verbose -q --quiet")?;
     let console = Console::from_flags(
         has_flag(args, "--quiet") || has_flag(args, "-q"),
         has_flag(args, "--verbose") || has_flag(args, "-v"),
@@ -728,6 +730,7 @@ fn load_placement(netlist: &Netlist, path: &str) -> Result<Placement, CliError> 
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {
+    check_flags("gen", args, "--seed --blocks -o", "")?;
     if args.len() < 4 {
         return Err("gen: need <name> <cells> <nets> <rows>".into());
     }
@@ -760,6 +763,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), CliError> {
+    check_flags("stats", args, "", "")?;
     let Some(input) = args.first() else {
         return Err("stats: missing netlist path".into());
     };
@@ -769,6 +773,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), CliError> {
+    check_flags("check", args, "", "")?;
     let (Some(nl_path), Some(pl_path)) = (args.first(), args.get(1)) else {
         return Err(String::from("check: need <netlist> <placement>").into());
     };
@@ -794,6 +799,7 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_route(args: &[String]) -> Result<(), CliError> {
     use kraftwerk::congestion::router::{route, RouterConfig};
+    check_flags("route", args, "", "")?;
     let (Some(nl_path), Some(pl_path)) = (args.first(), args.get(1)) else {
         return Err(String::from("route: need <netlist> <placement>").into());
     };
@@ -813,6 +819,7 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_bookshelf(args: &[String]) -> Result<(), CliError> {
     use kraftwerk::netlist::format::bookshelf;
+    check_flags("bookshelf", args, "-o", "")?;
     let Some(nl_path) = args.first() else {
         return Err(String::from("bookshelf: missing netlist path").into());
     };
@@ -839,6 +846,13 @@ fn cmd_bookshelf(args: &[String]) -> Result<(), CliError> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     use std::io::Write as _;
 
+    check_flags(
+        "serve",
+        args,
+        "--addr --workers --queue-cap --deadline --journal-dir --max-bytes --metrics-addr \
+         --report-dir",
+        "--no-retry",
+    )?;
     let mut cfg = kraftwerk::serve::ServeConfig::default();
     if let Some(addr) = flag_value(args, "--addr")? {
         cfg.addr = addr;

@@ -9,6 +9,7 @@
 //! serialized through a local mutex (the harness runs tests on threads).
 
 use kraftwerk::inspect;
+use kraftwerk::legalize::{legalize, refine};
 use kraftwerk::netlist::synth::mcnc;
 use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
 use kraftwerk::trace::{self, RunRecorder, Value};
@@ -121,9 +122,10 @@ fn rendering_is_bitwise_identical_across_thread_counts() {
 
 /// Golden-schema round trip: a real recorded run must surface **every**
 /// record kind the trace layer can emit — iteration, meta, snapshot,
-/// histogram, convergence, alloc, utilization, timeline — through the
-/// inspect reader, from both the JSONL stream and the `--report`
-/// summary, with the resource numbers intact.
+/// histogram, convergence, alloc, utilization, timeline, summary —
+/// through the inspect reader, with the resource numbers intact. The run
+/// includes legalization, whose spans come after the last transformation
+/// and reach the stream only through the summary line.
 #[test]
 fn every_record_kind_round_trips_through_the_reader() {
     let _guard = sink_lock();
@@ -135,11 +137,15 @@ fn every_record_kind_round_trips_through_the_reader() {
     // installed, so the deltas are zero — the schema still flows.
     trace::alloc::set_tracking(true);
     trace::install(recorder.clone());
-    let result =
-        GlobalPlacer::new(KraftwerkConfig::fast().with_snapshot_every(5)).try_place(&netlist);
+    let placed = GlobalPlacer::new(KraftwerkConfig::fast().with_snapshot_every(5))
+        .try_place(&netlist)
+        .map(|global| {
+            let mut legal = legalize(&netlist, &global.placement).expect("fract legalizes");
+            refine(&netlist, &mut legal, 2);
+        });
     trace::uninstall();
     trace::alloc::set_tracking(false);
-    result.expect("fract places cleanly");
+    placed.expect("fract places cleanly");
     let report = recorder.report();
     assert!(!report.convergence.is_empty(), "no solver convergence recorded");
     assert!(!report.alloc.is_empty(), "no alloc stats recorded");
@@ -147,86 +153,73 @@ fn every_record_kind_round_trips_through_the_reader() {
     assert!(!report.snapshots.is_empty(), "no snapshots recorded");
     assert!(!report.histograms.is_empty(), "no histograms recorded");
 
-    let check = |run: &inspect::RunData, source: &str| {
-        assert_eq!(run.iterations.len(), report.iterations.len(), "{source}: iterations");
-        assert_eq!(run.meta_value("netlist"), Some("fract"), "{source}: meta");
-        assert_eq!(run.snapshots.len(), report.snapshots.len(), "{source}: snapshots");
-        assert_eq!(run.histograms.len(), report.histograms.len(), "{source}: histograms");
-        assert_eq!(run.convergence.len(), report.convergence.len(), "{source}: convergence");
-        for (parsed, recorded) in run.convergence.iter().zip(&report.convergence) {
-            assert_eq!(parsed.solver, recorded.solver, "{source}: solver tag");
-            assert_eq!(parsed.iteration, recorded.iteration, "{source}: solve iteration");
-        }
-        let cg = run.convergence_of("cg");
-        assert!(!cg.is_empty(), "{source}: no cg records");
-        assert!(!cg[0].curve.is_empty(), "{source}: cg residual curve lost");
-        assert!(
-            cg[0].metrics.iter().any(|(k, v)| k == "iterations" && *v >= 1.0),
-            "{source}: cg iteration count lost"
-        );
-        assert_eq!(run.alloc.len(), report.alloc.len(), "{source}: alloc");
-        for (parsed, recorded) in run.alloc.iter().zip(&report.alloc) {
-            assert_eq!(parsed.phase, recorded.phase, "{source}: alloc phase");
-            assert_eq!(parsed.samples, recorded.samples, "{source}: alloc samples");
-            assert_eq!(parsed.allocs, recorded.allocs, "{source}: alloc count");
-            assert_eq!(parsed.bytes, recorded.bytes, "{source}: alloc bytes");
-            assert_eq!(parsed.peak_bytes, recorded.peak_bytes, "{source}: peak bytes");
-        }
-        assert_eq!(run.utilization.len(), report.utilization.len(), "{source}: utilization");
-        for (parsed, recorded) in run.utilization.iter().zip(&report.utilization) {
-            assert_eq!(parsed.span, recorded.span, "{source}: span name");
-            assert_eq!(parsed.samples, recorded.samples, "{source}: span samples");
-            assert_eq!(parsed.chunks, recorded.chunks, "{source}: span chunks");
-            assert_eq!(parsed.threads, recorded.threads, "{source}: span threads");
-            // The JSON number codec round-trips f64 exactly (shortest
-            // representation), so equality is exact, not approximate.
-            assert_eq!(parsed.wall_s, recorded.wall_seconds, "{source}: span wall");
-            assert_eq!(parsed.busy_s, recorded.busy_seconds, "{source}: span busy");
-            assert_eq!(parsed.efficiency, recorded.efficiency(), "{source}: efficiency");
-        }
-    };
-
     // A synthetic watchdog line rides along with the stream so the
     // timeline kind is covered even on a clean run.
     let mut jsonl = report.to_jsonl();
     jsonl.push_str(
         "{\"type\":\"watchdog\",\"iteration\":1,\"reason\":\"synthetic\",\"action\":\"rollback\"}\n",
     );
-    let from_stream = inspect::parse_run(&jsonl).expect("stream parses");
-    check(&from_stream, "jsonl");
-    assert_eq!(from_stream.timeline.len(), 1, "jsonl: watchdog line lost");
-    assert_eq!(from_stream.timeline[0].action, "rollback");
+    let run = inspect::parse_run(&jsonl).expect("stream parses");
+    assert_eq!(run.iterations.len(), report.iterations.len(), "iterations");
+    assert_eq!(run.meta_value("netlist"), Some("fract"), "meta");
+    assert_eq!(run.snapshots.len(), report.snapshots.len(), "snapshots");
+    assert_eq!(run.histograms.len(), report.histograms.len(), "histograms");
+    assert_eq!(run.convergence.len(), report.convergence.len(), "convergence");
+    for (parsed, recorded) in run.convergence.iter().zip(&report.convergence) {
+        assert_eq!(parsed.solver, recorded.solver, "solver tag");
+        assert_eq!(parsed.iteration, recorded.iteration, "solve iteration");
+    }
+    let cg = run.convergence_of("cg");
+    assert!(!cg.is_empty(), "no cg records");
+    assert!(!cg[0].curve.is_empty(), "cg residual curve lost");
+    assert!(
+        cg[0].metrics.iter().any(|(k, v)| k == "iterations" && *v >= 1.0),
+        "cg iteration count lost"
+    );
+    assert_eq!(run.alloc.len(), report.alloc.len(), "alloc");
+    for (parsed, recorded) in run.alloc.iter().zip(&report.alloc) {
+        assert_eq!(parsed.phase, recorded.phase, "alloc phase");
+        assert_eq!(parsed.samples, recorded.samples, "alloc samples");
+        assert_eq!(parsed.allocs, recorded.allocs, "alloc count");
+        assert_eq!(parsed.bytes, recorded.bytes, "alloc bytes");
+        assert_eq!(parsed.peak_bytes, recorded.peak_bytes, "peak bytes");
+    }
+    assert_eq!(run.utilization.len(), report.utilization.len(), "utilization");
+    for (parsed, recorded) in run.utilization.iter().zip(&report.utilization) {
+        assert_eq!(parsed.span, recorded.span, "span name");
+        assert_eq!(parsed.samples, recorded.samples, "span samples");
+        assert_eq!(parsed.chunks, recorded.chunks, "span chunks");
+        assert_eq!(parsed.threads, recorded.threads, "span threads");
+        // The JSON number codec round-trips f64 exactly (shortest
+        // representation), so equality is exact, not approximate.
+        assert_eq!(parsed.wall_s, recorded.wall_seconds, "span wall");
+        assert_eq!(parsed.busy_s, recorded.busy_seconds, "span busy");
+        assert_eq!(parsed.efficiency, recorded.efficiency(), "efficiency");
+    }
+    assert_eq!(run.timeline.len(), 1, "watchdog line lost");
+    assert_eq!(run.timeline[0].action, "rollback");
 
-    let from_summary = inspect::parse_run(&report.to_json()).expect("summary parses");
-    check(&from_summary, "summary");
+    // The run profile is the recorder's, legalization included.
+    let parsed: Vec<(&str, u64, f64)> =
+        run.profile.iter().map(|p| (p.name.as_str(), p.calls, p.seconds)).collect();
+    let recorded: Vec<(&str, u64, f64)> =
+        report.profile.iter().map(|p| (p.name.as_str(), p.calls, p.seconds)).collect();
+    assert_eq!(parsed, recorded, "summary profile");
+    for phase in ["legalize.abacus", "legalize.refine"] {
+        assert!(parsed.iter().any(|(name, ..)| *name == phase), "profile misses {phase}");
+    }
+    // Every resource record is named after a span of the same stream.
+    for name in run.alloc.iter().map(|a| &a.phase).chain(run.utilization.iter().map(|u| &u.span)) {
+        assert!(parsed.iter().any(|(span, ..)| span == name), "{name} is no span");
+    }
 
-    // Both artifacts drive the Perfetto exporter and the comparison
+    // The stream drives the Perfetto exporter and the comparison
     // renderer without loss of the resource sections.
-    let trace_json = inspect::render_perfetto(&from_stream);
+    let trace_json = inspect::render_perfetto(&run);
     assert!(trace_json.contains("\"traceEvents\""));
     let cmp = inspect::render_comparison(&[
-        ("stream".to_string(), from_stream),
-        ("summary".to_string(), from_summary),
+        ("a".to_string(), run.clone()),
+        ("b".to_string(), run),
     ]);
     assert!(cmp.contains("<section id=\"utilization\">"));
-}
-
-#[test]
-fn summary_and_stream_render_equivalent_structure() {
-    let _guard = sink_lock();
-    let netlist = mcnc::by_name("fract");
-    let recorder = Arc::new(RunRecorder::new());
-    recorder.set_meta("netlist", Value::from("fract"));
-    trace::install(recorder.clone());
-    let result =
-        GlobalPlacer::new(KraftwerkConfig::fast().with_snapshot_every(5)).try_place(&netlist);
-    trace::uninstall();
-    result.expect("fract places cleanly");
-    let report = recorder.report();
-    let from_stream = inspect::render_report(&report.to_jsonl()).expect("stream renders");
-    let from_summary = inspect::render_report(&report.to_json()).expect("summary renders");
-    // Same charts from either artifact; wall-time text may differ (the
-    // summary carries the recorder's cumulative profile, the stream an
-    // aggregate of per-iteration phases), structure may not.
-    assert_eq!(element_ids(&from_stream), element_ids(&from_summary));
 }
