@@ -50,34 +50,24 @@ pub(crate) struct SolveGrid {
 
 impl SolveGrid {
     /// Picks the solve domain and vertex count for `density`: the domain
-    /// pads the density region by `padding × extent` on each side and the
-    /// vertex count is the smallest power of two (+1) that resolves the
-    /// density bins (~2 vertices per bin), capped at `max_vertices`: the
-    /// largest `2^k + 1` that does not exceed the cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_vertices < 9`: the solvers never build a grid
-    /// below `2³ + 1 = 9` vertices per side, so a smaller cap is a
-    /// misconfiguration that would silently produce an out-of-contract
-    /// grid (one *larger* than the requested cap) instead of honoring it.
-    pub(crate) fn for_density(density: &ScalarMap, padding: f64, max_vertices: usize) -> Self {
-        assert!(
-            max_vertices >= 9,
-            "max_vertices = {max_vertices} cannot hold the minimum 9-vertex (2^3 + 1) solve grid"
-        );
+    /// pads the density region by `padding × extent` on each side, and the
+    /// grid has the `2^k + 1` vertices per side whose `2^k` is nearest, in
+    /// ratio, to 2 vertices per density bin across that domain (`log2`
+    /// rounded, `k ≥ 3`). The spreading force only has to resolve the
+    /// bins, so the grid lands within a factor √2 of 2 vertices per bin:
+    /// at the default quarter-extent padding, √2 to 2√2 vertices per bin
+    /// across the core, and 513 vertices per side for the placement
+    /// session's largest map (192 bins).
+    pub(crate) fn for_density(density: &ScalarMap, padding: f64) -> Self {
         let region = density.region();
         let extent = region.width().max(region.height());
         let pad = padding * extent;
         let side = extent + 2.0 * pad;
         let domain = Rect::from_center(region.center(), Size::new(side, side));
         let bins_across = density.nx().max(density.ny()) as f64;
-        let want = (2.0 * bins_across * side / extent).ceil() as usize;
-        let mut pow2 = 8usize;
-        // Double only while the doubled grid, 2·pow2 + 1, fits the cap.
-        while pow2 < want && 2 * pow2 < max_vertices {
-            pow2 *= 2;
-        }
+        let want = 2.0 * bins_across * side / extent;
+        let k = want.log2().round().max(3.0) as u32;
+        let pow2 = 1usize << k;
         let m = pow2 + 1;
         let h = side / pow2 as f64;
         Self { domain, m, h }
@@ -90,28 +80,23 @@ impl SolveGrid {
 /// `potential_map` validates the caller's density against this record
 /// instead of guessing the geometry back from `phi.len()`. Reconstruction
 /// from the vertex count alone aliases: two densities over different
-/// regions can produce the same `m` (every large density hits the
-/// `max_vertices` cap), in which case a saved potential would silently be
-/// resampled on the wrong domain.
+/// regions with the same bin counts produce the same `m`, in which case a
+/// saved potential would silently be resampled on the wrong domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SavedSolve {
     /// The grid the saved potential was solved on.
     pub grid: SolveGrid,
     /// `padding` of the solver that ran the solve.
     pub padding: f64,
-    /// `max_vertices` of the solver that ran the solve.
-    pub max_vertices: usize,
 }
 
 impl SavedSolve {
     /// True when a query for `density` through a solver configured with
-    /// (`padding`, `max_vertices`) refers to the same discrete system this
-    /// record was solved on — i.e. the query would rebuild the identical
-    /// [`SolveGrid`] with the identical parameters.
-    pub(crate) fn matches(&self, density: &ScalarMap, padding: f64, max_vertices: usize) -> bool {
-        padding == self.padding
-            && max_vertices == self.max_vertices
-            && SolveGrid::for_density(density, padding, max_vertices) == self.grid
+    /// `padding` refers to the same discrete system this record was solved
+    /// on — i.e. the query would rebuild the identical [`SolveGrid`] with
+    /// the identical parameters.
+    pub(crate) fn matches(&self, density: &ScalarMap, padding: f64) -> bool {
+        padding == self.padding && SolveGrid::for_density(density, padding) == self.grid
     }
 }
 
@@ -252,7 +237,7 @@ mod tests {
         // weights would let the sample escape [min φ, max φ] and flip
         // the sign of extrapolated forces.
         let d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), 16, 16);
-        let g = SolveGrid::for_density(&d, 0.5, 1025);
+        let g = SolveGrid::for_density(&d, 0.5);
         let phi: Vec<f64> = (0..g.m * g.m).map(|k| (k % 7) as f64 - 3.0).collect();
         let (lo, hi) = (-3.0, 3.0);
         for p in [
@@ -273,51 +258,56 @@ mod tests {
     #[test]
     fn saved_solve_matches_only_the_original_system() {
         let d = ScalarMap::zeros(kraftwerk_geom::Rect::new(0.0, 0.0, 10.0, 4.0), 24, 10);
-        let saved = SavedSolve {
-            grid: SolveGrid::for_density(&d, 0.5, 1025),
-            padding: 0.5,
-            max_vertices: 1025,
-        };
-        assert!(saved.matches(&d, 0.5, 1025));
+        let saved = SavedSolve { grid: SolveGrid::for_density(&d, 0.5), padding: 0.5 };
+        assert!(saved.matches(&d, 0.5));
         // Same vertex count over a different region: a from-scratch
         // reconstruction cannot tell these apart, the record can.
         let elsewhere = ScalarMap::zeros(kraftwerk_geom::Rect::new(50.0, 0.0, 60.0, 4.0), 24, 10);
         assert_eq!(
-            SolveGrid::for_density(&elsewhere, 0.5, 1025).m,
+            SolveGrid::for_density(&elsewhere, 0.5).m,
             saved.grid.m,
             "aliasing precondition: equal vertex counts"
         );
-        assert!(!saved.matches(&elsewhere, 0.5, 1025));
-        // Different solver parameters are a different discrete system even
-        // for the original density.
-        assert!(!saved.matches(&d, 1.0, 1025));
-        assert!(!saved.matches(&d, 0.5, 129));
+        assert!(!saved.matches(&elsewhere, 0.5));
+        // A different padding is a different discrete system even for the
+        // original density.
+        assert!(!saved.matches(&d, 1.0));
     }
 
     #[test]
-    #[should_panic(expected = "max_vertices")]
-    fn a_cap_below_the_minimum_grid_fails_loudly() {
-        let d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), 16, 16);
-        let _ = SolveGrid::for_density(&d, 0.5, 8);
-    }
-
-    #[test]
-    fn the_cap_is_honored_exactly() {
-        // A density fine enough to want 1024 + 1 vertices per side: every
-        // cap must yield the largest 2^k + 1 grid that fits under it.
-        let d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), 256, 256);
-        for (cap, m) in [
-            (9, 9),
-            (10, 9),
-            (16, 9),
-            (17, 17),
-            (100, 65),
-            (1000, 513),
-            (1024, 513),
-            (1025, 1025),
+    fn the_grid_is_the_power_of_two_nearest_two_vertices_per_bin() {
+        let padding = crate::MultigridSolver::default().padding;
+        let grid = |bins: usize| {
+            let d = ScalarMap::zeros(Rect::new(0.0, 0.0, 10.0, 10.0), bins, bins);
+            SolveGrid::for_density(&d, padding)
+        };
+        // Standard-mode bins (2·√cells) of the five MCNC-scale circuits,
+        // the daemon pool's range, the session's 192-bin clamp, and the
+        // 2³ + 1 floor.
+        for (bins, m) in [
+            (22, 65),
+            (58, 129),
+            (88, 257),
+            (110, 257),
+            (160, 513),
+            (192, 513),
+            (30, 65),
+            (49, 129),
+            (1, 9),
         ] {
-            let g = SolveGrid::for_density(&d, 0.5, cap);
-            assert_eq!(g.m, m, "max_vertices = {cap}");
+            assert_eq!(grid(bins).m, m, "{bins} bins");
+        }
+        // Vertices per bin across the core stay within a factor √2 of 2.
+        let root2 = std::f64::consts::SQRT_2;
+        for bins in 8..=400 {
+            let g = grid(bins);
+            let per_bin = 10.0 / g.h / bins as f64;
+            assert!(
+                (root2..=2.0 * root2).contains(&per_bin),
+                "{bins} bins: {per_bin} vertices per bin on m = {}",
+                g.m
+            );
+            assert_eq!((g.m - 1).count_ones(), 1, "{bins} bins: m = {} is not 2^k + 1", g.m);
         }
     }
 }

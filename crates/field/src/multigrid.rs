@@ -15,31 +15,32 @@ use crate::map::ScalarMap;
 /// Multigrid V-cycle Poisson solver.
 ///
 /// * `padding` — border added around the density region on each side, as a
-///   fraction of the larger region extent (default `0.5`, i.e. the solve
-///   domain is ~2x the core in each direction).
+///   fraction of the larger region extent (default `0.25`, i.e. the solve
+///   domain is 1.5× the core's longer extent in each direction).
 /// * `tolerance` — relative residual target per solve (default `1e-7`).
 /// * `max_cycles` — V-cycle cap (default `30`).
+///
+/// The vertex count follows from the density map: the `2^k + 1` per side
+/// nearest to 2 vertices per bin across the padded domain (see
+/// `SolveGrid::for_density`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultigridSolver {
-    /// Border fraction added on each side of the density region.
+    /// Border fraction added on each side of the density region. It
+    /// stands in for the paper's requirement that the force vanish at
+    /// infinity; more padding is closer to free space and costs vertices.
     pub padding: f64,
     /// Relative residual reduction target.
     pub tolerance: f64,
     /// Maximum number of V-cycles.
     pub max_cycles: usize,
-    /// Cap on vertices per side (`2^k + 1`); higher is more accurate and
-    /// slower. The solver picks the smallest power of two that resolves
-    /// the density grid, up to this cap.
-    pub max_vertices: usize,
 }
 
 impl Default for MultigridSolver {
     fn default() -> Self {
         Self {
-            padding: 0.5,
+            padding: 0.25,
             tolerance: 1e-7,
             max_cycles: 30,
-            max_vertices: 1025,
         }
     }
 }
@@ -418,7 +419,7 @@ impl MultigridSolver {
         let _timer = kraftwerk_trace::span("multigrid.solve");
         // The solve grid, RHS deposit and force sampling live in `grid`;
         // this function only runs the V-cycles.
-        let solve_grid = SolveGrid::for_density(density, self.padding, self.max_vertices);
+        let solve_grid = SolveGrid::for_density(density, self.padding);
         let SolveGrid { m, h, .. } = solve_grid;
 
         let MultigridWorkspace { rhs, phi, resid, depth, halo, saved } = ws;
@@ -469,11 +470,7 @@ impl MultigridSolver {
         }
 
         grid::write_forces(phi, &solve_grid, density, out);
-        *saved = Some(SavedSolve {
-            grid: solve_grid,
-            padding: self.padding,
-            max_vertices: self.max_vertices,
-        });
+        *saved = Some(SavedSolve { grid: solve_grid, padding: self.padding });
     }
 
     /// Samples the Poisson potential φ left in `ws` by the most recent
@@ -488,7 +485,7 @@ impl MultigridSolver {
     #[must_use]
     pub fn potential_map(&self, density: &ScalarMap, ws: &MultigridWorkspace) -> Option<ScalarMap> {
         let saved = ws.saved.as_ref()?;
-        if !saved.matches(density, self.padding, self.max_vertices) {
+        if !saved.matches(density, self.padding) {
             return None;
         }
         Some(grid::sample_potential(&ws.phi, &saved.grid, density))
@@ -869,9 +866,10 @@ mod tests {
     }
 
     /// A zero-charge blob centered on bin `(cx, cy)` of a 32×32 map over
-    /// a 32×32 region: one bin per unit, so each bin center lands on a
-    /// solve-grid vertex and a shift by whole bins is a shift by whole
-    /// vertices.
+    /// a 32×32 region, one bin per unit. Solved with a half-extent padding
+    /// (a 64-unit domain on 129 vertices, two per unit), each bin center
+    /// lands on a solve-grid vertex and a shift by whole bins is a shift
+    /// by whole vertices.
     fn blob_at(cx: usize, cy: usize) -> ScalarMap {
         let mut d = ScalarMap::zeros(Rect::new(0.0, 0.0, 32.0, 32.0), 32, 32);
         let pattern = [
@@ -891,7 +889,7 @@ mod tests {
 
     #[test]
     fn shifting_an_interior_blob_shifts_its_field() {
-        let solver = tight();
+        let solver = MultigridSolver { padding: 0.5, ..tight() };
         let base = solver.solve(&blob_at(12, 13));
         let shifted = solver.solve(&blob_at(16, 15));
         // Compare the 12×12 bins around the blob; the fixed Dirichlet box
@@ -975,13 +973,9 @@ mod tests {
         // modest effect; doubling the padding must not change the field
         // drastically (validates the open-boundary approximation).
         let d = random_balanced_density(3, 16);
-        let near_pad = MultigridSolver {
-            padding: 0.5,
-            ..MultigridSolver::default()
-        }
-        .solve(&d);
+        let near_pad = MultigridSolver::default().solve(&d);
         let far = MultigridSolver {
-            padding: 1.0,
+            padding: 2.0 * MultigridSolver::default().padding,
             ..MultigridSolver::default()
         }
         .solve(&d);
@@ -1070,18 +1064,19 @@ mod tests {
 
     #[test]
     fn solve_reusing_matches_solve_and_reuses_buffers() {
-        // A one-block grid (m = 129) and one whose finest level fans out
+        // A one-block grid (m = 65) and one whose finest level fans out
         // over the halo buffer (m = 513; cycles capped to keep it quick).
         let capped = MultigridSolver { max_cycles: 3, ..MultigridSolver::new() };
-        for (d, solver, fans_out) in [
-            (random_balanced_density(7, 20), MultigridSolver::new(), false),
-            (random_balanced_density(8, 72), capped, true),
+        for (d, solver, m, fans_out) in [
+            (random_balanced_density(7, 20), MultigridSolver::new(), 65, false),
+            (random_balanced_density(8, 160), capped, 513, true),
         ] {
             let reference = solver.solve(&d);
             let mut ws = MultigridWorkspace::default();
             let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
             solver.solve_reusing(&d, &mut ws, &mut out);
             assert_eq!(out, reference, "in-place solve diverged from solve()");
+            assert_eq!(ws.saved.map(|s| s.grid.m), Some(m));
             assert_eq!(ws.halo.capacity() > 0, fans_out, "halo rows only for fanned-out levels");
             // Second solve with the same workspace must not regrow any buffer.
             let caps = |ws: &MultigridWorkspace| {
@@ -1102,9 +1097,9 @@ mod tests {
 
     #[test]
     fn solve_reusing_on_a_1025_grid_is_bitwise_identical_at_any_thread_count() {
-        // 160 bins per side want 640 vertices, so the grid hits the 1025
-        // cap and its two finest levels fan out.
-        let d = random_balanced_density(17, 160);
+        // 320 bins per side want 960 vertices, so the grid has 1025 and
+        // its two finest levels fan out.
+        let d = random_balanced_density(17, 320);
         let solver = MultigridSolver { tolerance: 1e-4, max_cycles: 2, ..MultigridSolver::new() };
         let solve = |threads| {
             at_threads(threads, || {

@@ -192,7 +192,10 @@ impl TimelineEvent {
 pub struct ConvergenceRecord {
     /// Solver tag: `cg` or `multigrid`.
     pub solver: String,
-    /// The 1-based placement transformation the solve belongs to.
+    /// The 1-based position, among the run's iteration records, of the
+    /// transformation the solve belongs to. In a flat run it equals that
+    /// record's `iteration`; a multilevel run restarts the records'
+    /// numbering at every level, while this position keeps counting.
     pub iteration: u64,
     /// Fields of the originating event, in emission order.
     pub fields: Vec<(String, Value)>,
@@ -351,11 +354,14 @@ impl RunReport {
     /// transformation; iteration records have no `"type"` field.
     /// Snapshot, watchdog-timeline and convergence records interleave
     /// after the iteration record they belong to, each as its own line
-    /// carrying a distinguishing `"type"` field. Histogram, alloc and
-    /// utilization records follow, and one `{"type":"summary",...}` line
-    /// closes the stream: `total_s`, the cumulative `profile` (every span,
-    /// including those after the last transformation such as
-    /// legalization), `counters`, `gauges` and `events`.
+    /// carrying a distinguishing `"type"` field. Convergence records are
+    /// placed by their record position, so they stay with their
+    /// transformation when a multilevel run restarts the iteration
+    /// numbers. Histogram, alloc and utilization records follow, and one
+    /// `{"type":"summary",...}` line closes the stream: `total_s`, the
+    /// cumulative `profile` (every span, including those after the last
+    /// transformation such as legalization), `counters`, `gauges` and
+    /// `events`.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -373,7 +379,7 @@ impl RunReport {
         let mut snap_cursor = 0usize;
         let mut time_cursor = 0usize;
         let mut conv_cursor = 0usize;
-        for record in &self.iterations {
+        for (position, record) in (1u64..).zip(&self.iterations) {
             let n = record.iteration();
             out.push_str(&record.to_json());
             out.push('\n');
@@ -392,7 +398,7 @@ impl RunReport {
                 time_cursor += 1;
             }
             while conv_cursor < self.convergence.len()
-                && self.convergence[conv_cursor].iteration <= n
+                && self.convergence[conv_cursor].iteration <= position
             {
                 out.push_str(&self.convergence[conv_cursor].to_json());
                 out.push('\n');
@@ -956,6 +962,39 @@ mod tests {
         for line in lines {
             parse(line).expect("every line parses");
         }
+    }
+
+    #[test]
+    fn convergence_lines_follow_their_transformation_when_numbering_restarts() {
+        // Two multilevel levels, each numbering its records from 1: every
+        // convergence line must follow the record of the transformation
+        // that ran the solve, not the first record with a larger number.
+        let recorder = RunRecorder::new();
+        for level_iterations in [3u64, 2] {
+            for n in 1..=level_iterations {
+                recorder.event(&TraceEvent::Event {
+                    name: "multigrid.solve",
+                    fields: vec![("level_iteration", Value::UInt(n))],
+                });
+                recorder.event(&iteration_event(n, 10.0 - n as f64));
+            }
+        }
+        let jsonl = recorder.report().to_jsonl();
+        let lines: Vec<Json> = jsonl.lines().map(|l| parse(l).unwrap()).collect();
+        let mut last_record: Option<u64> = None;
+        let mut solves = 0;
+        for line in &lines {
+            let field = |key| line.get(key).and_then(Json::as_f64).map(|v| v as u64);
+            match line.get("type").and_then(Json::as_str) {
+                None => last_record = field("iteration"),
+                Some("convergence") => {
+                    solves += 1;
+                    assert_eq!(last_record, field("level_iteration"), "misplaced: {line:?}");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(solves, 5);
     }
 
     #[test]

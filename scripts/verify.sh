@@ -81,9 +81,11 @@ KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-b2b MAX_CELLS=250000 \
 #      the alloc phases;
 #   5. worker utilization is counted once per thread — no span reports
 #      more busy time than threads × wall. The fract stream and a
-#      two-thread run of the 2,600-cell determinism netlist (whose
-#      m = 513 Poisson grid fans out inside the field/assembly join, so
-#      nested fan-outs are exercised) are both checked.
+#      two-thread fast-mode run of a 5,200-cell netlist are both checked.
+#      That run's Poisson grid must have m = 513 or more vertices per side
+#      (fast mode needs about 5,000 cells for that), so its V-cycle fans
+#      out inside the field/assembly join and nested fan-outs are
+#      exercised; the stream's multigrid records assert the premise.
 target/release/kraftwerk gen fract 125 147 6 -o "$obs_dir/fract.kw" > /dev/null
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/plain.pl" --quiet
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/alloc.pl" \
@@ -95,7 +97,7 @@ for pl in alloc traced; do
         || { echo "verify: telemetry perturbed the placement ($pl)" >&2; exit 1; }
 done
 target/release/kraftwerk inspect "$obs_dir/run.jsonl" --perfetto "$obs_dir/trace.json" --quiet
-target/release/kraftwerk gen det 2600 3200 24 -o "$obs_dir/det.kw" > /dev/null
+target/release/kraftwerk gen det 5200 6400 32 -o "$obs_dir/det.kw" > /dev/null
 target/release/kraftwerk place "$obs_dir/det.kw" --fast --threads 2 \
     --trace "$obs_dir/det.jsonl" -o "$obs_dir/det.pl" --quiet > /dev/null
 python3 - "$obs_dir" <<'EOF'
@@ -122,8 +124,10 @@ def alloc_rows(name):
     end = next(i for i, l in enumerate(out) if l.startswith("process totals"))
     return [l.split()[:4] + l.split()[5:] for l in out[start + 1:end]]
 
-run = stream("run.jsonl")
-for name, typed in (("run.jsonl", run), ("det.jsonl", stream("det.jsonl"))):
+run, det = stream("run.jsonl"), stream("det.jsonl")
+grids = {c["vertices_per_side"] for c in det.get("convergence", []) if c["solver"] == "multigrid"}
+assert grids and min(grids) >= 513, f"det.jsonl: Poisson grids {sorted(grids)} do not fan out (m >= 513)"
+for name, typed in (("run.jsonl", run), ("det.jsonl", det)):
     records = typed.get("utilization", [])
     assert records, f"{name}: no utilization records"
     for u in records:

@@ -6,19 +6,45 @@
 //! point association is the same no matter how many workers execute the
 //! chunks. This test drives a netlist large enough to engage every
 //! parallel path (SpMV row chunks and density deposits both split at 2048
-//! elements) through the full transformation loop under 1, 2, and 8
-//! worker threads and compares the results bit for bit.
+//! elements, and the Poisson V-cycle fans out from 513 vertices per side)
+//! through the full transformation loop under 1, 2, and 8 worker threads
+//! and compares the results bit for bit.
+
+use std::sync::Arc;
 
 use kraftwerk::legalize::legalize;
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{Netlist, Placement};
 use kraftwerk::placer::{IterationStats, KraftwerkConfig, PlacementSession};
+use kraftwerk::trace::{install_scoped, RunRecorder};
 
 /// Enough cells that the SpMV row loop (one row per movable cell) and the
 /// density deposit (one rect per cell) both exceed their 2048-element
-/// chunk size and actually fan out.
+/// chunk size and actually fan out, and that standard mode's density map
+/// (121 bins or more) solves on a 513-vertex Poisson grid, whose V-cycle
+/// passes fan out inside the field/assembly join.
 fn matrix_netlist() -> Netlist {
-    generate(&SynthConfig::with_size("det-matrix", 2600, 3200, 24))
+    generate(&SynthConfig::with_size("det-matrix", 3800, 4700, 29))
+}
+
+/// Runs `f` under a trace recorder scoped to this thread (and the join
+/// branches it hands off) and returns its result with the largest Poisson
+/// grid, in vertices per side, that the `multigrid` convergence records
+/// report.
+fn with_largest_poisson_grid<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let recorder = Arc::new(RunRecorder::new());
+    let guard = install_scoped(recorder.clone());
+    let out = f();
+    drop(guard);
+    let largest = recorder
+        .report()
+        .convergence
+        .iter()
+        .filter(|c| c.solver == "multigrid")
+        .filter_map(|c| c.get("vertices_per_side")?.as_u64())
+        .max()
+        .unwrap_or(0);
+    (out, largest)
 }
 
 fn run_with_threads(nl: &Netlist, threads: usize) -> (Placement, Vec<IterationStats>) {
@@ -32,9 +58,13 @@ fn run_with_threads(nl: &Netlist, threads: usize) -> (Placement, Vec<IterationSt
 fn placement_is_bitwise_identical_at_every_thread_count() {
     let nl = matrix_netlist();
     let (p1, s1) = run_with_threads(&nl, 1);
-    let (p2, s2) = run_with_threads(&nl, 2);
+    let ((p2, s2), largest_grid) = with_largest_poisson_grid(|| run_with_threads(&nl, 2));
     let (p8, s8) = run_with_threads(&nl, 8);
     kraftwerk::par::set_threads(0);
+    assert!(
+        largest_grid >= 513,
+        "premise: the Poisson grid must fan out (m = {largest_grid}, fans out from 513)"
+    );
     assert_eq!(s1, s2, "1 vs 2 threads: iteration stats differ");
     assert_eq!(s1, s8, "1 vs 8 threads: iteration stats differ");
     assert_eq!(p1, p2, "1 vs 2 threads: placements differ");
