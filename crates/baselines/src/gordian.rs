@@ -15,7 +15,7 @@
 use kraftwerk_core::{NetModel, QuadraticSystem};
 use kraftwerk_geom::{Point, Rect};
 use kraftwerk_netlist::{CellId, Netlist, Placement};
-use kraftwerk_sparse::{solve, CgOptions, CooMatrix, JacobiPreconditioner};
+use kraftwerk_sparse::{solve, CgOptions, CooMatrix, DiluFactor};
 
 /// GORDIAN-style placer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,8 +235,7 @@ impl GordianPlacer {
                 b[i] = -d[i] + 2.0 * w * centers(i);
             }
             let a = coo.into_csr();
-            let pre = JacobiPreconditioner::from_matrix(&a);
-            solve(&a, &b, Some(coords), &pre, &self.config.cg).x
+            solve(&a, &b, Some(coords), &DiluFactor::from_matrix(&a), &self.config.cg).x
         };
         let (xs0, ys0) = system.coords(placement);
         let xs = solve_axis(&asm.cx, &asm.dx, &xs0, &|i| anchor[i].0.x);

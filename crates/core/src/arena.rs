@@ -9,7 +9,7 @@
 use crate::quadratic::{Assembled, AssemblyScratch};
 use kraftwerk_field::{DensityScratch, ForceField, MultigridWorkspace, ScalarMap};
 use kraftwerk_geom::Vector;
-use kraftwerk_sparse::{CgWorkspace, JacobiPreconditioner};
+use kraftwerk_sparse::{CgWorkspace, DiluFactor};
 
 /// Reusable state for [`crate::PlacementSession::transform`], grouped by
 /// pipeline phase. All fields are buffers whose *contents* are rebuilt
@@ -23,10 +23,6 @@ pub struct ScratchArena {
     /// The unweighted assembly the hold force is derived from when timing
     /// weights are active.
     pub(crate) hold_asm: Assembled,
-    /// Cached diagonal of `asm.cx`, rebuilt with the assembly.
-    pub(crate) diag_x: Vec<f64>,
-    /// Cached diagonal of `asm.cy`, rebuilt with the assembly.
-    pub(crate) diag_y: Vec<f64>,
     /// Per-cell mean stiffness, partially ordered for the median estimate.
     pub(crate) stiffness: Vec<f64>,
     /// Raw (unscaled) field force per movable cell.
@@ -47,10 +43,11 @@ pub struct ScratchArena {
     pub(crate) xs0: Vec<f64>,
     /// Movable-cell y coordinates before the solve.
     pub(crate) ys0: Vec<f64>,
-    /// Jacobi preconditioner for the x system, refreshed with the assembly.
-    pub(crate) px: JacobiPreconditioner,
-    /// Jacobi preconditioner for the y system.
-    pub(crate) py: JacobiPreconditioner,
+    /// DILU factor of the x system, refreshed with the assembly; its
+    /// diagonal is the per-cell x stiffness.
+    pub(crate) px: DiluFactor,
+    /// DILU factor of the y system.
+    pub(crate) py: DiluFactor,
     /// Conjugate-gradient workspace for the x solve.
     pub(crate) cg_x: CgWorkspace,
     /// Conjugate-gradient workspace for the y solve.
@@ -71,8 +68,8 @@ impl ScratchArena {
     /// the block allocated nothing new from the arena's pools.
     pub fn capacity_signature(&self) -> Vec<usize> {
         vec![
-            self.diag_x.capacity(),
-            self.diag_y.capacity(),
+            self.px.capacity(),
+            self.py.capacity(),
             self.stiffness.capacity(),
             self.raw.capacity(),
             self.hx.capacity(),

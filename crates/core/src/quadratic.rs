@@ -487,7 +487,7 @@ mod tests {
     use super::*;
     use kraftwerk_geom::{Rect, Size, Vector};
     use kraftwerk_netlist::{NetlistBuilder, PinDirection};
-    use kraftwerk_sparse::{solve, CgOptions, JacobiPreconditioner};
+    use kraftwerk_sparse::{solve, CgOptions, DiluFactor};
 
     /// pad(0,5) -- a -- b -- pad(10,5): the classic 1-D spring chain.
     fn chain() -> (Netlist, CellId, CellId) {
@@ -507,8 +507,8 @@ mod tests {
         let bx: Vec<f64> = asm.dx.iter().map(|v| -v).collect();
         let by: Vec<f64> = asm.dy.iter().map(|v| -v).collect();
         let opts = CgOptions::default();
-        let x = solve(&asm.cx, &bx, None, &JacobiPreconditioner::from_matrix(&asm.cx), &opts);
-        let y = solve(&asm.cy, &by, None, &JacobiPreconditioner::from_matrix(&asm.cy), &opts);
+        let x = solve(&asm.cx, &bx, None, &DiluFactor::from_matrix(&asm.cx), &opts);
+        let y = solve(&asm.cy, &by, None, &DiluFactor::from_matrix(&asm.cy), &opts);
         assert!(x.converged && y.converged);
         let _ = sys;
         (x.x, y.x)

@@ -505,12 +505,11 @@ impl<'a> PlacementSession<'a> {
     ///
     /// All intermediate buffers live in the session's scratch arena: after
     /// the first transformation the steady-state loop reuses them without
-    /// further heap allocation. The system matrix, its diagonal and the
-    /// Jacobi preconditioners are rebuilt every transformation. The
-    /// Poisson solve and the system assembly, and then the x and y
-    /// conjugate-gradient solves, run concurrently when more than one
-    /// worker thread is configured; results are bitwise identical at any
-    /// thread count.
+    /// further heap allocation. The system matrices and their DILU factors
+    /// are rebuilt every transformation. The Poisson solve and the system
+    /// assembly, and then the x and y conjugate-gradient solves, run
+    /// concurrently when more than one worker thread is configured;
+    /// results are bitwise identical at any thread count.
     ///
     /// # Panics
     ///
@@ -544,8 +543,6 @@ impl<'a> PlacementSession<'a> {
             assembly,
             asm,
             hold_asm,
-            diag_x,
-            diag_y,
             stiffness,
             raw,
             hx,
@@ -640,8 +637,6 @@ impl<'a> PlacementSession<'a> {
                 &*field
             },
             || {
-                // The assembly's diagonal is the per-cell stiffness the
-                // force scale must be expressed in.
                 let timer = kraftwerk_trace::span("place.force_assembly");
                 system.assemble_into(
                     netlist,
@@ -652,10 +647,12 @@ impl<'a> PlacementSession<'a> {
                     asm,
                     assembly,
                 );
-                asm.cx.diagonal_into(diag_x);
-                asm.cy.diagonal_into(diag_y);
+                // The factors' diagonals are the per-cell stiffness the
+                // force scale must be expressed in.
+                let precond = kraftwerk_trace::span("place.precond");
                 px.refresh_from(&asm.cx);
                 py.refresh_from(&asm.cy);
+                precond.finish();
                 timer.finish();
             },
         );
@@ -681,8 +678,9 @@ impl<'a> PlacementSession<'a> {
         // the regularization anchor) must not collapse the global scale.
         // Selecting the middle element picks the same value a full sort
         // would (`total_cmp` is a total order), in linear time.
+        let (diag_x, diag_y) = (px.diagonal(), py.diagonal());
         stiffness.clear();
-        stiffness.extend(diag_x.iter().zip(diag_y.iter()).map(|(a, b)| 0.5 * (a + b)));
+        stiffness.extend(diag_x.iter().zip(diag_y).map(|(a, b)| 0.5 * (a + b)));
         let mid = stiffness.len() / 2;
         let (_, &mut median, _) = stiffness.select_nth_unstable_by(mid, f64::total_cmp);
         let median_stiffness = median.max(1e-12);
@@ -794,8 +792,8 @@ impl<'a> PlacementSession<'a> {
         // 6. Solve, warm-started from the current placement. The x and y
         //    systems are independent, so the two conjugate-gradient solves
         //    run concurrently when the worker pool has more than one
-        //    thread (each keeps its own workspace and preconditioner, so
-        //    the results are identical to the sequential order).
+        //    thread (each keeps its own workspace and factor, so the
+        //    results are identical to the sequential order).
         let cg_opts = &self.config.cg;
         // The two axis solves overlap in time, so they share one phase
         // guard (per-axis heap deltas would double-count each other).

@@ -1,8 +1,9 @@
-//! Preconditioned conjugate gradient solver.
+//! Conjugate gradients preconditioned by the DILU factor, run on the
+//! factor's split system with Eisenstat's trick.
 
 use crate::csr::CsrMatrix;
-use crate::precond::Preconditioner;
-use crate::vecops::{axpy, dot, norm2, xpby};
+use crate::dilu::{distance_squared, DiluFactor};
+use crate::vecops::norm2;
 use std::error::Error;
 use std::fmt;
 
@@ -63,9 +64,10 @@ impl SolverError {
 pub struct CgOptions {
     /// Iteration cap; the solver returns the best iterate when reached.
     pub max_iterations: usize,
-    /// Converged when `||r|| <= rel_tolerance * ||b||`.
+    /// Converged when the split residual satisfies
+    /// `||r̂|| <= rel_tolerance * ||b̂||` (see [`solve`]).
     pub rel_tolerance: f64,
-    /// Converged when `||r|| <= abs_tolerance` regardless of `||b||`.
+    /// Converged when `||r̂|| <= abs_tolerance` regardless of `||b̂||`.
     pub abs_tolerance: f64,
 }
 
@@ -88,7 +90,8 @@ pub struct CgResult {
     pub iterations: usize,
     /// Final residual norm `||b - A x||`.
     pub residual_norm: f64,
-    /// Whether a tolerance was met before the iteration cap.
+    /// Whether the split residual met a tolerance before the iteration
+    /// cap.
     pub converged: bool,
 }
 
@@ -100,20 +103,25 @@ pub struct CgStats {
     pub iterations: usize,
     /// Final residual norm `||b - A x||`.
     pub residual_norm: f64,
-    /// Whether a tolerance was met before the iteration cap.
+    /// Whether the split residual met a tolerance before the iteration
+    /// cap.
     pub converged: bool,
 }
 
 /// Reusable storage for [`solve_with`]: the iterate plus the four
-/// auxiliary vectors of preconditioned CG. Keep one per axis in the
+/// auxiliary vectors of the split iteration. Keep one per axis in the
 /// session arena and the steady-state solve allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CgWorkspace {
     x: Vec<f64>,
+    /// The split residual `r̂`.
     r: Vec<f64>,
-    z: Vec<f64>,
+    /// The split search direction `p̂`.
     p: Vec<f64>,
-    ap: Vec<f64>,
+    /// The backward sweep `(D̃+U)⁻¹ S p̂`.
+    t: Vec<f64>,
+    /// The forward sweep (and, at exit, `A x`).
+    w: Vec<f64>,
 }
 
 impl CgWorkspace {
@@ -143,11 +151,9 @@ impl CgWorkspace {
     }
 
     fn resize(&mut self, n: usize) {
-        self.x.resize(n, 0.0);
-        self.r.resize(n, 0.0);
-        self.z.resize(n, 0.0);
-        self.p.resize(n, 0.0);
-        self.ap.resize(n, 0.0);
+        for v in [&mut self.x, &mut self.r, &mut self.p, &mut self.t, &mut self.w] {
+            v.resize(n, 0.0);
+        }
     }
 }
 
@@ -157,7 +163,9 @@ const TRACE_TRAJECTORY_CAP: usize = 1024;
 
 /// Emits the `cg.solve` telemetry event (only called when tracing is
 /// on), outside the heap accounting: the solve runs inside the session's
-/// phase guard, and telemetry must not count itself.
+/// phase guard, and telemetry must not count itself. `residual` is the
+/// true `‖b − A x‖` at exit; `residual_trajectory` records the split
+/// residual `‖r̂‖` the stopping test reads, one entry per iteration.
 fn emit_solve_event(dim: usize, stats: &CgStats, trajectory: Vec<f64>) {
     kraftwerk_trace::alloc::untracked(|| {
         kraftwerk_trace::event(
@@ -175,25 +183,32 @@ fn emit_solve_event(dim: usize, stats: &CgStats, trajectory: Vec<f64>) {
     });
 }
 
-/// Solves `A x = b` for symmetric positive definite `A` by preconditioned
-/// conjugate gradients. `x0` seeds the iteration (placement transformations
-/// warm-start from the previous placement); `None` starts from zero.
+/// Solves `A x = b` for symmetric positive definite `A` by conjugate
+/// gradients preconditioned with `factor`, the [`DiluFactor`] of `a`.
+/// `x0` seeds the iteration (placement transformations warm-start from
+/// the previous placement); `None` starts from zero.
+///
+/// The iteration runs on the split system `Â x̂ = b̂` of the factor (see
+/// [`DiluFactor`]) and stops when the split residual satisfies
+/// `‖r̂‖ ≤ max(rel_tolerance · ‖b̂‖, abs_tolerance)`; the reported
+/// residual is the true `‖b − A x‖`.
 ///
 /// Allocating convenience wrapper around [`solve_with`].
 ///
 /// # Panics
 ///
-/// Panics if `b` or `x0` lengths differ from the matrix dimension.
+/// Panics if `b` or `x0` lengths differ from the matrix dimension, or if
+/// `factor` was built for a matrix of another shape.
 #[must_use]
 pub fn solve(
     a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
-    preconditioner: &impl Preconditioner,
+    factor: &DiluFactor,
     options: &CgOptions,
 ) -> CgResult {
     let mut ws = CgWorkspace::new();
-    let stats = solve_with(a, b, x0, preconditioner, options, &mut ws);
+    let stats = solve_with(a, b, x0, factor, options, &mut ws);
     CgResult {
         x: std::mem::take(&mut ws.x),
         iterations: stats.iterations,
@@ -209,12 +224,13 @@ pub fn solve(
 ///
 /// # Panics
 ///
-/// Panics if `b` or `x0` lengths differ from the matrix dimension.
+/// Panics if `b` or `x0` lengths differ from the matrix dimension, or if
+/// `factor` was built for a matrix of another shape.
 pub fn solve_with(
     a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
-    preconditioner: &impl Preconditioner,
+    factor: &DiluFactor,
     options: &CgOptions,
     ws: &mut CgWorkspace,
 ) -> CgStats {
@@ -223,7 +239,8 @@ pub fn solve_with(
     if let Some(x0) = x0 {
         assert_eq!(x0.len(), n, "x0 length mismatch");
     }
-    cg_inner(a, b, x0, preconditioner, options, ws)
+    assert_eq!(factor.mismatch(a), None, "factor shape mismatch");
+    cg_inner(a, b, x0, factor, options, ws)
 }
 
 /// Checked variant of [`solve_with`]: validates vector lengths and
@@ -234,7 +251,8 @@ pub fn solve_with(
 /// # Errors
 ///
 /// Returns [`SolverError::DimensionMismatch`] when `b` or `x0` lengths
-/// differ from the matrix dimension, and [`SolverError::NonFinite`] when
+/// differ from the matrix dimension or `factor` was built for a matrix of
+/// another shape (`what: "factor"`), and [`SolverError::NonFinite`] when
 /// either vector contains NaN/infinite entries (detected via the vector
 /// norm, which also flags entries large enough to overflow it — such a
 /// system cannot be solved in `f64` either way).
@@ -242,7 +260,7 @@ pub fn try_solve_with(
     a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
-    preconditioner: &impl Preconditioner,
+    factor: &DiluFactor,
     options: &CgOptions,
     ws: &mut CgWorkspace,
 ) -> Result<CgStats, SolverError> {
@@ -261,38 +279,43 @@ pub fn try_solve_with(
             return Err(SolverError::NonFinite { what: "x0" });
         }
     }
-    Ok(cg_inner(a, b, x0, preconditioner, options, ws))
+    if let Some((expected, got)) = factor.mismatch(a) {
+        return Err(SolverError::DimensionMismatch { what: "factor", expected, got });
+    }
+    Ok(cg_inner(a, b, x0, factor, options, ws))
 }
 
-/// The preconditioned CG iteration shared by [`solve_with`] and
-/// [`try_solve_with`]; inputs are assumed length-checked.
+/// The split-preconditioned CG iteration shared by [`solve_with`] and
+/// [`try_solve_with`]; inputs are assumed checked.
+///
+/// The iterate is kept in the original space: `x̂ += α p̂` is applied as
+/// `x += α t` with the backward sweep `t = (D̃+U)⁻¹ S p̂` the product
+/// already formed, so neither `x̂` nor a final back-transformation exists.
 fn cg_inner(
     a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
-    preconditioner: &impl Preconditioner,
+    factor: &DiluFactor,
     options: &CgOptions,
     ws: &mut CgWorkspace,
 ) -> CgStats {
     let n = a.dim();
     ws.resize(n);
-    let CgWorkspace { x, r, z, p, ap } = ws;
+    let CgWorkspace { x, r, p, t, w } = ws;
     match x0 {
         Some(x0) => x.copy_from_slice(x0),
         None => x.fill(0.0),
     }
 
-    let b_norm = norm2(b);
+    // ‖b̂‖, then r̂ = S (D̃+L)⁻¹ (b − A x).
+    r.copy_from_slice(b);
+    let b_norm = factor.split_into(a, r, w).sqrt();
     let threshold = (options.rel_tolerance * b_norm).max(options.abs_tolerance);
-
-    // r = b - A x
-    a.spmv(x, r);
+    a.spmv(x, t);
     for i in 0..n {
-        r[i] = b[i] - r[i];
+        r[i] = b[i] - t[i];
     }
-    preconditioner.apply(r, z);
-    p.copy_from_slice(z);
-    let mut rz = dot(r, z);
+    let mut rr = factor.split_into(a, r, w);
 
     // Residual trajectory for telemetry; only collected while a trace
     // sink is installed, so the hot loop pays one branch otherwise. Its
@@ -305,55 +328,41 @@ fn cg_inner(
     } else {
         Vec::new()
     };
-    let mut residual = norm2(r);
+    let mut residual = rr.sqrt();
     if tracing {
         trajectory.push(residual);
     }
-    if residual <= threshold {
-        let stats = CgStats {
-            iterations: 0,
-            residual_norm: residual,
-            converged: true,
-        };
-        if tracing {
-            emit_solve_event(n, &stats, trajectory);
-        }
-        return stats;
-    }
 
     let mut iterations = 0;
-    let mut converged = false;
-    for _ in 0..options.max_iterations {
+    let mut converged = residual <= threshold;
+    // The first direction is r̂ itself: β = 0 on a zeroed p̂.
+    p.fill(0.0);
+    let mut beta = 0.0;
+    while !converged && iterations < options.max_iterations {
         iterations += 1;
-        a.spmv(p, ap);
-        let pap = dot(p, ap);
-        if pap <= 0.0 || !pap.is_finite() {
+        let pq = factor.direction_and_product(a, r, beta, p, t, w);
+        if pq <= 0.0 || !pq.is_finite() {
             // Not SPD along this direction (or numerical breakdown):
             // return the current iterate rather than diverging.
             break;
         }
-        let alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        residual = norm2(r);
+        let alpha = rr / pq;
+        let rr_next = factor.step(alpha, t, w, x, r);
+        beta = rr_next / rr;
+        rr = rr_next;
+        residual = rr.sqrt();
         if tracing && trajectory.len() < TRACE_TRAJECTORY_CAP {
             trajectory.push(residual);
         }
-        if residual <= threshold {
-            converged = true;
-            break;
-        }
-        preconditioner.apply(r, z);
-        let rz_next = dot(r, z);
-        let beta = rz_next / rz;
-        rz = rz_next;
-        xpby(z, beta, p);
+        converged = residual <= threshold;
     }
 
+    // The true residual of the returned iterate.
+    a.spmv(x, w);
     let stats = CgStats {
         iterations,
-        residual_norm: residual,
-        converged: converged || residual <= threshold,
+        residual_norm: distance_squared(b, w).sqrt(),
+        converged,
     };
     if tracing {
         emit_solve_event(n, &stats, trajectory);
@@ -364,10 +373,50 @@ fn cg_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::CooMatrix;
-    use crate::precond::{IdentityPreconditioner, JacobiPreconditioner};
+    use crate::csr::{CooMatrix, CsrBuildScratch, SymmetricStaging};
+    use crate::vecops::{axpy, dot, xpby};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The Jacobi-preconditioned CG loop the DILU solver replaced (`M =
+    /// diag(A)`, stopping on the unpreconditioned residual): the reference
+    /// the comparisons below measure against.
+    fn jacobi_reference(a: &CsrMatrix, b: &[f64], options: &CgOptions) -> CgResult {
+        let n = a.dim();
+        let inv: Vec<f64> = a
+            .diagonal()
+            .iter()
+            .map(|&d| if d > f64::MIN_POSITIVE { 1.0 / d } else { 1.0 })
+            .collect();
+        let mut x = vec![0.0; n];
+        let mut r = b.to_vec();
+        let mut z: Vec<f64> = r.iter().zip(&inv).map(|(r, d)| r * d).collect();
+        let mut p = z.clone();
+        let mut ap = vec![0.0; n];
+        let mut rz = dot(&r, &z);
+        let threshold = (options.rel_tolerance * norm2(b)).max(options.abs_tolerance);
+        let mut residual = norm2(&r);
+        let mut iterations = 0;
+        while residual > threshold && iterations < options.max_iterations {
+            iterations += 1;
+            a.spmv(&p, &mut ap);
+            let alpha = rz / dot(&p, &ap);
+            axpy(alpha, &p, &mut x);
+            axpy(-alpha, &ap, &mut r);
+            residual = norm2(&r);
+            for i in 0..n {
+                z[i] = r[i] * inv[i];
+            }
+            let rz_next = dot(&r, &z);
+            xpby(&z, rz_next / rz, &mut p);
+            rz = rz_next;
+        }
+        CgResult { x, iterations, residual_norm: residual, converged: residual <= threshold }
+    }
+
+    fn dilu(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, options: &CgOptions) -> CgResult {
+        solve(a, b, x0, &DiluFactor::from_matrix(a), options)
+    }
 
     /// 1-D Laplacian with Dirichlet ends — the classic SPD test matrix and
     /// exactly the structure of a chain of 2-pin nets anchored at pads.
@@ -401,90 +450,141 @@ mod tests {
         coo.into_csr()
     }
 
-    #[test]
-    fn solves_laplacian_exactly() {
-        // The 1-D chain and the 2-D mesh, each without and with Jacobi.
-        for a in [laplacian(50), mesh_laplacian(20)] {
-            let n = a.dim();
-            let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-            let mut b = vec![0.0; n];
-            a.spmv(&x_true, &mut b);
-            let jacobi = JacobiPreconditioner::from_matrix(&a);
-            for result in [
-                solve(&a, &b, None, &IdentityPreconditioner, &CgOptions::default()),
-                solve(&a, &b, None, &jacobi, &CgOptions::default()),
-            ] {
-                assert!(result.converged, "n = {n}: {result:?}");
-                for (xi, ti) in result.x.iter().zip(&x_true) {
-                    assert!((xi - ti).abs() < 1e-6, "n = {n}: {xi} vs {ti}");
+    /// A system staged the way quadratic placement stages one: `cells`
+    /// movable cells on local 2–5-pin nets under the clique model (weight
+    /// `1/(k−1)` per pin pair), one pin in twenty on a fixed pad, and the
+    /// placer's weak per-cell anchor.
+    fn placement_system(cells: usize, seed: u64) -> CsrMatrix {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut st = SymmetricStaging::default();
+        st.reset(cells);
+        for _ in 0..cells * 6 / 5 {
+            let k = rng.gen_range(2..=5usize);
+            let w = 1.0 / (k - 1) as f64;
+            let center = rng.gen_range(0..cells);
+            let pins: Vec<Option<usize>> = (0..k)
+                .map(|_| (rng.gen_range(0..20u32) > 0).then(|| (center + rng.gen_range(0..64)) % cells))
+                .collect();
+            for (a, pa) in pins.iter().enumerate() {
+                for pb in &pins[a + 1..] {
+                    match (*pa, *pb) {
+                        (Some(i), Some(j)) if i != j => {
+                            st.add_diagonal(i, w);
+                            st.add_diagonal(j, w);
+                            st.add_coupling(i, j, -w);
+                        }
+                        (Some(i), None) | (None, Some(i)) => st.add_diagonal(i, w),
+                        _ => {}
+                    }
                 }
             }
         }
+        for i in 0..cells {
+            st.add_diagonal(i, 1e-6);
+        }
+        let mut csr = CsrMatrix::default();
+        csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
+        csr
+    }
+
+    fn smooth_rhs(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>) {
+        let n = a.dim();
+        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut b = vec![0.0; n];
+        a.spmv(&x_true, &mut b);
+        (x_true, b)
+    }
+
+    #[test]
+    fn solves_laplacian_exactly() {
+        for a in [laplacian(50), mesh_laplacian(20)] {
+            let n = a.dim();
+            let (x_true, b) = smooth_rhs(&a);
+            let result = dilu(&a, &b, None, &CgOptions::default());
+            assert!(result.converged, "n = {n}: {result:?}");
+            for (xi, ti) in result.x.iter().zip(&x_true) {
+                assert!((xi - ti).abs() < 1e-6, "n = {n}: {xi} vs {ti}");
+            }
+        }
+    }
+
+    #[test]
+    fn dilu_matches_the_jacobi_reference_in_fewer_iterations() {
+        // The chain is tridiagonal, so its DILU factor is exact and one
+        // iteration solves it; the mesh and the placement system fill in.
+        let options = CgOptions { rel_tolerance: 1e-10, ..CgOptions::default() };
+        for (name, a) in [
+            ("chain", laplacian(50)),
+            ("mesh", mesh_laplacian(20)),
+            ("placement", placement_system(2000, 7)),
+        ] {
+            let (_, b) = smooth_rhs(&a);
+            let reference = jacobi_reference(&a, &b, &options);
+            let result = dilu(&a, &b, None, &options);
+            assert!(reference.converged && result.converged, "{name}");
+            let scale = reference.x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (xi, ri) in result.x.iter().zip(&reference.x) {
+                assert!((xi - ri).abs() <= 1e-6 * scale, "{name}: {xi} vs {ri}");
+            }
+            assert!(
+                2 * result.iterations < reference.iterations,
+                "{name}: DILU {} vs Jacobi {} iterations",
+                result.iterations,
+                reference.iterations
+            );
+        }
+    }
+
+    #[test]
+    fn solves_are_bitwise_identical_at_any_thread_count() {
+        // Wide enough that the exit SpMV fans out over several chunks.
+        let a = mesh_laplacian(120);
+        let (_, b) = smooth_rhs(&a);
+        let x0: Vec<f64> = (0..a.dim()).map(|i| (i % 7) as f64).collect();
+        let factor = DiluFactor::from_matrix(&a);
+        let run = |threads: usize| {
+            kraftwerk_par::set_threads(threads);
+            let mut ws = CgWorkspace::new();
+            let stats = solve_with(&a, &b, Some(&x0), &factor, &CgOptions::default(), &mut ws);
+            (stats, ws.solution().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let (stats, bits) = run(1);
+        assert!(stats.converged);
+        for threads in [2, 8] {
+            let (s, b) = run(threads);
+            assert_eq!(s.iterations, stats.iterations, "{threads} threads");
+            assert_eq!(s.residual_norm.to_bits(), stats.residual_norm.to_bits(), "{threads} threads");
+            assert!(b == bits, "{threads} threads: solution bits differ");
+        }
+        kraftwerk_par::set_threads(1);
     }
 
     #[test]
     fn warm_start_from_solution_converges_immediately() {
-        let n = 30;
-        let a = laplacian(n);
-        let x_true: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut b = vec![0.0; n];
+        let a = mesh_laplacian(6);
+        let x_true: Vec<f64> = (0..a.dim()).map(|i| i as f64).collect();
+        let mut b = vec![0.0; a.dim()];
         a.spmv(&x_true, &mut b);
-        let result = solve(&a, &b, Some(&x_true), &IdentityPreconditioner, &CgOptions::default());
+        let result = dilu(&a, &b, Some(&x_true), &CgOptions::default());
         assert!(result.converged);
         assert_eq!(result.iterations, 0);
-    }
-
-    #[test]
-    fn jacobi_helps_on_badly_scaled_systems() {
-        // diag(1, 10^4, ...) scaled Laplacian-ish system.
-        let n = 200;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let scales: Vec<f64> = (0..n).map(|_| 10f64.powf(rng.gen_range(0.0..4.0))).collect();
-        let mut coo = CooMatrix::new(n);
-        for i in 0..n {
-            coo.push(i, i, 2.0 * scales[i]);
-            if i + 1 < n {
-                let w = -0.9 * scales[i].min(scales[i + 1]);
-                coo.push_sym(i, i + 1, w);
-            }
-        }
-        let a = coo.into_csr();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let loose = CgOptions {
-            max_iterations: 300,
-            ..CgOptions::default()
-        };
-        let plain = solve(&a, &b, None, &IdentityPreconditioner, &loose);
-        let jacobi = solve(
-            &a,
-            &b,
-            None,
-            &JacobiPreconditioner::from_matrix(&a),
-            &loose,
-        );
-        assert!(jacobi.converged, "jacobi should converge: {jacobi:?}");
-        assert!(
-            jacobi.iterations < plain.iterations || !plain.converged,
-            "jacobi {} vs plain {}",
-            jacobi.iterations,
-            plain.iterations
-        );
+        assert_eq!(result.x, x_true);
     }
 
     #[test]
     fn solve_with_matches_solve_and_reuses_the_workspace() {
-        let n = 64;
-        let a = laplacian(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
-        let reference = solve(&a, &b, None, &IdentityPreconditioner, &CgOptions::default());
+        let a = mesh_laplacian(8);
+        let b: Vec<f64> = (0..a.dim()).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
+        let factor = DiluFactor::from_matrix(&a);
+        let reference = solve(&a, &b, None, &factor, &CgOptions::default());
         let mut ws = CgWorkspace::new();
-        let stats = solve_with(&a, &b, None, &IdentityPreconditioner, &CgOptions::default(), &mut ws);
+        let stats = solve_with(&a, &b, None, &factor, &CgOptions::default(), &mut ws);
         assert_eq!(stats.iterations, reference.iterations);
         assert_eq!(stats.converged, reference.converged);
         assert_eq!(ws.solution(), reference.x.as_slice());
         // A second solve in the same workspace must not reallocate.
         let cap = ws.capacity();
-        let again = solve_with(&a, &b, None, &IdentityPreconditioner, &CgOptions::default(), &mut ws);
+        let again = solve_with(&a, &b, None, &factor, &CgOptions::default(), &mut ws);
         assert_eq!(ws.capacity(), cap);
         assert_eq!(again.residual_norm.to_bits(), stats.residual_norm.to_bits());
         assert_eq!(ws.solution(), reference.x.as_slice());
@@ -493,74 +593,95 @@ mod tests {
     #[test]
     fn try_solve_with_rejects_bad_inputs_without_panicking() {
         let a = laplacian(8);
+        let factor = DiluFactor::from_matrix(&a);
         let mut ws = CgWorkspace::new();
         let opts = CgOptions::default();
         let short = vec![1.0; 4];
         assert_eq!(
-            try_solve_with(&a, &short, None, &IdentityPreconditioner, &opts, &mut ws),
+            try_solve_with(&a, &short, None, &factor, &opts, &mut ws),
             Err(SolverError::DimensionMismatch { what: "rhs", expected: 8, got: 4 })
         );
         let nan = vec![f64::NAN; 8];
-        let err =
-            try_solve_with(&a, &nan, None, &IdentityPreconditioner, &opts, &mut ws).unwrap_err();
+        let err = try_solve_with(&a, &nan, None, &factor, &opts, &mut ws).unwrap_err();
         assert_eq!(err, SolverError::NonFinite { what: "rhs" });
         assert!(err.is_recoverable());
         let b = vec![1.0; 8];
         let bad_x0 = vec![f64::INFINITY; 8];
         assert_eq!(
-            try_solve_with(&a, &b, Some(&bad_x0), &IdentityPreconditioner, &opts, &mut ws),
+            try_solve_with(&a, &b, Some(&bad_x0), &factor, &opts, &mut ws),
             Err(SolverError::NonFinite { what: "x0" })
+        );
+        let stale = DiluFactor::from_matrix(&laplacian(9));
+        assert_eq!(
+            try_solve_with(&a, &b, None, &stale, &opts, &mut ws),
+            Err(SolverError::DimensionMismatch { what: "factor", expected: 8, got: 9 })
+        );
+        let mut coo = CooMatrix::new(8);
+        for i in 0..8 {
+            coo.push(i, i, 1.0);
+        }
+        let other_pattern = DiluFactor::from_matrix(&coo.into_csr());
+        assert_eq!(
+            try_solve_with(&a, &b, None, &other_pattern, &opts, &mut ws),
+            Err(SolverError::DimensionMismatch { what: "factor", expected: 22, got: 8 })
         );
         assert!(!SolverError::DimensionMismatch { what: "x0", expected: 8, got: 9 }
             .is_recoverable());
     }
 
     #[test]
+    #[should_panic(expected = "factor shape mismatch")]
+    fn solve_with_a_foreign_factor_panics() {
+        let a = laplacian(8);
+        let _ = solve(&a, &[1.0; 8], None, &DiluFactor::from_matrix(&laplacian(9)), &CgOptions::default());
+    }
+
+    #[test]
     fn try_solve_with_matches_solve_with_on_valid_inputs() {
-        let n = 40;
-        let a = laplacian(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
+        let a = mesh_laplacian(7);
+        let b: Vec<f64> = (0..a.dim()).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
+        let factor = DiluFactor::from_matrix(&a);
         let mut ws_a = CgWorkspace::new();
         let mut ws_b = CgWorkspace::new();
         let opts = CgOptions::default();
-        let plain = solve_with(&a, &b, None, &IdentityPreconditioner, &opts, &mut ws_a);
-        let checked =
-            try_solve_with(&a, &b, None, &IdentityPreconditioner, &opts, &mut ws_b).unwrap();
+        let plain = solve_with(&a, &b, None, &factor, &opts, &mut ws_a);
+        let checked = try_solve_with(&a, &b, None, &factor, &opts, &mut ws_b).unwrap();
         assert_eq!(plain, checked);
         assert_eq!(ws_a.solution(), ws_b.solution());
     }
 
     #[test]
     fn iteration_cap_is_respected() {
-        let a = laplacian(100);
-        let b = vec![1.0; 100];
+        let a = mesh_laplacian(10);
+        let b = vec![1.0; a.dim()];
         let opts = CgOptions {
             max_iterations: 3,
             rel_tolerance: 1e-14,
             abs_tolerance: 0.0,
         };
-        let result = solve(&a, &b, None, &IdentityPreconditioner, &opts);
+        let result = dilu(&a, &b, None, &opts);
         assert_eq!(result.iterations, 3);
         assert!(!result.converged);
     }
 
     #[test]
     fn indefinite_direction_breaks_gracefully() {
-        // -I is negative definite; CG must bail out without NaNs.
+        // -I is negative definite; every pivot falls back to 1 and CG
+        // must bail out without NaNs.
         let mut coo = CooMatrix::new(3);
         for i in 0..3 {
             coo.push(i, i, -1.0);
         }
         let a = coo.into_csr();
-        let result = solve(&a, &[1.0, 1.0, 1.0], None, &IdentityPreconditioner, &CgOptions::default());
+        let result = dilu(&a, &[1.0, 1.0, 1.0], None, &CgOptions::default());
         assert!(result.x.iter().all(|v| v.is_finite()));
         assert!(!result.converged);
     }
 
     #[test]
     fn zero_rhs_returns_zero() {
-        let a = laplacian(10);
-        let result = solve(&a, &[0.0; 10], None, &IdentityPreconditioner, &CgOptions::default());
+        let a = mesh_laplacian(4);
+        let result = dilu(&a, &[0.0; 16], None, &CgOptions::default());
         assert!(result.converged);
         assert_eq!(result.iterations, 0);
         assert!(result.x.iter().all(|&v| v == 0.0));
@@ -568,9 +689,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        /// `A = BᵀB + I` is SPD but no M-matrix: dense, with positive
+        /// off-diagonals, so DILU pivots can turn non-positive and the
+        /// fallback must keep the preconditioner SPD.
         #[test]
         fn prop_cg_solves_random_spd_systems(seed in 0u64..1000) {
-            // A = B^T B + I is SPD for any B.
             let n = 20;
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let bmat: Vec<Vec<f64>> = (0..n)
@@ -595,13 +718,7 @@ mod tests {
             let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
             let mut b = vec![0.0; n];
             a.spmv(&x_true, &mut b);
-            let result = solve(
-                &a,
-                &b,
-                None,
-                &JacobiPreconditioner::from_matrix(&a),
-                &CgOptions { max_iterations: 500, ..CgOptions::default() },
-            );
+            let result = dilu(&a, &b, None, &CgOptions { max_iterations: 500, ..CgOptions::default() });
             prop_assert!(result.converged, "did not converge: {:?}", result.residual_norm);
             for (xi, ti) in result.x.iter().zip(&x_true) {
                 prop_assert!((xi - ti).abs() < 1e-4, "{} vs {}", xi, ti);
@@ -610,11 +727,11 @@ mod tests {
 
         #[test]
         fn prop_residual_matches_reported(seed in 0u64..200) {
-            let n = 15;
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let a = laplacian(n);
+            let a = mesh_laplacian(4);
+            let n = a.dim();
             let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let result = solve(&a, &b, None, &IdentityPreconditioner, &CgOptions::default());
+            let result = dilu(&a, &b, None, &CgOptions::default());
             let mut ax = vec![0.0; n];
             a.spmv(&result.x, &mut ax);
             let mut r = 0.0f64;

@@ -371,28 +371,24 @@ impl CsrMatrix {
         });
     }
 
-    /// The main diagonal as a dense vector (zeros for missing entries).
+    /// The main diagonal as a dense vector (zeros for missing entries),
+    /// by a per-row binary search over the column-sorted entries.
     #[must_use]
     pub fn diagonal(&self) -> Vec<f64> {
-        let mut d = Vec::new();
-        self.diagonal_into(&mut d);
-        d
+        (0..self.n)
+            .map(|r| {
+                let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+                self.col_idx[lo..hi]
+                    .binary_search(&(r as u32))
+                    .map_or(0.0, |k| self.values[lo + k])
+            })
+            .collect()
     }
 
-    /// Writes the main diagonal into `out` (cleared and resized), using a
-    /// per-row binary search over the column-sorted entries. Reuses the
-    /// caller's buffer so the arena path allocates nothing.
-    pub fn diagonal_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.n, 0.0);
-        let mut lo = self.row_ptr[0] as usize;
-        for (r, (&ptr, slot)) in self.row_ptr[1..].iter().zip(out.iter_mut()).enumerate() {
-            let hi = ptr as usize;
-            if let Ok(k) = self.col_idx[lo..hi].binary_search(&(r as u32)) {
-                *slot = self.values[lo + k];
-            }
-            lo = hi;
-        }
+    /// The raw CSR arrays `(row_ptr, col_idx, values)`, for the DILU
+    /// factor's triangular sweeps.
+    pub(crate) fn parts(&self) -> (&[u32], &[u32], &[f64]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
     }
 
     /// Value at `(row, col)`; zero when the entry is not stored.
@@ -647,16 +643,6 @@ mod tests {
                 prop_assert_eq!(csr.row(r).count(), 0);
             }
         }
-    }
-
-    #[test]
-    fn diagonal_into_reuses_the_buffer() {
-        let a = example();
-        let mut d = Vec::with_capacity(16);
-        let cap = d.capacity();
-        a.diagonal_into(&mut d);
-        assert_eq!(d, vec![2.0, 2.0, 2.0]);
-        assert_eq!(d.capacity(), cap, "no reallocation for a fitting buffer");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! location. This crate provides exactly the machinery the paper names in
 //! section 4.1: a sparse matrix ([`CsrMatrix`], assembled via
 //! [`CooMatrix`] or, for symmetric systems, [`SymmetricStaging`]) and a
-//! **conjugate gradient solver with preconditioning** ([`solve`] with
-//! [`Preconditioner`] implementations).
+//! **conjugate gradient solver with preconditioning** ([`solve`],
+//! preconditioned by the [`DiluFactor`] of the matrix and run on its
+//! split system with Eisenstat's trick).
 //!
 //! Implemented from scratch — no external linear-algebra dependencies —
 //! because the solver *is* part of the system being reproduced.
@@ -15,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use kraftwerk_sparse::{CooMatrix, CgOptions, JacobiPreconditioner, solve};
+//! use kraftwerk_sparse::{CooMatrix, CgOptions, DiluFactor, solve};
 //!
 //! // 2x2 SPD system: [[4, 1], [1, 3]] x = [1, 2]
 //! let mut coo = CooMatrix::new(2);
@@ -24,8 +25,8 @@
 //! coo.push(1, 0, 1.0);
 //! coo.push(1, 1, 3.0);
 //! let a = coo.into_csr();
-//! let pre = JacobiPreconditioner::from_matrix(&a);
-//! let result = solve(&a, &[1.0, 2.0], None, &pre, &CgOptions::default());
+//! let factor = DiluFactor::from_matrix(&a);
+//! let result = solve(&a, &[1.0, 2.0], None, &factor, &CgOptions::default());
 //! assert!(result.converged);
 //! assert!((result.x[0] - 1.0 / 11.0).abs() < 1e-8);
 //! assert!((result.x[1] - 7.0 / 11.0).abs() < 1e-8);
@@ -37,9 +38,9 @@
 
 mod cg;
 mod csr;
-mod precond;
+mod dilu;
 pub mod vecops;
 
 pub use cg::{solve, solve_with, try_solve_with, CgOptions, CgResult, CgStats, CgWorkspace, SolverError};
 pub use csr::{CooMatrix, CsrBuildScratch, CsrMatrix, SymmetricStaging};
-pub use precond::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner};
+pub use dilu::DiluFactor;

@@ -660,6 +660,7 @@ mod tests {
         let rec = crate::SnapshotRecord {
             kind: "density".to_string(),
             iteration: 15,
+            position: 15,
             nx: 2,
             ny: 2,
             values: values.clone(),

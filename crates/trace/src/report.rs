@@ -153,17 +153,15 @@ fn write_sparse_buckets(buckets: &[(u8, u64)]) -> String {
 pub struct TimelineEvent {
     /// Originating event name (currently always [`WATCHDOG_EVENT`]).
     pub name: String,
+    /// How many iteration records the recorder had folded when the event
+    /// arrived (not serialized): the watchdog judges a transformation
+    /// after its record, so the event follows that record in the stream.
+    pub position: u64,
     /// Field key/value pairs, in emission order.
     pub fields: Vec<(String, Value)>,
 }
 
 impl TimelineEvent {
-    /// The 1-based transformation number (0 when the field is absent).
-    #[must_use]
-    pub fn iteration(&self) -> u64 {
-        self.get("iteration").and_then(Value::as_u64).unwrap_or(0)
-    }
-
     /// Field lookup by key.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -354,9 +352,9 @@ impl RunReport {
     /// transformation; iteration records have no `"type"` field.
     /// Snapshot, watchdog-timeline and convergence records interleave
     /// after the iteration record they belong to, each as its own line
-    /// carrying a distinguishing `"type"` field. Convergence records are
-    /// placed by their record position, so they stay with their
-    /// transformation when a multilevel run restarts the iteration
+    /// carrying a distinguishing `"type"` field. They are placed by the
+    /// record position the recorder tagged them with, so they stay with
+    /// their transformation when a multilevel run restarts the iteration
     /// numbers. Histogram, alloc and utilization records follow, and one
     /// `{"type":"summary",...}` line closes the stream: `total_s`, the
     /// cumulative `profile` (every span, including those after the last
@@ -380,18 +378,17 @@ impl RunReport {
         let mut time_cursor = 0usize;
         let mut conv_cursor = 0usize;
         for (position, record) in (1u64..).zip(&self.iterations) {
-            let n = record.iteration();
             out.push_str(&record.to_json());
             out.push('\n');
             while snap_cursor < self.snapshots.len()
-                && self.snapshots[snap_cursor].iteration <= n
+                && self.snapshots[snap_cursor].position <= position
             {
                 out.push_str(&self.snapshots[snap_cursor].to_json());
                 out.push('\n');
                 snap_cursor += 1;
             }
             while time_cursor < self.timeline.len()
-                && self.timeline[time_cursor].iteration() <= n
+                && self.timeline[time_cursor].position <= position
             {
                 out.push_str(&self.timeline[time_cursor].to_json());
                 out.push('\n');
@@ -673,8 +670,10 @@ impl TraceSink for RunRecorder {
                 let field_u64 = |key: &str| field(key).and_then(Value::as_u64).unwrap_or(0);
                 let field_f64 = |key: &str| field(key).and_then(Value::as_f64).unwrap_or(0.0);
                 if *name == WATCHDOG_EVENT {
+                    let position = state.iterations.len() as u64;
                     state.timeline.push(TimelineEvent {
                         name: (*name).to_string(),
+                        position,
                         fields: fields
                             .iter()
                             .map(|(k, v)| ((*k).to_string(), v.clone()))
@@ -725,9 +724,11 @@ impl TraceSink for RunRecorder {
                 }
             }
             TraceEvent::Snapshot { kind, iteration, nx, ny, values } => {
+                let position = state.iterations.len() as u64 + 1;
                 state.snapshots.push(SnapshotRecord {
                     kind: (*kind).to_string(),
                     iteration: *iteration,
+                    position,
                     nx: *nx as usize,
                     ny: *ny as usize,
                     values: values.clone(),
@@ -995,6 +996,52 @@ mod tests {
             }
         }
         assert_eq!(solves, 5);
+    }
+
+    #[test]
+    fn snapshot_and_watchdog_lines_follow_their_transformation_when_numbering_restarts() {
+        // Two multilevel levels numbered 1–3 and 1–2. Every snapshot is
+        // taken inside its transformation (before the record) and every
+        // watchdog event judges one (after the record); each line must
+        // follow that record, not the first record with a larger number.
+        let recorder = RunRecorder::new();
+        for (level, level_iterations) in [(1u64, 3u64), (2, 2)] {
+            for n in 1..=level_iterations {
+                let tag = (10 * level + n) as f64;
+                recorder.event(&TraceEvent::Snapshot {
+                    kind: crate::SNAPSHOT_DENSITY,
+                    iteration: n,
+                    nx: 1,
+                    ny: 1,
+                    values: vec![tag],
+                });
+                recorder.event(&iteration_event(n, tag));
+                recorder.event(&TraceEvent::Event {
+                    name: WATCHDOG_EVENT,
+                    fields: vec![("iteration", Value::UInt(n)), ("tag", Value::Float(tag))],
+                });
+            }
+        }
+        let jsonl = recorder.report().to_jsonl();
+        let lines: Vec<Json> = jsonl.lines().map(|l| parse(l).unwrap()).collect();
+        let mut last_tag: Option<f64> = None;
+        let (mut snapshots, mut events) = (0, 0);
+        for line in &lines {
+            match line.get("type").and_then(Json::as_str) {
+                None => last_tag = line.get("hpwl").and_then(Json::as_f64),
+                Some("snapshot") => {
+                    snapshots += 1;
+                    let values = line.get("values").and_then(Json::as_array).unwrap();
+                    assert_eq!(last_tag, values[0].as_f64(), "misplaced: {line:?}");
+                }
+                Some(WATCHDOG_EVENT) => {
+                    events += 1;
+                    assert_eq!(last_tag, line.get("tag").and_then(Json::as_f64), "misplaced: {line:?}");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!((snapshots, events), (5, 5));
     }
 
     #[test]

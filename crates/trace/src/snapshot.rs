@@ -24,6 +24,12 @@ pub struct SnapshotRecord {
     pub kind: String,
     /// 1-based transformation number.
     pub iteration: u64,
+    /// The 1-based position, among the run's iteration records, of the
+    /// transformation the snapshot was taken in, set when the recorder
+    /// folds it (not serialized). It equals `iteration` in a flat run; a
+    /// multilevel run restarts `iteration` at every level, while the
+    /// position keeps counting.
+    pub position: u64,
     /// Grid columns (for `cells`: number of sampled cells).
     pub nx: usize,
     /// Grid rows (for `cells`: 2).

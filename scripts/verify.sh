@@ -85,7 +85,11 @@ KRAFTWERK_BIN=target/release/kraftwerk MODES=multilevel-b2b MAX_CELLS=250000 \
 #      That run's Poisson grid must have m = 513 or more vertices per side
 #      (fast mode needs about 5,000 cells for that), so its V-cycle fans
 #      out inside the field/assembly join and nested fan-outs are
-#      exercised; the stream's multigrid records assert the premise.
+#      exercised; the stream's multigrid records assert the premise;
+#   6. the same run's DILU-preconditioned CG stays at its iteration count:
+#      the mean x + y `cg_iterations` per transformation (about 29, where
+#      Jacobi took about 108) must stay under 60. The count is
+#      deterministic, so a return to a weaker preconditioner fails here.
 target/release/kraftwerk gen fract 125 147 6 -o "$obs_dir/fract.kw" > /dev/null
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/plain.pl" --quiet
 target/release/kraftwerk place "$obs_dir/fract.kw" --fast -o "$obs_dir/alloc.pl" \
@@ -127,6 +131,9 @@ def alloc_rows(name):
 run, det = stream("run.jsonl"), stream("det.jsonl")
 grids = {c["vertices_per_side"] for c in det.get("convergence", []) if c["solver"] == "multigrid"}
 assert grids and min(grids) >= 513, f"det.jsonl: Poisson grids {sorted(grids)} do not fan out (m >= 513)"
+transformations = [t for t in map(json.loads, open(f"{d}/det.jsonl")) if "type" not in t]
+mean_cg = sum(t["cg_iterations"] for t in transformations) / len(transformations)
+assert mean_cg < 60, f"det.jsonl: {mean_cg:.1f} CG iterations per transformation (bound 60)"
 for name, typed in (("run.jsonl", run), ("det.jsonl", det)):
     records = typed.get("utilization", [])
     assert records, f"{name}: no utilization records"
@@ -155,7 +162,8 @@ missing = set(alloc) - spans
 assert not missing, f"alloc phases absent from perfetto span tree: {missing}"
 assert any(e["ph"] == "C" for e in events), "no counter tracks in perfetto export"
 print(f"observability smoke: OK ({len(events)} trace events, "
-      f"{len(alloc)} instrumented phases, heap table unchanged by tracing)")
+      f"{len(alloc)} instrumented phases, heap table unchanged by tracing, "
+      f"{mean_cg:.1f} CG iterations per transformation)")
 EOF
 
 # Daemon smoke: the served path end to end against a real process — one

@@ -8,7 +8,7 @@ use kraftwerk::netlist::format::{bookshelf, read_netlist, write_netlist};
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{metrics, NetlistBuilder, PinDirection};
 use kraftwerk::placer::{NetModel, QuadraticSystem};
-use kraftwerk::sparse::{solve, CgOptions, JacobiPreconditioner};
+use kraftwerk::sparse::{solve, CgOptions, DiluFactor};
 use kraftwerk::timing::{DelayModel, Sta};
 use kraftwerk::trace::{bucket_bounds, bucket_index};
 use proptest::prelude::*;
@@ -138,7 +138,7 @@ proptest! {
             &asm.cx,
             &b,
             None,
-            &JacobiPreconditioner::from_matrix(&asm.cx),
+            &DiluFactor::from_matrix(&asm.cx),
             &CgOptions { max_iterations: 2000, ..CgOptions::default() },
         );
         prop_assert!(result.converged, "residual {}", result.residual_norm);

@@ -62,7 +62,8 @@ fn one_record_per_transformation_with_increasing_iterations() {
         // The five phase guards run one after another inside the
         // transformation, so their spans add up to at most its wall time
         // (plus clock noise). Everything else nests inside them: the
-        // branch spans of the two joins and the solver spans.
+        // branch spans of the two joins, the factor refresh inside the
+        // assembly branch, and the solver spans.
         const SCOPES: [&str; 5] = [
             "place.density_map",
             "place.field_assembly",
@@ -70,8 +71,13 @@ fn one_record_per_transformation_with_increasing_iterations() {
             "place.solve_xy",
             "place.metrics",
         ];
-        const BRANCHES: [&str; 4] =
-            ["place.field_solve", "place.force_assembly", "place.solve_x", "place.solve_y"];
+        const BRANCHES: [&str; 5] = [
+            "place.field_solve",
+            "place.force_assembly",
+            "place.precond",
+            "place.solve_x",
+            "place.solve_y",
+        ];
         let wall = record.get("wall_s").and_then(Value::as_f64).unwrap();
         let phase = |name: &str| record.phases.iter().find(|(n, _)| n.as_str() == name);
         for name in SCOPES.iter().chain(&BRANCHES) {
