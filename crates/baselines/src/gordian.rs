@@ -222,7 +222,7 @@ impl GordianPlacer {
         let solve_axis = |csr: &kraftwerk_sparse::CsrMatrix,
                           d: &[f64],
                           coords: &[f64],
-                          centers: &dyn Fn(usize) -> f64|
+                          centers: &(dyn Fn(usize) -> f64 + Sync)|
          -> Vec<f64> {
             let mut coo = CooMatrix::with_capacity(n, n);
             let mut b = vec![0.0; n];
@@ -238,8 +238,12 @@ impl GordianPlacer {
             solve(&a, &b, Some(coords), &DiluFactor::from_matrix(&a), &self.config.cg).x
         };
         let (xs0, ys0) = system.coords(placement);
-        let xs = solve_axis(&asm.cx, &asm.dx, &xs0, &|i| anchor[i].0.x);
-        let ys = solve_axis(&asm.cy, &asm.dy, &ys0, &|i| anchor[i].0.y);
+        // The x and y systems are independent: solve them side by side, as
+        // the placement session does (same results at any thread count).
+        let (xs, ys) = kraftwerk_par::join(
+            || solve_axis(&asm.cx, &asm.dx, &xs0, &|i| anchor[i].0.x),
+            || solve_axis(&asm.cy, &asm.dy, &ys0, &|i| anchor[i].0.y),
+        );
         system.write_back(placement, &xs, &ys);
         // GORDIAN's center-of-gravity constraint, enforced by projection:
         // translate each region's cells so their area-weighted centroid

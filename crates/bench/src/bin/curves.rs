@@ -54,7 +54,7 @@ fn main() {
             base_delay * 0.85,
             40,
         )
-        .expect("synthetic circuits are acyclic");
+        .expect("synthetic circuits are acyclic and place cleanly");
         let rows: Vec<Vec<String>> = result
             .curve
             .iter()

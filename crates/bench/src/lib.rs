@@ -230,7 +230,7 @@ pub fn run_kraftwerk_timing(netlist: &Netlist, model: DelayModel) -> TimingOutco
     let plain = run_kraftwerk(netlist, cfg.clone());
     let started = Instant::now();
     let optimized = optimize_timing_legalized(netlist, model, cfg, 3)
-        .expect("synthetic circuits are acyclic")
+        .expect("synthetic circuits are acyclic and legalizable")
         .placement;
     TimingOutcome {
         without_ns: longest_path(netlist, &plain.placement, model),

@@ -50,8 +50,9 @@ pub struct WatchdogConfig {
     /// pre-watchdog behaviour).
     pub enabled: bool,
     /// Trip when the post-transformation HPWL exceeds this multiple of
-    /// the best HPWL seen at the same or better density. Guards against
-    /// slow blow-ups the displacement check cannot see.
+    /// the lowest HPWL of any accepted transformation so far (whatever
+    /// its density). Guards against slow blow-ups the displacement check
+    /// cannot see.
     pub hpwl_explosion_ratio: f64,
     /// Trip when the realized per-cell displacement of a held
     /// transformation exceeds this fraction of the core diagonal (a

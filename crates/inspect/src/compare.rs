@@ -7,8 +7,10 @@
 //! the caller read them from and keep their command-line order; the
 //! first run is the baseline every delta column is measured against.
 
-use crate::model::RunData;
+use crate::html::section;
 use crate::svg::{self, empty_chart, line_chart, Series};
+use crate::{curve, meta_text, metric};
+use kraftwerk_trace::RunReport;
 
 /// Per-run stroke colors, recycled when more runs than colors.
 const PALETTE: [&str; 6] = [
@@ -19,17 +21,8 @@ fn color(i: usize) -> &'static str {
     PALETTE[i % PALETTE.len()]
 }
 
-fn section(out: &mut String, id: &str, heading: &str, body: &str) {
-    out.push_str(&format!(
-        "<section id=\"{}\"><h2>{}</h2>{}</section>",
-        svg::esc(id),
-        svg::esc(heading),
-        body
-    ));
-}
-
 /// The legend naming each run, with its stroke color swatch.
-fn legend(runs: &[(String, RunData)]) -> String {
+fn legend(runs: &[(String, RunReport)]) -> String {
     let mut out = String::from("<ul class=\"phase-legend\">");
     for (i, (label, run)) in runs.iter().enumerate() {
         out.push_str(&format!(
@@ -37,7 +30,7 @@ fn legend(runs: &[(String, RunData)]) -> String {
             color(i),
             svg::esc(label),
             run.iterations.len(),
-            svg::esc(run.meta_value("mode").unwrap_or("?")),
+            svg::esc(meta_text(run, "mode").as_deref().unwrap_or("?")),
         ));
     }
     out.push_str("</ul>");
@@ -48,8 +41,8 @@ fn legend(runs: &[(String, RunData)]) -> String {
 fn overlay_chart(
     id: &str,
     title: &str,
-    runs: &[(String, RunData)],
-    metric: fn(&crate::model::IterationPoint) -> Option<f64>,
+    runs: &[(String, RunReport)],
+    key: &str,
     log_y: bool,
 ) -> String {
     let series: Vec<Series<'_>> = runs
@@ -61,7 +54,7 @@ fn overlay_chart(
             points: run
                 .iterations
                 .iter()
-                .filter_map(|p| metric(p).map(|y| (p.iteration as f64, y)))
+                .filter_map(|r| metric(r, key).map(|y| (r.iteration() as f64, y)))
                 .collect(),
         })
         .collect();
@@ -71,7 +64,7 @@ fn overlay_chart(
 /// Overlaid solver residual curves: the x-axis is the solver-internal
 /// step, each run contributes its *last* retained trajectory (the
 /// converged state the run settled into).
-fn solver_curves(runs: &[(String, RunData)]) -> String {
+fn solver_curves(runs: &[(String, RunReport)]) -> String {
     let mut out = String::new();
     for (solver, title, log_y) in [
         ("cg", "CG residual trajectory (last retained solve, log scale)", true),
@@ -85,16 +78,17 @@ fn solver_curves(runs: &[(String, RunData)]) -> String {
             .iter()
             .enumerate()
             .filter_map(|(i, (label, run))| {
-                let trace = run
-                    .convergence_of(solver)
-                    .into_iter()
+                let curve = run
+                    .convergence
+                    .iter()
                     .rev()
-                    .find(|t| !t.curve.is_empty())?;
+                    .filter(|t| t.solver == solver)
+                    .map(|t| curve(&t.fields))
+                    .find(|curve| !curve.is_empty())?;
                 Some(Series {
                     label: label.as_str(),
                     color: color(i),
-                    points: trace
-                        .curve
+                    points: curve
                         .iter()
                         .enumerate()
                         .map(|(step, &r)| (step as f64, r))
@@ -118,8 +112,8 @@ fn solver_curves(runs: &[(String, RunData)]) -> String {
 
 /// Union of names across runs, in first-seen order.
 fn name_union<'a>(
-    runs: &'a [(String, RunData)],
-    names_of: impl Fn(&'a RunData) -> Vec<&'a str>,
+    runs: &'a [(String, RunReport)],
+    names_of: impl Fn(&'a RunReport) -> Vec<&'a str>,
 ) -> Vec<&'a str> {
     let mut union: Vec<&str> = Vec::new();
     for (_, run) in runs {
@@ -132,7 +126,7 @@ fn name_union<'a>(
     union
 }
 
-fn table_open(out: &mut String, first_header: &str, runs: &[(String, RunData)], delta: bool) {
+fn table_open(out: &mut String, first_header: &str, runs: &[(String, RunReport)], delta: bool) {
     out.push_str("<table><thead><tr>");
     out.push_str(&format!("<th>{}</th>", svg::esc(first_header)));
     for (i, (label, _)) in runs.iter().enumerate() {
@@ -145,14 +139,14 @@ fn table_open(out: &mut String, first_header: &str, runs: &[(String, RunData)], 
 }
 
 /// Phase wall-clock per run with deltas against the first run.
-fn phase_table(runs: &[(String, RunData)]) -> String {
+fn phase_table(runs: &[(String, RunReport)]) -> String {
     let phases = name_union(runs, |run| {
         run.profile.iter().map(|p| p.name.as_str()).collect()
     });
     if phases.is_empty() {
         return "<p class=\"cn\">no phase timings recorded in any run</p>".to_string();
     }
-    let seconds_of = |run: &RunData, name: &str| -> Option<f64> {
+    let seconds_of = |run: &RunReport, name: &str| -> Option<f64> {
         run.profile.iter().find(|p| p.name == name).map(|p| p.seconds)
     };
     let mut out = String::new();
@@ -198,7 +192,7 @@ fn fmt_bytes(bytes: u64) -> String {
 }
 
 /// Per-phase peak heap bytes per run.
-fn memory_table(runs: &[(String, RunData)]) -> String {
+fn memory_table(runs: &[(String, RunReport)]) -> String {
     let phases = name_union(runs, |run| {
         run.alloc.iter().map(|a| a.phase.as_str()).collect()
     });
@@ -225,14 +219,15 @@ fn memory_table(runs: &[(String, RunData)]) -> String {
     }
     out.push_str("<tr><th>run peak</th>");
     for (_, run) in runs {
-        out.push_str(&format!("<th>{}</th>", fmt_bytes(run.peak_bytes())));
+        let peak = run.alloc.iter().map(|a| a.peak_bytes).max().unwrap_or(0);
+        out.push_str(&format!("<th>{}</th>", fmt_bytes(peak)));
     }
     out.push_str("</tr></tbody></table>");
     out
 }
 
 /// Per-span parallel efficiency per run.
-fn utilization_table(runs: &[(String, RunData)]) -> String {
+fn utilization_table(runs: &[(String, RunReport)]) -> String {
     let spans = name_union(runs, |run| {
         run.utilization.iter().map(|u| u.span.as_str()).collect()
     });
@@ -249,7 +244,7 @@ fn utilization_table(runs: &[(String, RunData)]) -> String {
             match run.utilization.iter().find(|u| u.span == name) {
                 Some(u) => out.push_str(&format!(
                     "<td>{:.0}% · {} thr · {} chunks</td>",
-                    100.0 * u.efficiency,
+                    100.0 * u.efficiency(),
                     u.threads,
                     u.chunks
                 )),
@@ -263,7 +258,7 @@ fn utilization_table(runs: &[(String, RunData)]) -> String {
 }
 
 /// Run metadata side by side.
-fn meta_table(runs: &[(String, RunData)]) -> String {
+fn meta_table(runs: &[(String, RunReport)]) -> String {
     let keys = name_union(runs, |run| {
         run.meta.iter().map(|(k, _)| k.as_str()).collect()
     });
@@ -277,7 +272,7 @@ fn meta_table(runs: &[(String, RunData)]) -> String {
         for (_, run) in runs {
             out.push_str(&format!(
                 "<td>{}</td>",
-                svg::esc(run.meta_value(key).unwrap_or("—"))
+                svg::esc(meta_text(run, key).as_deref().unwrap_or("—"))
             ));
         }
         out.push_str("</tr>");
@@ -286,12 +281,12 @@ fn meta_table(runs: &[(String, RunData)]) -> String {
     out
 }
 
-/// Renders the comparison document for two or more parsed runs.
+/// Renders the comparison document for two or more runs.
 ///
 /// Each entry pairs a display label (usually the input file name) with
-/// its parsed run; the first entry is the baseline for delta columns.
+/// its run; the first entry is the baseline for delta columns.
 #[must_use]
-pub fn render_comparison(runs: &[(String, RunData)]) -> String {
+pub fn render_comparison(runs: &[(String, RunReport)]) -> String {
     let mut out = String::with_capacity(64 * 1024);
     out.push_str("<!DOCTYPE html><html lang=\"en\"><head><meta charset=\"utf-8\">");
     out.push_str(&format!(
@@ -321,21 +316,21 @@ pub fn render_comparison(runs: &[(String, RunData)]) -> String {
         "cmp-hpwl",
         "HPWL per transformation (log scale)",
         runs,
-        |p| p.hpwl,
+        "hpwl",
         true,
     ));
     convergence.push_str(&overlay_chart(
         "cmp-density",
         "Peak density overflow per transformation",
         runs,
-        |p| p.peak_density,
+        "peak_density",
         false,
     ));
     convergence.push_str(&overlay_chart(
         "cmp-cg",
         "CG effort per transformation",
         runs,
-        |p| p.cg_iterations,
+        "cg_iterations",
         false,
     ));
     section(&mut out, "convergence", "Convergence", &convergence);
@@ -351,9 +346,9 @@ pub fn render_comparison(runs: &[(String, RunData)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::parse_run;
+    use crate::read_run;
 
-    fn run_a() -> (String, RunData) {
+    fn run_a() -> (String, RunReport) {
         let text = concat!(
             "{\"type\":\"meta\",\"netlist\":\"demo\",\"mode\":\"fast\",\"threads\":1}\n",
             "{\"iteration\":1,\"hpwl\":120.0,\"peak_density\":3.0,\"cg_iterations\":50,",
@@ -370,21 +365,21 @@ mod tests {
             "{\"type\":\"summary\",\"total_s\":0.04,\"profile\":[{\"phase\":\"place.solve_x\",",
             "\"calls\":2,\"total_s\":0.02,\"mean_s\":0.01}]}\n",
         );
-        ("a.jsonl".to_string(), parse_run(text).expect("run a parses"))
+        ("a.jsonl".to_string(), read_run(text).expect("run a parses"))
     }
 
-    fn run_b() -> (String, RunData) {
+    fn run_b() -> (String, RunReport) {
         let text = concat!(
             "{\"type\":\"meta\",\"netlist\":\"demo\",\"mode\":\"fast\",\"threads\":8}\n",
             "{\"iteration\":1,\"hpwl\":118.0,\"peak_density\":2.9,\"cg_iterations\":48,",
             "\"wall_s\":0.01,\"phases\":{\"place.solve_x\":0.005,\"place.metrics\":0.001}}\n",
             "{\"type\":\"utilization\",\"span\":\"place.field_solve\",\"samples\":1,",
-            "\"wall_s\":0.004,\"busy_s\":0.02,\"chunks\":8,\"threads\":8,\"efficiency\":0.62}\n",
+            "\"wall_s\":0.004,\"busy_s\":0.01984,\"chunks\":8,\"threads\":8,\"efficiency\":0.62}\n",
             "{\"type\":\"summary\",\"total_s\":0.01,\"profile\":[{\"phase\":\"place.solve_x\",",
             "\"calls\":1,\"total_s\":0.005,\"mean_s\":0.005},{\"phase\":\"place.metrics\",",
             "\"calls\":1,\"total_s\":0.001,\"mean_s\":0.001}]}\n",
         );
-        ("b.jsonl".to_string(), parse_run(text).expect("run b parses"))
+        ("b.jsonl".to_string(), read_run(text).expect("run b parses"))
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! is always rendered, even when it only carries a "nothing recorded"
 //! placeholder — the golden test checks exactly that.
 
-use crate::model::RunData;
 use crate::svg::{
     self, empty_chart, heatmap, histogram_chart, line_chart, phase_breakdown, scatter,
     timeline_strip, PhaseSlice, Series, TimelineMark,
 };
+use crate::{display, last_iteration, meta_text, metric};
+use kraftwerk_trace::{RunReport, Value};
 
 pub(crate) const STYLE: &str = "\
 body{font-family:system-ui,sans-serif;margin:0;background:#f8fafc;color:#0f172a}\
@@ -38,7 +39,7 @@ figure{margin:0 10px 10px 0}\
 figcaption{font-size:12px;color:#64748b;text-align:center}";
 
 /// Pushes one `<section>` with heading and body.
-fn section(out: &mut String, id: &str, heading: &str, body: &str) {
+pub(crate) fn section(out: &mut String, id: &str, heading: &str, body: &str) {
     out.push_str(&format!(
         "<section id=\"{}\"><h2>{}</h2>{}</section>",
         svg::esc(id),
@@ -47,7 +48,7 @@ fn section(out: &mut String, id: &str, heading: &str, body: &str) {
     ));
 }
 
-fn meta_table(run: &RunData) -> String {
+fn meta_table(run: &RunReport) -> String {
     if run.meta.is_empty() {
         return "<p class=\"cn\">no run metadata recorded</p>".to_string();
     }
@@ -56,37 +57,37 @@ fn meta_table(run: &RunData) -> String {
         rows.push_str(&format!(
             "<tr><th>{}</th><td>{}</td></tr>",
             svg::esc(key),
-            svg::esc(value)
+            svg::esc(&display(value))
         ));
     }
     rows.push_str("</tbody></table>");
     rows
 }
 
-fn convergence_section(run: &RunData) -> String {
-    let points = |f: fn(&crate::model::IterationPoint) -> Option<f64>| -> Vec<(f64, f64)> {
+fn convergence_section(run: &RunReport) -> String {
+    let points = |key| -> Vec<(f64, f64)> {
         run.iterations
             .iter()
-            .filter_map(|p| f(p).map(|y| (p.iteration as f64, y)))
+            .filter_map(|r| metric(r, key).map(|y| (r.iteration() as f64, y)))
             .collect()
     };
     let mut out = String::new();
     out.push_str(&line_chart(
         "chart-hpwl",
         "HPWL per transformation (log scale)",
-        &[Series { label: "hpwl", color: "#2563eb", points: points(|p| p.hpwl) }],
+        &[Series { label: "hpwl", color: "#2563eb", points: points("hpwl") }],
         true,
     ));
     out.push_str(&line_chart(
         "chart-density",
         "Peak density overflow per transformation",
-        &[Series { label: "peak density", color: "#dc2626", points: points(|p| p.peak_density) }],
+        &[Series { label: "peak density", color: "#dc2626", points: points("peak_density") }],
         false,
     ));
     out.push_str(&line_chart(
         "chart-cg",
         "CG effort per transformation (x + y solves)",
-        &[Series { label: "cg iterations", color: "#059669", points: points(|p| p.cg_iterations) }],
+        &[Series { label: "cg iterations", color: "#059669", points: points("cg_iterations") }],
         false,
     ));
     out.push_str(&line_chart(
@@ -95,14 +96,14 @@ fn convergence_section(run: &RunData) -> String {
         &[Series {
             label: "max displacement",
             color: "#7c3aed",
-            points: points(|p| p.max_displacement),
+            points: points("max_displacement"),
         }],
         true,
     ));
     out
 }
 
-fn phases_section(run: &RunData) -> String {
+fn phases_section(run: &RunReport) -> String {
     let slices: Vec<PhaseSlice> = run
         .profile
         .iter()
@@ -111,30 +112,41 @@ fn phases_section(run: &RunData) -> String {
     phase_breakdown("phase-breakdown", "Where the wall-clock went", &slices)
 }
 
-fn watchdog_section(run: &RunData) -> String {
+fn watchdog_section(run: &RunReport) -> String {
+    // The detail lists every field the strip does not show on its own.
     let marks: Vec<TimelineMark> = run
         .timeline
         .iter()
         .map(|t| TimelineMark {
-            iteration: t.iteration,
-            action: t.action.clone(),
-            detail: t.detail.clone(),
+            iteration: t.get("iteration").and_then(Value::as_u64).unwrap_or(0),
+            action: t
+                .get("action")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string(),
+            detail: t
+                .fields
+                .iter()
+                .filter(|(key, _)| key != "iteration" && key != "action")
+                .map(|(key, value)| format!("{key}={}", display(value)))
+                .collect::<Vec<_>>()
+                .join(", "),
         })
         .collect();
     let mut out = timeline_strip(
         "watchdog-timeline",
         "Watchdog trips and recoveries",
-        run.last_iteration(),
+        last_iteration(run),
         &marks,
     );
-    if !run.timeline.is_empty() {
+    if !marks.is_empty() {
         out.push_str("<table><tbody>");
-        for t in &run.timeline {
+        for mark in &marks {
             out.push_str(&format!(
                 "<tr><td>iteration {}</td><td>{}</td><td>{}</td></tr>",
-                t.iteration,
-                svg::esc(&t.action),
-                svg::esc(&t.detail)
+                mark.iteration,
+                svg::esc(&mark.action),
+                svg::esc(&mark.detail)
             ));
         }
         out.push_str("</tbody></table>");
@@ -142,17 +154,17 @@ fn watchdog_section(run: &RunData) -> String {
     out
 }
 
-fn fields_section(run: &RunData) -> String {
+fn fields_section(run: &RunReport) -> String {
+    let snapshots_of = |kind| run.snapshots.iter().filter(move |s| s.kind == kind);
     let mut out = String::new();
     let mut any = false;
     for kind in ["density", "potential"] {
-        let grids = run.snapshots_of(kind);
-        if grids.is_empty() {
+        if snapshots_of(kind).next().is_none() {
             continue;
         }
         any = true;
         out.push_str("<div class=\"gallery\">");
-        for grid in grids {
+        for grid in snapshots_of(kind) {
             out.push_str("<figure>");
             out.push_str(&heatmap(
                 &format!("heatmap-{}-{}", kind, grid.iteration),
@@ -170,11 +182,10 @@ fn fields_section(run: &RunData) -> String {
         }
         out.push_str("</div>");
     }
-    let cells = run.snapshots_of("cells");
-    if !cells.is_empty() {
+    if snapshots_of("cells").next().is_some() {
         any = true;
         out.push_str("<div class=\"gallery\">");
-        for grid in cells {
+        for grid in snapshots_of("cells") {
             out.push_str("<figure>");
             out.push_str(&scatter(
                 &format!("scatter-cells-{}", grid.iteration),
@@ -205,7 +216,7 @@ fn id_fragment(name: &str) -> String {
         .collect()
 }
 
-fn histograms_section(run: &RunData) -> String {
+fn histograms_section(run: &RunReport) -> String {
     if run.histograms.is_empty() {
         return empty_chart(
             "hist-none",
@@ -218,7 +229,7 @@ fn histograms_section(run: &RunData) -> String {
     for (i, hist) in run.histograms.iter().enumerate() {
         out.push_str(&histogram_chart(
             &format!("hist-{}", id_fragment(&hist.name)),
-            &format!("{} ({} samples, log2 buckets)", hist.name, hist.total()),
+            &format!("{} ({} samples, log2 buckets)", hist.name, hist.count()),
             &hist.buckets,
             palette.get(i % palette.len()).copied().unwrap_or("#6b7280"),
         ));
@@ -226,16 +237,16 @@ fn histograms_section(run: &RunData) -> String {
     out
 }
 
-/// Renders the complete dashboard document for a parsed run.
+/// Renders the complete dashboard document for a run.
 #[must_use]
-pub fn render(run: &RunData) -> String {
-    let netlist = run.meta_value("netlist").unwrap_or("unnamed run");
-    let mode = run.meta_value("mode").unwrap_or("?");
+pub fn render(run: &RunReport) -> String {
+    let netlist = meta_text(run, "netlist").unwrap_or_else(|| "unnamed run".to_string());
+    let mode = meta_text(run, "mode").unwrap_or_else(|| "?".to_string());
     let mut out = String::with_capacity(64 * 1024);
     out.push_str("<!DOCTYPE html><html lang=\"en\"><head><meta charset=\"utf-8\">");
     out.push_str(&format!(
         "<title>kraftwerk run — {}</title>",
-        svg::esc(netlist)
+        svg::esc(&netlist)
     ));
     out.push_str("<style>");
     out.push_str(STYLE);
@@ -243,9 +254,9 @@ pub fn render(run: &RunData) -> String {
     out.push_str(&format!(
         "<header><h1>kraftwerk run report — {}</h1>\
          <p>{} transformations · mode {} · {} snapshots · {} watchdog events</p></header>",
-        svg::esc(netlist),
+        svg::esc(&netlist),
         run.iterations.len(),
-        svg::esc(mode),
+        svg::esc(&mode),
         run.snapshots.len(),
         run.timeline.len()
     ));
@@ -270,10 +281,10 @@ pub fn render(run: &RunData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::parse_run;
+    use crate::read_run;
 
-    fn demo_run() -> RunData {
-        parse_run(concat!(
+    fn demo_run() -> RunReport {
+        read_run(concat!(
             "{\"iteration\":1,\"hpwl\":120.0,\"peak_density\":3.0,\"cg_iterations\":50,",
             "\"max_displacement\":8.0,\"wall_s\":0.02,\"phases\":{\"place.solve_x\":0.01}}\n",
             "{\"type\":\"snapshot\",\"kind\":\"density\",\"iteration\":1,\"nx\":2,\"ny\":1,",
@@ -313,7 +324,7 @@ mod tests {
 
     #[test]
     fn sparse_runs_render_placeholders_not_errors() {
-        let run = parse_run("{\"iteration\":1,\"hpwl\":1.0,\"phases\":{}}").expect("minimal run");
+        let run = read_run("{\"iteration\":1,\"hpwl\":1.0,\"phases\":{}}").expect("minimal run");
         let html = render(&run);
         assert!(html.contains("no snapshots captured"));
         assert!(html.contains("no histogram metrics recorded"));

@@ -19,8 +19,9 @@
 //! * counter tracks — `hpwl`, `peak density`, `cg iterations` sampled at
 //!   each transformation start.
 
-use crate::model::RunData;
+use crate::{curve, meta_text, metric, number};
 use kraftwerk_trace::json::JsonObject;
+use kraftwerk_trace::{RunReport, Value};
 
 /// Process id for every emitted event (one process per report).
 const PID: u64 = 1;
@@ -63,12 +64,12 @@ fn counter(name: &str, ts_us: f64, value: f64) -> String {
     o.finish()
 }
 
-/// Renders a parsed run as a Chrome trace-event JSON document:
+/// Renders a run as a Chrome trace-event JSON document:
 /// `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
 #[must_use]
-pub fn render_perfetto(run: &RunData) -> String {
+pub fn render_perfetto(run: &RunReport) -> String {
     let mut events: Vec<String> = Vec::new();
-    let netlist = run.meta_value("netlist").unwrap_or("run");
+    let netlist = meta_text(run, "netlist").unwrap_or_else(|| "run".to_string());
     events.push(metadata("process_name", None, &format!("kraftwerk {netlist}")));
     events.push(metadata("thread_name", Some(1), "placement"));
     events.push(metadata("thread_name", Some(2), "phases"));
@@ -86,19 +87,15 @@ pub fn render_perfetto(run: &RunData) -> String {
     let mut starts: Vec<(u64, f64)> = Vec::new();
     for point in &run.iterations {
         let phase_sum: f64 = point.phases.iter().map(|(_, s)| s.max(0.0)).sum();
-        let wall_us = point.wall_s.unwrap_or(phase_sum).max(0.0) * US;
-        starts.push((point.iteration, clock_us));
+        let wall_us = metric(point, "wall_s").unwrap_or(phase_sum).max(0.0) * US;
+        let iteration = point.iteration();
+        starts.push((iteration, clock_us));
 
-        let mut span = event(&format!("iteration {}", point.iteration), "X", 1, clock_us);
+        let mut span = event(&format!("iteration {iteration}"), "X", 1, clock_us);
         span.f64_field("dur", wall_us);
         let mut args = JsonObject::new();
-        for (key, value) in [
-            ("hpwl", point.hpwl),
-            ("peak_density", point.peak_density),
-            ("cg_iterations", point.cg_iterations),
-            ("max_displacement", point.max_displacement),
-        ] {
-            if let Some(v) = value {
+        for key in ["hpwl", "peak_density", "cg_iterations", "max_displacement"] {
+            if let Some(v) = metric(point, key) {
                 args.f64_field(key, v);
             }
         }
@@ -113,13 +110,13 @@ pub fn render_perfetto(run: &RunData) -> String {
             events.push(phase.finish());
             phase_clock += dur_us;
         }
-        for (key, value) in [
-            ("hpwl", point.hpwl),
-            ("peak density", point.peak_density),
-            ("cg iterations", point.cg_iterations),
+        for (name, key) in [
+            ("hpwl", "hpwl"),
+            ("peak density", "peak_density"),
+            ("cg iterations", "cg_iterations"),
         ] {
-            if let Some(v) = value {
-                events.push(counter(key, clock_us, v));
+            if let Some(v) = metric(point, key) {
+                events.push(counter(name, clock_us, v));
             }
         }
         // A transformation occupies at least the span of its phases even
@@ -136,16 +133,23 @@ pub fn render_perfetto(run: &RunData) -> String {
         o.str_field("s", "t");
         let mut args = JsonObject::new();
         args.u64_field("iteration", trace.iteration);
-        for (key, value) in &trace.metrics {
-            args.f64_field(key, *value);
+        for (key, value) in trace.fields.iter().filter(|(key, _)| key != "converged") {
+            if let Some(v) = number(value) {
+                args.f64_field(key, v);
+            }
         }
-        if let Some(converged) = trace.converged {
+        let converged = match trace.get("converged") {
+            Some(Value::Bool(b)) => Some(*b),
+            other => other.and_then(number).map(|v| v != 0.0),
+        };
+        if let Some(converged) = converged {
             args.bool_field("converged", converged);
         }
-        if !trace.curve.is_empty() {
-            args.u64_field("curve_points", trace.curve.len() as u64);
-            args.f64_field("curve_first", trace.curve[0]);
-            args.f64_field("curve_last", trace.curve[trace.curve.len() - 1]);
+        let curve = curve(&trace.fields);
+        if let (Some(first), Some(last)) = (curve.first(), curve.last()) {
+            args.u64_field("curve_points", curve.len() as u64);
+            args.f64_field("curve_first", *first);
+            args.f64_field("curve_last", *last);
         }
         o.raw_field("args", &args.finish());
         events.push(o.finish());
@@ -168,11 +172,11 @@ pub fn render_perfetto(run: &RunData) -> String {
         o.str_field("s", "t");
         let mut args = JsonObject::new();
         args.u64_field("samples", stat.samples);
-        args.f64_field("wall_s", stat.wall_s);
-        args.f64_field("busy_s", stat.busy_s);
+        args.f64_field("wall_s", stat.wall_seconds);
+        args.f64_field("busy_s", stat.busy_seconds);
         args.u64_field("chunks", stat.chunks);
         args.u64_field("threads", stat.threads);
-        args.f64_field("efficiency", stat.efficiency);
+        args.f64_field("efficiency", stat.efficiency());
         o.raw_field("args", &args.finish());
         events.push(o.finish());
     }
@@ -192,7 +196,7 @@ pub fn render_perfetto(run: &RunData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::parse_run;
+    use crate::read_run;
     use kraftwerk_trace::json::{self, Json};
 
     const JSONL: &str = concat!(
@@ -218,7 +222,7 @@ mod tests {
 
     #[test]
     fn export_is_valid_json_with_the_expected_span_tree() {
-        let run = parse_run(JSONL).expect("stream parses");
+        let run = read_run(JSONL).expect("stream parses");
         let trace = render_perfetto(&run);
         let doc = json::parse(&trace).expect("export is valid JSON");
         assert_eq!(
@@ -263,13 +267,13 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let run = parse_run(JSONL).expect("stream parses");
+        let run = read_run(JSONL).expect("stream parses");
         assert_eq!(render_perfetto(&run), render_perfetto(&run));
     }
 
     #[test]
     fn missing_wall_clock_falls_back_to_the_phase_sum() {
-        let run = parse_run(concat!(
+        let run = read_run(concat!(
             "{\"iteration\":1,\"phases\":{\"a\":0.5,\"b\":0.25}}\n",
             "{\"iteration\":2,\"phases\":{}}\n",
         ))

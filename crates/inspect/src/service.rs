@@ -18,12 +18,13 @@
 //! <file>`.
 
 use kraftwerk_trace::json::{parse, Json};
-use kraftwerk_trace::{bucket_index, estimate_percentile};
+use kraftwerk_trace::{bucket_index, estimate_percentile, HistogramStat};
 
-use crate::model::{HistogramData, InspectError};
+use crate::html::section;
 use crate::svg::{
     self, empty_chart, fmt_value, histogram_chart, line_chart, Series,
 };
+use crate::InspectError;
 
 /// One completed job as recorded by `loadgen --latency-out`.
 #[derive(Debug, Clone)]
@@ -70,7 +71,7 @@ pub struct ServiceData {
     /// Completed jobs (empty for snapshot-only input).
     pub jobs: Vec<ServiceJob>,
     /// Snapshot histograms, sparse log2 buckets (empty for job input).
-    pub histograms: Vec<HistogramData>,
+    pub histograms: Vec<HistogramStat>,
     /// Snapshot counters and gauges (empty for job input).
     pub samples: Vec<ServiceSample>,
 }
@@ -112,7 +113,7 @@ pub fn parse_service(text: &str) -> Result<ServiceData, InspectError> {
             }
         }
         if !buckets.is_empty() {
-            data.histograms.push(HistogramData { name, buckets });
+            data.histograms.push(HistogramStat { name, buckets });
         }
     }
     if data.jobs.is_empty() && data.histograms.is_empty() && data.samples.is_empty() {
@@ -246,16 +247,6 @@ pub fn render_service(data: &ServiceData) -> String {
     section(&mut out, "series", "Metric series", &series_section(data));
     out.push_str("</body></html>");
     out
-}
-
-/// Pushes one `<section>` with heading and body.
-fn section(out: &mut String, id: &str, heading: &str, body: &str) {
-    out.push_str(&format!(
-        "<section id=\"{}\"><h2>{}</h2>{}</section>",
-        svg::esc(id),
-        svg::esc(heading),
-        body
-    ));
 }
 
 /// Latency percentile curves: per concurrency level, end-to-end client

@@ -637,7 +637,7 @@ mod tests {
             let c = slot % per_row;
             let frac = (c as f64 + 0.5) / per_row as f64;
             // serpentine: odd rows run right-to-left
-            let x = if r % 2 == 0 { frac } else { 1.0 - frac } * core.width();
+            let x = if r.is_multiple_of(2) { frac } else { 1.0 - frac } * core.width();
             let y = (r as f64 + 0.5) / rows as f64 * core.height();
             kraftwerk_geom::Point::new(x, y)
         };

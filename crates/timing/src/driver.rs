@@ -2,8 +2,8 @@
 
 use crate::criticality::CriticalityTracker;
 use crate::model::DelayModel;
-use crate::sta::{Sta, TimingError};
-use kraftwerk_core::{KraftwerkConfig, PlacementSession};
+use crate::sta::Sta;
+use kraftwerk_core::{KraftwerkConfig, KraftwerkError, PlacementSession};
 use kraftwerk_netlist::{metrics, Netlist, Placement};
 
 /// Timing flows need per-transformation mobility: the net-weight pull
@@ -59,34 +59,28 @@ pub struct MeetResult {
     pub requirement: f64,
 }
 
-/// Timing *optimization* (section 5, "Timing Optimization"): before every
-/// placement transformation, run a longest-path analysis, update net
-/// criticalities and weights, and feed the weights into the quadratic
-/// system. The iteration inherits the placer's stopping criterion.
-///
-/// # Errors
-///
-/// Returns [`TimingError`] when the netlist has a combinational loop.
-pub fn optimize_timing(
+/// The timing-driven transformation loop of [`optimize_timing`] and
+/// [`optimize_timing_legalized`]: before every transformation but the
+/// first, analyze, update the net criticalities in `tracker` and feed the
+/// weights into the quadratic system. The loop inherits the placer's
+/// stopping criterion.
+fn timing_loop(
     netlist: &Netlist,
-    model: DelayModel,
-    config: KraftwerkConfig,
-) -> Result<TimingDrivenResult, TimingError> {
-    let sta = Sta::new(netlist, model)?;
-    let config = timing_config(config);
-    let mut tracker = CriticalityTracker::new(netlist.num_nets());
+    sta: &Sta<'_>,
+    config: &KraftwerkConfig,
+    tracker: &mut CriticalityTracker,
+) -> Result<TimingDrivenResult, KraftwerkError> {
+    netlist.validate()?;
     let mut session = PlacementSession::new(netlist, config.clone());
     let mut history = Vec::new();
     while session.iteration() < config.max_transformations {
-        let report = sta.analyze(session.placement());
         // Skip the weight update before the very first transformation:
         // the everything-at-the-center start has no meaningful wire
         // delays to rank nets by.
         if session.iteration() > 0 {
-            let weights = tracker.update(&report);
-            session.set_extra_weights(weights);
+            session.set_extra_weights(tracker.update(&sta.analyze(session.placement())));
         }
-        let stats = session.transform();
+        let stats = session.try_transform()?;
         history.push(TradeoffPoint {
             iteration: stats.iteration,
             hpwl: stats.hpwl,
@@ -102,49 +96,53 @@ pub fn optimize_timing(
     })
 }
 
-/// Timing optimization measured where it counts: on *legal* placements.
-/// Runs [`optimize_timing`], legalizes, then applies `rounds` outer
-/// iterations of analyze-on-legal → reweight → incremental re-place →
-/// re-legalize, returning the best legal placement seen. This closes the
-/// gap between global-placement timing (which can stack critical cells)
-/// and realizable row placements; Tables 3 and 4 use this flow.
+/// Timing *optimization* (section 5, "Timing Optimization"): before every
+/// placement transformation, run a longest-path analysis, update net
+/// criticalities and weights, and feed the weights into the quadratic
+/// system. The iteration inherits the placer's stopping criterion.
 ///
 /// # Errors
 ///
-/// Returns [`TimingError`] for combinational loops; legalization failures
-/// panic (they indicate an infeasible netlist, not a timing problem).
+/// [`KraftwerkError::Timing`] when the netlist has a combinational loop,
+/// [`KraftwerkError::Validation`] when it fails boundary validation, and
+/// the session's errors when a transformation diverges beyond recovery.
+pub fn optimize_timing(
+    netlist: &Netlist,
+    model: DelayModel,
+    config: KraftwerkConfig,
+) -> Result<TimingDrivenResult, KraftwerkError> {
+    let sta = Sta::new(netlist, model)?;
+    let mut tracker = CriticalityTracker::new(netlist.num_nets());
+    timing_loop(netlist, &sta, &timing_config(config), &mut tracker)
+}
+
+/// Timing optimization measured where it counts: on *legal* placements.
+/// Runs [`optimize_timing`], legalizes, then applies `rounds` outer
+/// iterations of analyze-on-legal → reweight → incremental re-place →
+/// re-legalize, returning the best legal placement seen. The net
+/// criticalities carry over from the global flow into these rounds. This
+/// closes the gap between global-placement timing (which can stack
+/// critical cells) and realizable row placements; Tables 3 and 4 use this
+/// flow.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the netlist cannot be legalized (no rows / no capacity).
+/// Everything [`optimize_timing`] returns, and
+/// [`KraftwerkError::Legalize`] when the netlist cannot be legalized (no
+/// rows, no capacity).
 pub fn optimize_timing_legalized(
     netlist: &Netlist,
     model: DelayModel,
     config: KraftwerkConfig,
     rounds: usize,
-) -> Result<TimingDrivenResult, TimingError> {
+) -> Result<TimingDrivenResult, KraftwerkError> {
     use kraftwerk_legalize::{legalize, refine};
     let sta = Sta::new(netlist, model)?;
     let config = timing_config(config);
     let mut tracker = CriticalityTracker::new(netlist.num_nets());
-    let mut session = PlacementSession::new(netlist, config.clone());
-    let mut history = Vec::new();
-    while session.iteration() < config.max_transformations {
-        let report = sta.analyze(session.placement());
-        if session.iteration() > 0 {
-            session.set_extra_weights(tracker.update(&report));
-        }
-        let stats = session.transform();
-        history.push(TradeoffPoint {
-            iteration: stats.iteration,
-            hpwl: stats.hpwl,
-            max_delay: sta.analyze(session.placement()).max_delay,
-        });
-        if session.is_converged() || session.is_stalled() {
-            break;
-        }
-    }
-    let mut best = legalize(netlist, session.placement()).expect("legalizable netlist");
+    let global = timing_loop(netlist, &sta, &config, &mut tracker)?;
+    let mut history = global.history;
+    let mut best = legalize(netlist, &global.placement)?;
     refine(netlist, &mut best, 2);
     let mut best_delay = sta.analyze(&best).max_delay;
     history.push(TradeoffPoint {
@@ -158,9 +156,9 @@ pub fn optimize_timing_legalized(
         let mut eco = PlacementSession::resume(netlist, config.clone(), best.clone());
         eco.set_extra_weights(weights);
         for _ in 0..8 {
-            eco.transform();
+            eco.try_transform()?;
         }
-        let mut legal = legalize(netlist, eco.placement()).expect("legalizable netlist");
+        let mut legal = legalize(netlist, eco.placement())?;
         refine(netlist, &mut legal, 2);
         let delay = sta.analyze(&legal).max_delay;
         history.push(TradeoffPoint {
@@ -191,17 +189,19 @@ pub fn optimize_timing_legalized(
 ///
 /// # Errors
 ///
-/// Returns [`TimingError`] when the netlist has a combinational loop.
+/// [`KraftwerkError::Timing`] when the netlist has a combinational loop,
+/// and the errors of [`GlobalPlacer::try_place`](kraftwerk_core::GlobalPlacer::try_place)
+/// and of the session's transformations.
 pub fn meet_requirements(
     netlist: &Netlist,
     model: DelayModel,
     config: KraftwerkConfig,
     requirement_ns: f64,
     max_extra_transformations: usize,
-) -> Result<MeetResult, TimingError> {
+) -> Result<MeetResult, KraftwerkError> {
     let sta = Sta::new(netlist, model)?;
     // Phase 1: plain area-driven placement.
-    let base = kraftwerk_core::GlobalPlacer::new(config.clone()).place(netlist);
+    let base = kraftwerk_core::GlobalPlacer::new(config.clone()).try_place(netlist)?;
     let mut curve = vec![TradeoffPoint {
         iteration: 0,
         hpwl: metrics::hpwl(netlist, &base.placement),
@@ -229,7 +229,7 @@ pub fn meet_requirements(
         }
         let weights = tracker.update(&report);
         session.set_extra_weights(weights);
-        let stats = session.transform();
+        let stats = session.try_transform()?;
         curve.push(TradeoffPoint {
             iteration: i + 1,
             hpwl: stats.hpwl,

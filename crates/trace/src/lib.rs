@@ -22,6 +22,10 @@
 //!   span since the previous `iteration` event becomes that record's
 //!   per-phase time), closed by one `summary` record with the cumulative
 //!   phase profile, counter totals, and latest gauges.
+//! * [`RunReport`] is the one run model: [`RunReport::to_jsonl`] writes
+//!   the `--trace` stream and [`RunReport::from_jsonl`] reads it back,
+//!   byte for byte the inverse, so the record schema is written and read
+//!   in one module. `kraftwerk-inspect` renders the reports it reads.
 //! * [`Histogram`] accumulates fixed log2-bucketed distributions (CG
 //!   iteration counts, cell displacements, density overflow) with a
 //!   lock-free record path that is a single relaxed load when disabled;

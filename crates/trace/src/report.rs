@@ -1,8 +1,9 @@
 //! Run-level telemetry aggregation: the event stream folded into
-//! per-iteration JSONL records plus a cumulative phase profile.
+//! per-iteration JSONL records plus a cumulative phase profile, and the
+//! reader that turns such a stream back into the same [`RunReport`].
 
 use crate::event::{TraceEvent, Value};
-use crate::json::JsonObject;
+use crate::json::{self, Json, JsonObject};
 use crate::sink::TraceSink;
 use crate::snapshot::SnapshotRecord;
 use std::collections::BTreeMap;
@@ -66,11 +67,7 @@ impl IterationRecord {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
-        for (key, value) in &self.fields {
-            let mut raw = String::new();
-            value.write_json(&mut raw);
-            o.raw_field(key, &raw);
-        }
+        write_fields(&mut o, &self.fields);
         let mut phases = JsonObject::new();
         for (name, seconds) in &self.phases {
             phases.f64_field(name, *seconds);
@@ -133,6 +130,15 @@ impl HistogramStat {
     }
 }
 
+/// Appends `fields` to a record, in order (read back by [`values`]).
+fn write_fields(o: &mut JsonObject, fields: &[(String, Value)]) {
+    for (key, value) in fields {
+        let mut raw = String::new();
+        value.write_json(&mut raw);
+        o.raw_field(key, &raw);
+    }
+}
+
 /// Encodes sparse histogram buckets as a JSON array of `[index, count]`
 /// pairs.
 fn write_sparse_buckets(buckets: &[(u8, u64)]) -> String {
@@ -151,11 +157,14 @@ fn write_sparse_buckets(buckets: &[(u8, u64)]) -> String {
 /// its full field list so dashboards can render a run timeline.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimelineEvent {
-    /// Originating event name (currently always [`WATCHDOG_EVENT`]).
+    /// Originating event name: [`WATCHDOG_EVENT`] from the recorder, or
+    /// any `type` [`RunReport::from_jsonl`] does not know.
     pub name: String,
     /// How many iteration records the recorder had folded when the event
     /// arrived (not serialized): the watchdog judges a transformation
     /// after its record, so the event follows that record in the stream.
+    /// [`RunReport::from_jsonl`] reads it back from the record the line
+    /// follows.
     pub position: u64,
     /// Field key/value pairs, in emission order.
     pub fields: Vec<(String, Value)>,
@@ -174,11 +183,7 @@ impl TimelineEvent {
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
         o.str_field("type", &self.name);
-        for (key, value) in &self.fields {
-            let mut raw = String::new();
-            value.write_json(&mut raw);
-            o.raw_field(key, &raw);
-        }
+        write_fields(&mut o, &self.fields);
         o.finish()
     }
 }
@@ -214,11 +219,7 @@ impl ConvergenceRecord {
         o.str_field("type", "convergence");
         o.str_field("solver", &self.solver);
         o.u64_field("iteration", self.iteration);
-        for (key, value) in &self.fields {
-            let mut raw = String::new();
-            value.write_json(&mut raw);
-            o.raw_field(key, &raw);
-        }
+        write_fields(&mut o, &self.fields);
         o.finish()
     }
 }
@@ -355,80 +356,145 @@ impl RunReport {
     /// carrying a distinguishing `"type"` field. They are placed by the
     /// record position the recorder tagged them with, so they stay with
     /// their transformation when a multilevel run restarts the iteration
-    /// numbers. Histogram, alloc and utilization records follow, and one
-    /// `{"type":"summary",...}` line closes the stream: `total_s`, the
-    /// cumulative `profile` (every span, including those after the last
-    /// transformation such as legalization), `counters`, `gauges` and
-    /// `events`.
+    /// numbers. The last record is followed by all that remain of the three
+    /// kinds, in that order. Histogram, alloc and utilization records
+    /// follow, and one `{"type":"summary",...}` line closes the stream:
+    /// `total_s`, the cumulative `profile` (every span, including those
+    /// after the last transformation such as legalization), `counters`,
+    /// `gauges` and `events`.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut lines = Vec::new();
         if !self.meta.is_empty() {
             let mut o = JsonObject::new();
             o.str_field("type", "meta");
-            for (key, value) in &self.meta {
-                let mut raw = String::new();
-                value.write_json(&mut raw);
-                o.raw_field(key, &raw);
-            }
-            out.push_str(&o.finish());
-            out.push('\n');
+            write_fields(&mut o, &self.meta);
+            lines.push(o.finish());
         }
-        let mut snap_cursor = 0usize;
-        let mut time_cursor = 0usize;
-        let mut conv_cursor = 0usize;
-        for (position, record) in (1u64..).zip(&self.iterations) {
-            out.push_str(&record.to_json());
-            out.push('\n');
-            while snap_cursor < self.snapshots.len()
-                && self.snapshots[snap_cursor].position <= position
-            {
-                out.push_str(&self.snapshots[snap_cursor].to_json());
-                out.push('\n');
-                snap_cursor += 1;
+        let mut snapshots = self.snapshots.iter().peekable();
+        let mut timeline = self.timeline.iter().peekable();
+        let mut convergence = self.convergence.iter().peekable();
+        // After each record the items placed up to it, and after the last
+        // one (or alone, in a stream without records) every item left.
+        let positions = (1..self.iterations.len() as u64).chain([u64::MAX]);
+        for (index, position) in positions.enumerate() {
+            lines.extend(self.iterations.get(index).map(IterationRecord::to_json));
+            while let Some(snapshot) = snapshots.next_if(|s| s.position <= position) {
+                lines.push(snapshot.to_json());
             }
-            while time_cursor < self.timeline.len()
-                && self.timeline[time_cursor].position <= position
-            {
-                out.push_str(&self.timeline[time_cursor].to_json());
-                out.push('\n');
-                time_cursor += 1;
+            while let Some(event) = timeline.next_if(|t| t.position <= position) {
+                lines.push(event.to_json());
             }
-            while conv_cursor < self.convergence.len()
-                && self.convergence[conv_cursor].iteration <= position
-            {
-                out.push_str(&self.convergence[conv_cursor].to_json());
-                out.push('\n');
-                conv_cursor += 1;
+            while let Some(record) = convergence.next_if(|c| c.iteration <= position) {
+                lines.push(record.to_json());
             }
         }
-        for snap in &self.snapshots[snap_cursor.min(self.snapshots.len())..] {
-            out.push_str(&snap.to_json());
-            out.push('\n');
+        lines.extend(self.histograms.iter().map(HistogramStat::to_json));
+        lines.extend(self.alloc.iter().map(AllocStat::to_json));
+        lines.extend(self.utilization.iter().map(UtilizationStat::to_json));
+        lines.push(self.summary_json());
+        format!("{}\n", lines.join("\n"))
+    }
+
+    /// Reads a `--trace` stream back: the inverse of
+    /// [`to_jsonl`](Self::to_jsonl), so for every stream `s` it wrote,
+    /// `RunReport::from_jsonl(s)?.to_jsonl() == s` byte for byte.
+    /// Integral numbers read back as integers (exact up to 2^53, like every
+    /// number the JSON parser reads) and `null` as NaN. A snapshot or
+    /// timeline line takes as its position the number of iteration records
+    /// before it, so it is written back in the same place.
+    ///
+    /// The reader is lenient about content: a line whose `type` it does not
+    /// know becomes a timeline event, repeated histogram lines merge, and a
+    /// stream without a `summary` line has an empty profile. It drops an
+    /// untyped line without a non-negative `iteration` number, a snapshot
+    /// whose `values` do not fill `nx · ny`, a typed line without its name
+    /// field, a line that is not an object, and object-valued fields, which
+    /// no [`Value`] holds.
+    ///
+    /// # Errors
+    ///
+    /// A line that is not valid JSON, named by its 1-based number.
+    pub fn from_jsonl(text: &str) -> Result<Self, String> {
+        let mut report = Self::default();
+        for (number, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let record = json::parse(line).map_err(|e| format!("line {}: {e}", number + 1))?;
+            let Some(members) = record.as_object() else {
+                continue;
+            };
+            let records = report.iterations.len() as u64;
+            match record.get("type").and_then(Json::as_str) {
+                // A record carries its transformation number; other
+                // untyped objects are not records.
+                None if uint(&record, "iteration").is_none() => {}
+                None => {
+                    report.iterations.push(IterationRecord {
+                        fields: values(members, &["phases"]),
+                        phases: record
+                            .get("phases")
+                            .and_then(Json::as_object)
+                            .unwrap_or_default()
+                            .iter()
+                            .filter_map(|(name, seconds)| Some((name.clone(), float(seconds)?)))
+                            .collect(),
+                    });
+                }
+                Some("meta") => report.meta.extend(values(members, &["type"])),
+                Some("snapshot") => report.snapshots.extend(read_snapshot(&record, records)),
+                Some("convergence") => {
+                    if let Some(solver) = text_at(&record, "solver") {
+                        report.convergence.push(ConvergenceRecord {
+                            solver,
+                            iteration: uint_at(&record, "iteration"),
+                            fields: values(members, &["type", "solver", "iteration"]),
+                        });
+                    }
+                }
+                Some("histogram") => {
+                    if let Some(name) = text_at(&record, "name") {
+                        merge_histogram(&mut report.histograms, name, read_buckets(&record));
+                    }
+                }
+                Some("alloc") => {
+                    if let Some(phase) = text_at(&record, "phase") {
+                        report.alloc.push(AllocStat {
+                            phase,
+                            samples: uint_at(&record, "samples"),
+                            allocs: uint_at(&record, "allocs"),
+                            deallocs: uint_at(&record, "deallocs"),
+                            bytes: uint_at(&record, "bytes"),
+                            peak_bytes: uint_at(&record, "peak_bytes"),
+                            last_allocs: uint_at(&record, "last_allocs"),
+                        });
+                    }
+                }
+                Some("utilization") => {
+                    if let Some(span) = text_at(&record, "span") {
+                        report.utilization.push(UtilizationStat {
+                            span,
+                            samples: uint_at(&record, "samples"),
+                            wall_seconds: float_at(&record, "wall_s"),
+                            busy_seconds: float_at(&record, "busy_s"),
+                            chunks: uint_at(&record, "chunks"),
+                            threads: uint_at(&record, "threads"),
+                        });
+                    }
+                }
+                Some("summary") => read_summary(&mut report, &record),
+                Some(name) => {
+                    report.timeline.push(TimelineEvent {
+                        name: name.to_string(),
+                        position: records,
+                        fields: values(members, &["type"]),
+                    });
+                }
+            }
         }
-        for event in &self.timeline[time_cursor.min(self.timeline.len())..] {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        for record in &self.convergence[conv_cursor.min(self.convergence.len())..] {
-            out.push_str(&record.to_json());
-            out.push('\n');
-        }
-        for hist in &self.histograms {
-            out.push_str(&hist.to_json());
-            out.push('\n');
-        }
-        for stat in &self.alloc {
-            out.push_str(&stat.to_json());
-            out.push('\n');
-        }
-        for stat in &self.utilization {
-            out.push_str(&stat.to_json());
-            out.push('\n');
-        }
-        out.push_str(&self.summary_json());
-        out.push('\n');
-        out
+        Ok(report)
     }
 
     /// The closing `{"type":"summary",...}` record of [`to_jsonl`](Self::to_jsonl).
@@ -513,6 +579,147 @@ impl RunReport {
         }
         out
     }
+}
+
+/// A parsed JSON value as a field [`Value`]: integral numbers read back
+/// as integers, `null` as NaN. Objects have no `Value`.
+fn value(json: &Json) -> Option<Value> {
+    // Every integer up to 2^53 is exact in f64; -0 keeps its sign as a float.
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    Some(match json {
+        Json::Null => Value::Float(f64::NAN),
+        Json::Bool(b) => Value::Bool(*b),
+        Json::Num(v)
+            if v.fract() != 0.0 || v.abs() > EXACT || (*v == 0.0 && v.is_sign_negative()) =>
+        {
+            Value::Float(*v)
+        }
+        Json::Num(v) if *v >= 0.0 => Value::UInt(*v as u64),
+        Json::Num(v) => Value::Int(*v as i64),
+        Json::Str(s) => Value::Str(s.clone()),
+        Json::Arr(items) => Value::Array(items.iter().filter_map(value).collect()),
+        Json::Obj(_) => return None,
+    })
+}
+
+/// An object's members as fields, without the keys in `skip`.
+fn values(members: &[(String, Json)], skip: &[&str]) -> Vec<(String, Value)> {
+    members
+        .iter()
+        .filter(|(key, _)| !skip.contains(&key.as_str()))
+        .filter_map(|(key, json)| Some((key.clone(), value(json)?)))
+        .collect()
+}
+
+/// A number, or NaN for `null` (how the writer encodes NaN).
+fn float(json: &Json) -> Option<f64> {
+    match json {
+        Json::Null => Some(f64::NAN),
+        other => other.as_f64(),
+    }
+}
+
+/// The float member `key` (0 when absent).
+fn float_at(record: &Json, key: &str) -> f64 {
+    record.get(key).and_then(float).unwrap_or(0.0)
+}
+
+/// The member `key` as an integer, when it is a number that is not negative.
+fn uint(record: &Json, key: &str) -> Option<u64> {
+    let v = record.get(key)?.as_f64()?;
+    (v >= 0.0).then_some(v as u64)
+}
+
+/// The integral member `key` (0 when absent or negative).
+fn uint_at(record: &Json, key: &str) -> u64 {
+    uint(record, key).unwrap_or(0)
+}
+
+/// The string member `key`.
+fn text_at(record: &Json, key: &str) -> Option<String> {
+    record.get(key).and_then(Json::as_str).map(str::to_string)
+}
+
+/// A `snapshot` line, unless its `values` do not fill `nx · ny`.
+fn read_snapshot(record: &Json, position: u64) -> Option<SnapshotRecord> {
+    let nx = record.get("nx")?.as_f64()? as usize;
+    let ny = record.get("ny")?.as_f64()? as usize;
+    let values: Vec<f64> = record
+        .get("values")?
+        .as_array()?
+        .iter()
+        .map(|v| v.as_f64().unwrap_or(f64::NAN))
+        .collect();
+    (values.len() == nx.checked_mul(ny)?).then_some(SnapshotRecord {
+        kind: text_at(record, "kind")?,
+        iteration: uint_at(record, "iteration"),
+        position,
+        nx,
+        ny,
+        values,
+    })
+}
+
+/// A `histogram` line's `[index, count]` pairs.
+fn read_buckets(record: &Json) -> Vec<(u8, u64)> {
+    let pairs = record
+        .get("buckets")
+        .and_then(Json::as_array)
+        .unwrap_or_default();
+    pairs
+        .iter()
+        .filter_map(|pair| {
+            let pair = pair.as_array()?;
+            let (index, count) = (pair.first()?.as_f64()?, pair.get(1)?.as_f64()?);
+            ((0.0..256.0).contains(&index) && count >= 0.0).then_some((index as u8, count as u64))
+        })
+        .collect()
+}
+
+/// Adds one histogram line to the run's, merging lines of the same name.
+fn merge_histogram(into: &mut Vec<HistogramStat>, name: String, buckets: Vec<(u8, u64)>) {
+    let Some(hist) = into.iter_mut().find(|h| h.name == name) else {
+        into.push(HistogramStat { name, buckets });
+        return;
+    };
+    for (index, count) in buckets {
+        match hist.buckets.iter_mut().find(|(i, _)| *i == index) {
+            Some(slot) => slot.1 += count,
+            None => hist.buckets.push((index, count)),
+        }
+    }
+    hist.buckets.sort_by_key(|&(i, _)| i);
+}
+
+/// The `summary` line: total time, profile, counters, gauges and events.
+fn read_summary(report: &mut RunReport, record: &Json) {
+    let members = |key| {
+        record
+            .get(key)
+            .and_then(Json::as_object)
+            .unwrap_or_default()
+    };
+    let count = |(name, v): &(String, Json)| Some((name.clone(), v.as_f64()? as u64));
+    report.total_seconds = float_at(record, "total_s");
+    report.profile = record
+        .get("profile")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|entry| {
+            Some(PhaseStat {
+                name: text_at(entry, "phase")?,
+                calls: uint_at(entry, "calls"),
+                seconds: float_at(entry, "total_s"),
+            })
+        })
+        .collect();
+    report.counters = members("counters").iter().filter_map(count).collect();
+    report.gauges = members("gauges")
+        .iter()
+        .filter_map(|(name, v)| Some((name.clone(), float(v)?)))
+        .collect();
+    report.events = members("events").iter().filter_map(count).collect();
 }
 
 #[derive(Debug, Default)]
@@ -1042,6 +1249,243 @@ mod tests {
             }
         }
         assert_eq!((snapshots, events), (5, 5));
+    }
+
+    // The reader: `from_jsonl` is the inverse of `to_jsonl`, and lenient
+    // about content it did not write.
+
+    const JSONL: &str = concat!(
+        "{\"type\":\"meta\",\"netlist\":\"demo\",\"mode\":\"fast\",\"k\":0.2}\n",
+        "{\"iteration\":1,\"hpwl\":100.0,\"peak_density\":2.5,\"cg_iterations\":40,",
+        "\"max_displacement\":9.0,\"wall_s\":0.01,\"phases\":{\"place.solve_x\":0.004,",
+        "\"place.density_map\":0.001}}\n",
+        "{\"type\":\"snapshot\",\"kind\":\"density\",\"iteration\":1,\"nx\":2,\"ny\":2,",
+        "\"values\":[0.5,-0.5,1.5,-1.5]}\n",
+        "{\"type\":\"watchdog\",\"iteration\":1,\"reason\":\"hpwl explosion\",",
+        "\"action\":\"rollback\",\"recoveries\":1}\n",
+        "{\"iteration\":2,\"hpwl\":90.0,\"peak_density\":2.0,\"cg_iterations\":30,",
+        "\"max_displacement\":5.0,\"wall_s\":0.02,\"phases\":{\"place.solve_x\":0.009}}\n",
+        "{\"type\":\"histogram\",\"name\":\"place.displacement\",\"count\":3,",
+        "\"buckets\":[[10,2],[12,1]]}\n",
+        "{\"type\":\"histogram\",\"name\":\"place.displacement\",\"count\":2,",
+        "\"buckets\":[[10,1],[13,1]]}\n",
+        "{\"type\":\"summary\",\"total_s\":0.05,\"profile\":[",
+        "{\"phase\":\"place.solve_x\",\"calls\":2,\"total_s\":0.013,\"mean_s\":0.0065},",
+        "{\"phase\":\"legalize.abacus\",\"calls\":1,\"total_s\":0.004,\"mean_s\":0.004},",
+        "{\"phase\":\"place.density_map\",\"calls\":1,\"total_s\":0.001,\"mean_s\":0.001}],",
+        "\"counters\":{\"cg.solves\":4},\"gauges\":{},\"events\":{\"watchdog\":1}}\n",
+    );
+
+    #[test]
+    fn jsonl_stream_parses_into_all_sections() {
+        let run = RunReport::from_jsonl(JSONL).expect("stream parses");
+        let meta = |key| run.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(meta("netlist"), Some(&Value::from("demo")));
+        assert_eq!(meta("k"), Some(&Value::Float(0.2)));
+        assert_eq!(run.iterations.len(), 2);
+        assert_eq!(
+            run.iterations[0].get("hpwl").and_then(Value::as_f64),
+            Some(100.0)
+        );
+        assert_eq!(run.iterations[1].iteration(), 2);
+        assert_eq!(run.snapshots.len(), 1);
+        assert_eq!(run.snapshots[0].kind, "density");
+        assert_eq!(run.timeline.len(), 1);
+        assert_eq!(
+            run.timeline[0].get("action").and_then(Value::as_str),
+            Some("rollback")
+        );
+        assert_eq!(
+            run.timeline[0].get("reason").and_then(Value::as_str),
+            Some("hpwl explosion")
+        );
+        // The two flushes of the same histogram merged.
+        assert_eq!(run.histograms.len(), 1);
+        assert_eq!(run.histograms[0].buckets, vec![(10, 3), (12, 1), (13, 1)]);
+        assert_eq!(run.histograms[0].count(), 5);
+        // The profile is the summary line's, in its order: it includes
+        // legalization, which ran after the last iteration record.
+        let names: Vec<&str> = run.profile.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["place.solve_x", "legalize.abacus", "place.density_map"]
+        );
+        assert_eq!(run.profile[0].calls, 2);
+        assert!((run.profile[0].seconds - 0.013).abs() < 1e-12);
+        // The summary line is no timeline event.
+        assert_eq!(run.timeline.len(), 1);
+        let last = run.iterations.iter().map(IterationRecord::iteration).max();
+        assert_eq!(last, Some(2));
+    }
+
+    #[test]
+    fn a_stream_without_a_summary_line_has_no_profile() {
+        let run = RunReport::from_jsonl(
+            "{\"iteration\":1,\"hpwl\":1.0,\"phases\":{\"place.solve_x\":0.5}}",
+        )
+        .expect("iteration line carries the run");
+        assert_eq!(run.iterations.len(), 1);
+        assert!(run.profile.is_empty());
+    }
+
+    #[test]
+    fn resource_and_convergence_records_parse() {
+        let jsonl = concat!(
+            "{\"iteration\":1,\"hpwl\":10.0,\"phases\":{}}\n",
+            "{\"type\":\"convergence\",\"solver\":\"cg\",\"iteration\":1,\"dim\":128,",
+            "\"iterations\":9,\"residual\":1e-8,\"converged\":true,",
+            "\"residual_trajectory\":[1.0,0.5,0.01]}\n",
+            "{\"type\":\"convergence\",\"solver\":\"multigrid\",\"iteration\":1,",
+            "\"levels\":5,\"cycles\":2}\n",
+            "{\"type\":\"alloc\",\"phase\":\"place.field_solve\",\"samples\":3,",
+            "\"allocs\":12,\"deallocs\":12,\"bytes\":4096,\"peak_bytes\":8192}\n",
+            "{\"type\":\"utilization\",\"span\":\"place.solve_xy\",\"samples\":3,",
+            "\"wall_s\":0.5,\"busy_s\":0.9,\"chunks\":24,\"threads\":2,\"efficiency\":0.9}\n",
+        );
+        let run = RunReport::from_jsonl(jsonl).expect("stream parses");
+        assert_eq!(run.convergence.len(), 2);
+        let cg = &run.convergence[0];
+        assert_eq!(cg.solver, "cg");
+        assert_eq!(cg.iteration, 1);
+        let Some(Value::Array(curve)) = cg.get("residual_trajectory") else {
+            panic!("no residual curve: {cg:?}");
+        };
+        let curve: Vec<f64> = curve.iter().filter_map(Value::as_f64).collect();
+        assert_eq!(curve, vec![1.0, 0.5, 0.01]);
+        assert_eq!(cg.get("converged"), Some(&Value::Bool(true)));
+        assert_eq!(cg.get("iterations").and_then(Value::as_u64), Some(9));
+        let multigrid = &run.convergence[1];
+        assert!(multigrid
+            .fields
+            .iter()
+            .all(|(_, v)| !matches!(v, Value::Array(_))));
+        assert_eq!(multigrid.get("converged"), None);
+        assert_eq!(multigrid.get("levels").and_then(Value::as_u64), Some(5));
+        assert_eq!(
+            run.convergence.iter().filter(|c| c.solver == "cg").count(),
+            1
+        );
+        assert_eq!(run.alloc.len(), 1);
+        assert_eq!(run.alloc[0].phase, "place.field_solve");
+        assert_eq!(run.alloc[0].peak_bytes, 8192);
+        assert_eq!(run.alloc.iter().map(|a| a.peak_bytes).max(), Some(8192));
+        assert_eq!(run.utilization.len(), 1);
+        assert_eq!(run.utilization[0].span, "place.solve_xy");
+        assert_eq!(run.utilization[0].threads, 2);
+        assert!((run.utilization[0].efficiency() - 0.9).abs() < 1e-12);
+        // None of the typed resource records leak into the timeline.
+        assert!(run.timeline.is_empty());
+    }
+
+    #[test]
+    fn bad_and_empty_inputs_are_typed_errors() {
+        let empty = RunReport::from_jsonl("   ").expect("blank input reads");
+        assert!(empty.iterations.is_empty());
+        let err = RunReport::from_jsonl("{\"iteration\":1,\"phases\":{}}\nnot json")
+            .expect_err("malformed line");
+        assert!(err.starts_with("line 2: "), "{err}");
+        let histogram_only =
+            RunReport::from_jsonl("{\"type\":\"histogram\",\"name\":\"only\",\"buckets\":[]}")
+                .expect("reads");
+        assert!(histogram_only.iterations.is_empty());
+        assert_eq!(histogram_only.histograms.len(), 1);
+        // An untyped object without a transformation number (a Perfetto
+        // export, say) is no iteration record.
+        let none = RunReport::from_jsonl("{\"traceEvents\":[]}\n{\"iteration\":-1}");
+        assert!(none.expect("reads").iterations.is_empty());
+        // A record with a mismatched snapshot payload is dropped, not fatal.
+        let run = RunReport::from_jsonl(concat!(
+            "{\"iteration\":1,\"hpwl\":1.0,\"phases\":{}}\n",
+            "{\"type\":\"snapshot\",\"kind\":\"density\",\"iteration\":1,\"nx\":3,\"ny\":3,\"values\":[1.0]}\n",
+        ))
+        .expect("iteration line carries the run");
+        assert!(run.snapshots.is_empty());
+    }
+
+    /// One random event as the placer's sinks see it: iteration records
+    /// whose numbers restart, snapshots, watchdog and solver events (before
+    /// and after any record, so some trail the last one), resource samples
+    /// and awkward numbers (NaN, -0, integral floats, floats past 2^53).
+    fn any_event(pick: u64, level_iteration: &mut u64) -> TraceEvent {
+        let x = [f64::NAN, -0.0, 3.0, -4.0, 0.1, 1e300][(pick / 11 % 6) as usize];
+        let event = |name, fields| TraceEvent::Event { name, fields };
+        match pick % 11 {
+            0 | 1 => {
+                *level_iteration = if pick.is_multiple_of(6) {
+                    1
+                } else {
+                    *level_iteration + 1
+                };
+                let fields = vec![
+                    ("iteration", Value::UInt(*level_iteration)),
+                    ("hpwl", Value::Float(x)),
+                ];
+                event(ITERATION_EVENT, fields)
+            }
+            2 => TraceEvent::Span {
+                name: "a",
+                seconds: x,
+            },
+            3 => TraceEvent::Counter {
+                name: "c",
+                value: pick,
+            },
+            4 => TraceEvent::Gauge {
+                name: "g",
+                value: x,
+            },
+            5 => TraceEvent::Snapshot {
+                kind: crate::SNAPSHOT_CELLS,
+                iteration: *level_iteration,
+                nx: 2,
+                ny: 1,
+                values: vec![x, 1.0],
+            },
+            6 => event(WATCHDOG_EVENT, vec![("reason", Value::from("r\"\n"))]),
+            7 => event(
+                CONVERGENCE_EVENTS[pick as usize % 2],
+                vec![("residuals", Value::from(vec![x, 1.0]))],
+            ),
+            8 => event(
+                ALLOC_EVENT,
+                vec![("phase", Value::from("a")), ("allocs", Value::UInt(pick))],
+            ),
+            9 => event(
+                UTILIZATION_EVENT,
+                vec![("span", Value::from("b")), ("wall_s", Value::Float(x))],
+            ),
+            _ => TraceEvent::Histogram {
+                name: "h",
+                buckets: vec![(pick as u8, pick % 9)],
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn every_written_stream_reads_back_to_itself(seed in 0u64..u64::MAX) {
+            let recorder = RunRecorder::new();
+            recorder.set_meta("k", Value::Float(1.0));
+            recorder.set_meta("gone", Value::Float(f64::NAN));
+            let (mut draw, mut level_iteration) = (seed, 0);
+            for _ in 0..seed % 40 {
+                draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                recorder.event(&any_event(draw >> 33, &mut level_iteration));
+            }
+            // Only a hand-built report places a timeline event beyond the
+            // last record.
+            let mut report = recorder.report();
+            let late = TimelineEvent { name: "late".to_string(), position: u64::MAX, fields: vec![] };
+            report.timeline.push(late);
+            let jsonl = report.to_jsonl();
+            let items = report.iterations.len() + report.snapshots.len() + report.timeline.len()
+                + report.convergence.len() + report.histograms.len() + report.alloc.len()
+                + report.utilization.len();
+            proptest::prop_assert_eq!(jsonl.lines().count(), items + 2, "meta + items + summary");
+            let back = RunReport::from_jsonl(&jsonl).expect("a written stream reads");
+            proptest::prop_assert_eq!(back.to_jsonl(), jsonl);
+        }
     }
 
     #[test]

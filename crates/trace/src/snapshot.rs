@@ -28,7 +28,8 @@ pub struct SnapshotRecord {
     /// transformation the snapshot was taken in, set when the recorder
     /// folds it (not serialized). It equals `iteration` in a flat run; a
     /// multilevel run restarts `iteration` at every level, while the
-    /// position keeps counting.
+    /// position keeps counting. [`RunReport::from_jsonl`](crate::RunReport::from_jsonl)
+    /// reads it back from the record the line follows.
     pub position: u64,
     /// Grid columns (for `cells`: number of sampled cells).
     pub nx: usize,

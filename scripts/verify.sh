@@ -19,7 +19,9 @@ cargo test -q --workspace
 # The adversarial corpus and watchdog-recovery suite must stay green on
 # its own too — it is the contract behind the panic audit below.
 cargo test -q --test robustness
-cargo clippy --all-targets -- -D warnings
+# Lint every workspace member, benches and unit tests included, not only
+# the root package.
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark package (perfbench/, see BENCHMARK.json) has its own
 # [workspace], so the commands above neither build, lint nor test it; a
 # public-API change in a placer crate must not break it unnoticed, and its

@@ -504,7 +504,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         ));
         return Ok(());
     }
-    let mut runs: Vec<(String, kraftwerk::inspect::RunData)> = Vec::new();
+    let mut runs: Vec<(String, kraftwerk::trace::RunReport)> = Vec::new();
     for input in &inputs {
         let text = std::fs::read_to_string(input).map_err(|e| {
             kerr(KraftwerkError::Io {
@@ -512,7 +512,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
                 message: e.to_string(),
             })
         })?;
-        let run = kraftwerk::inspect::parse_run(&text).map_err(|e| CliError {
+        let run = kraftwerk::inspect::read_run(&text).map_err(|e| CliError {
             message: format!("{input}: {e}"),
             // Unreadable telemetry is a parse failure in the taxonomy.
             code: 4,
@@ -687,6 +687,8 @@ fn cmd_timing(args: &[String]) -> Result<(), CliError> {
         return Err("timing: missing netlist path (it comes before the flags)".into());
     };
     let netlist = load(input)?;
+    // Validate at the boundary, as `place` does, before the analysis.
+    netlist.validate().map_err(kerr)?;
     let model = DelayModel::default();
     let sta = Sta::new(&netlist, model).map_err(kerr)?;
     console.info(format!("zero-wire lower bound: {:.3} ns", sta.lower_bound()));

@@ -1,10 +1,13 @@
 //! End-to-end checks of the `kraftwerk` binary's argument handling: a
 //! mistyped or removed flag is a usage error (exit 2) that runs nothing
-//! and writes nothing, and `place --trace` writes the one run artifact.
+//! and writes nothing, `place --trace` writes the one run artifact, and
+//! `timing` rejects bad input with the exit code and single `error:`
+//! line of `place`.
 //!
 //! Each case runs the real binary in a fresh temporary directory.
 
 use kraftwerk::trace::json::{self, Json};
+use kraftwerk::trace::RunReport;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -24,16 +27,16 @@ fn listing(dir: &Path) -> Vec<String> {
     names
 }
 
-/// Runs the binary in `dir` and returns its exit code and stdout. A run
-/// that has not finished after 60 s (a daemon that started anyway) is
-/// killed and reported as `None`.
-fn run(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+/// Runs the binary in `dir` and returns its exit code, stdout and stderr.
+/// A run that has not finished after 60 s (a daemon that started anyway)
+/// is killed and reported as `None`.
+fn run(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_kraftwerk"))
         .args(args)
         .current_dir(dir)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("binary starts");
     let started = Instant::now();
@@ -41,7 +44,7 @@ fn run(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
         if started.elapsed() > Duration::from_secs(60) {
             let _ = child.kill();
             let _ = child.wait();
-            return (None, String::new());
+            return (None, String::new(), String::new());
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -49,6 +52,7 @@ fn run(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
@@ -57,7 +61,7 @@ fn dir_with_netlist(case: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kraftwerk-cli-{}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temporary dir");
-    let (code, _) = run(&dir, &["gen", "t", "60", "80", "3"]);
+    let (code, ..) = run(&dir, &["gen", "t", "60", "80", "3"]);
     assert_eq!(code, Some(0), "gen failed");
     dir
 }
@@ -86,7 +90,7 @@ fn unknown_and_removed_flags_are_usage_errors_that_write_nothing() {
     for (i, args) in cases.iter().enumerate() {
         let dir = dir_with_netlist(&format!("typo{i}"));
         let before = listing(&dir);
-        let (code, _) = run(&dir, args);
+        let (code, ..) = run(&dir, args);
         assert_eq!(code, Some(2), "{args:?} must exit 2");
         assert_eq!(listing(&dir), before, "{args:?} wrote output");
         let _ = std::fs::remove_dir_all(&dir);
@@ -97,7 +101,7 @@ fn unknown_and_removed_flags_are_usage_errors_that_write_nothing() {
 fn a_bare_trace_flag_fails_before_the_run() {
     let dir = dir_with_netlist("bare-trace");
     let before = listing(&dir);
-    let (code, _) = run(&dir, &["place", "t.kw", "--fast", "--trace"]);
+    let (code, ..) = run(&dir, &["place", "t.kw", "--fast", "--trace"]);
     assert!(code.is_some_and(|c| c != 0), "bare --trace must fail");
     assert_eq!(listing(&dir), before, "bare --trace wrote output");
     let _ = std::fs::remove_dir_all(&dir);
@@ -122,9 +126,9 @@ fn the_trace_stream_closes_with_the_summary_and_tracing_leaves_the_heap_table_al
             })
             .collect()
     };
-    let (code, plain) = run(&dir, &["place", "t.kw", "--fast", "-q", "--alloc-stats"]);
+    let (code, plain, _) = run(&dir, &["place", "t.kw", "--fast", "-q", "--alloc-stats"]);
     assert_eq!(code, Some(0));
-    let (code, traced) = run(
+    let (code, traced, _) = run(
         &dir,
         &[
             "place",
@@ -145,17 +149,10 @@ fn the_trace_stream_closes_with_the_summary_and_tracing_leaves_the_heap_table_al
     );
 
     let stream = std::fs::read_to_string(dir.join("run.jsonl")).expect("stream written");
-    let last = stream.lines().last().expect("non-empty stream");
-    let summary = json::parse(last).expect("summary parses");
-    assert_eq!(summary.get("type").and_then(Json::as_str), Some("summary"));
-    let profile = summary
-        .get("profile")
-        .and_then(Json::as_array)
-        .expect("profile");
-    let names: Vec<&str> = profile
-        .iter()
-        .filter_map(|p| p.get("phase").and_then(Json::as_str))
-        .collect();
+    let last = json::parse(stream.lines().last().expect("non-empty stream")).expect("parses");
+    assert_eq!(last.get("type").and_then(Json::as_str), Some("summary"));
+    let run = RunReport::from_jsonl(&stream).expect("stream reads");
+    let names: Vec<&str> = run.profile.iter().map(|p| p.name.as_str()).collect();
     for phase in ["place.field_assembly", "legalize.abacus", "legalize.refine"] {
         assert!(
             names.contains(&phase),
@@ -163,4 +160,47 @@ fn the_trace_stream_closes_with_the_summary_and_tracing_leaves_the_heap_table_al
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes `t.kw` edited line by line as `bad.kw`, asserting that the edit
+/// changed something, then runs `place` and `timing` on it: both must
+/// exit with `code` and print one `error:` line (no panic, no backtrace).
+fn place_and_timing_reject(case: &str, edit: impl Fn(&str) -> Option<String>, code: i32) {
+    let dir = dir_with_netlist(case);
+    let text = std::fs::read_to_string(dir.join("t.kw")).expect("netlist");
+    let bad: String = text.lines().filter_map(&edit).map(|l| l + "\n").collect();
+    assert_ne!(bad, text, "the edit changed nothing");
+    std::fs::write(dir.join("bad.kw"), bad).expect("write netlist");
+    for cmd in ["place", "timing"] {
+        let (got, _, stderr) = run(&dir, &[cmd, "bad.kw", "-q"]);
+        assert_eq!(got, Some(code), "{cmd} exit code; stderr:\n{stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(
+            lines.len() == 1 && lines[0].starts_with("error: "),
+            "{cmd} must print one error line, got:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn timing_without_rows_fails_to_legalize_like_place() {
+    place_and_timing_reject(
+        "no-rows",
+        |l| (!l.starts_with("rows ")).then(|| l.to_string()),
+        7,
+    );
+}
+
+#[test]
+fn timing_validates_the_netlist_like_place() {
+    // `pad0` moved from the core's edge to (-5000, -5000).
+    let far_pad = |l: &str| {
+        let fields: Vec<&str> = l.split_whitespace().collect();
+        Some(match fields.as_slice() {
+            ["cell", "pad0", w, h, "fixed", _, _] => format!("cell pad0 {w} {h} fixed -5000 -5000"),
+            _ => l.to_string(),
+        })
+    };
+    place_and_timing_reject("far-pad", far_pad, 5);
 }

@@ -12,7 +12,9 @@ use kraftwerk::inspect;
 use kraftwerk::legalize::{legalize, refine};
 use kraftwerk::netlist::synth::mcnc;
 use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
-use kraftwerk::trace::{self, RunRecorder, Value};
+use kraftwerk::trace::json::{self, Json};
+use kraftwerk::trace::{self, RunRecorder, RunReport, Value};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static GLOBAL_SINK: Mutex<()> = Mutex::new(());
@@ -120,106 +122,73 @@ fn rendering_is_bitwise_identical_across_thread_counts() {
     assert_eq!(id_sets[1], id_sets[2], "2 vs 8 threads changed dashboard structure");
 }
 
-/// Golden-schema round trip: a real recorded run must surface **every**
-/// record kind the trace layer can emit — iteration, meta, snapshot,
-/// histogram, convergence, alloc, utilization, timeline, summary —
-/// through the inspect reader, with the resource numbers intact. The run
-/// includes legalization, whose spans come after the last transformation
-/// and reach the stream only through the summary line.
+/// Golden-schema round trip: a real recorded run surfaces **every**
+/// record kind the trace layer can emit — meta, iteration, snapshot,
+/// watchdog, convergence, histogram, alloc, utilization, summary — and
+/// the reader turns each stream back into a report that writes the same
+/// bytes. The clean run includes legalization, whose spans come after the
+/// last transformation and reach the stream only through the summary
+/// line; a second run with a boosted force scale trips the watchdog until
+/// it gives up.
 #[test]
 fn every_record_kind_round_trips_through_the_reader() {
     let _guard = sink_lock();
     let netlist = mcnc::by_name("fract");
-    let recorder = Arc::new(RunRecorder::new());
-    recorder.set_meta("netlist", Value::from("fract"));
-    recorder.set_meta("mode", Value::from("fast"));
-    // Heap accounting on: the test binary has no counting allocator
-    // installed, so the deltas are zero — the schema still flows.
-    trace::alloc::set_tracking(true);
-    trace::install(recorder.clone());
-    let placed = GlobalPlacer::new(KraftwerkConfig::fast().with_snapshot_every(5))
-        .try_place(&netlist)
-        .map(|global| {
+    let record = |config: KraftwerkConfig| {
+        let recorder = Arc::new(RunRecorder::new());
+        recorder.set_meta("netlist", Value::from("fract"));
+        recorder.set_meta("mode", Value::from("fast"));
+        // Heap accounting on: the test binary has no counting allocator
+        // installed, so the deltas are zero — the schema still flows.
+        trace::alloc::set_tracking(true);
+        trace::install(recorder.clone());
+        let placed = GlobalPlacer::new(config).try_place(&netlist).map(|global| {
             let mut legal = legalize(&netlist, &global.placement).expect("fract legalizes");
             refine(&netlist, &mut legal, 2);
+            global.health
         });
-    trace::uninstall();
-    trace::alloc::set_tracking(false);
-    placed.expect("fract places cleanly");
-    let report = recorder.report();
-    assert!(!report.convergence.is_empty(), "no solver convergence recorded");
-    assert!(!report.alloc.is_empty(), "no alloc stats recorded");
-    assert!(!report.utilization.is_empty(), "no utilization recorded");
-    assert!(!report.snapshots.is_empty(), "no snapshots recorded");
-    assert!(!report.histograms.is_empty(), "no histograms recorded");
+        trace::uninstall();
+        trace::alloc::set_tracking(false);
+        (recorder.report().to_jsonl(), placed.expect("fract places"))
+    };
+    let (clean, _) = record(KraftwerkConfig::fast().with_snapshot_every(5));
+    let mut boosted = KraftwerkConfig::fast().with_snapshot_every(1);
+    boosted.force_scale_boost = 40.0;
+    let (degraded, health) = record(boosted);
+    assert!(health.degraded, "the boosted run must give up: {health:?}");
 
-    // A synthetic watchdog line rides along with the stream so the
-    // timeline kind is covered even on a clean run.
-    let mut jsonl = report.to_jsonl();
-    jsonl.push_str(
-        "{\"type\":\"watchdog\",\"iteration\":1,\"reason\":\"synthetic\",\"action\":\"rollback\"}\n",
-    );
-    let run = inspect::parse_run(&jsonl).expect("stream parses");
-    assert_eq!(run.iterations.len(), report.iterations.len(), "iterations");
-    assert_eq!(run.meta_value("netlist"), Some("fract"), "meta");
-    assert_eq!(run.snapshots.len(), report.snapshots.len(), "snapshots");
-    assert_eq!(run.histograms.len(), report.histograms.len(), "histograms");
-    assert_eq!(run.convergence.len(), report.convergence.len(), "convergence");
-    for (parsed, recorded) in run.convergence.iter().zip(&report.convergence) {
-        assert_eq!(parsed.solver, recorded.solver, "solver tag");
-        assert_eq!(parsed.iteration, recorded.iteration, "solve iteration");
+    // Each stream reads back to itself, and between them they hold a line
+    // of every record kind.
+    let mut kinds = BTreeSet::new();
+    for jsonl in [&clean, &degraded] {
+        let run = RunReport::from_jsonl(jsonl).expect("stream reads");
+        assert_eq!(&run.to_jsonl(), jsonl, "no exact round trip");
+        for line in jsonl.lines() {
+            let line = json::parse(line).expect("line parses");
+            let kind = line.get("type").and_then(Json::as_str);
+            kinds.insert(kind.unwrap_or("iteration").to_string());
+        }
     }
-    let cg = run.convergence_of("cg");
-    assert!(!cg.is_empty(), "no cg records");
-    assert!(!cg[0].curve.is_empty(), "cg residual curve lost");
-    assert!(
-        cg[0].metrics.iter().any(|(k, v)| k == "iterations" && *v >= 1.0),
-        "cg iteration count lost"
-    );
-    assert_eq!(run.alloc.len(), report.alloc.len(), "alloc");
-    for (parsed, recorded) in run.alloc.iter().zip(&report.alloc) {
-        assert_eq!(parsed.phase, recorded.phase, "alloc phase");
-        assert_eq!(parsed.samples, recorded.samples, "alloc samples");
-        assert_eq!(parsed.allocs, recorded.allocs, "alloc count");
-        assert_eq!(parsed.bytes, recorded.bytes, "alloc bytes");
-        assert_eq!(parsed.peak_bytes, recorded.peak_bytes, "peak bytes");
-    }
-    assert_eq!(run.utilization.len(), report.utilization.len(), "utilization");
-    for (parsed, recorded) in run.utilization.iter().zip(&report.utilization) {
-        assert_eq!(parsed.span, recorded.span, "span name");
-        assert_eq!(parsed.samples, recorded.samples, "span samples");
-        assert_eq!(parsed.chunks, recorded.chunks, "span chunks");
-        assert_eq!(parsed.threads, recorded.threads, "span threads");
-        // The JSON number codec round-trips f64 exactly (shortest
-        // representation), so equality is exact, not approximate.
-        assert_eq!(parsed.wall_s, recorded.wall_seconds, "span wall");
-        assert_eq!(parsed.busy_s, recorded.busy_seconds, "span busy");
-        assert_eq!(parsed.efficiency, recorded.efficiency(), "efficiency");
-    }
-    assert_eq!(run.timeline.len(), 1, "watchdog line lost");
-    assert_eq!(run.timeline[0].action, "rollback");
+    let all = "alloc convergence histogram iteration meta snapshot summary utilization watchdog";
+    let kinds: Vec<String> = kinds.into_iter().collect();
+    assert_eq!(kinds.join(" "), all, "record kinds");
 
-    // The run profile is the recorder's, legalization included.
-    let parsed: Vec<(&str, u64, f64)> =
-        run.profile.iter().map(|p| (p.name.as_str(), p.calls, p.seconds)).collect();
-    let recorded: Vec<(&str, u64, f64)> =
-        report.profile.iter().map(|p| (p.name.as_str(), p.calls, p.seconds)).collect();
-    assert_eq!(parsed, recorded, "summary profile");
+    // The run profile covers legalization, and every resource record is
+    // named after a span of the same stream.
+    let run = RunReport::from_jsonl(&clean).expect("stream reads");
+    let spans: Vec<&str> = run.profile.iter().map(|p| p.name.as_str()).collect();
     for phase in ["legalize.abacus", "legalize.refine"] {
-        assert!(parsed.iter().any(|(name, ..)| *name == phase), "profile misses {phase}");
+        assert!(spans.contains(&phase), "profile misses {phase}");
     }
-    // Every resource record is named after a span of the same stream.
-    for name in run.alloc.iter().map(|a| &a.phase).chain(run.utilization.iter().map(|u| &u.span)) {
-        assert!(parsed.iter().any(|(span, ..)| span == name), "{name} is no span");
+    let names = run.alloc.iter().map(|a| &a.phase);
+    for name in names.chain(run.utilization.iter().map(|u| &u.span)) {
+        assert!(spans.contains(&name.as_str()), "{name} is no span");
     }
 
     // The stream drives the Perfetto exporter and the comparison
     // renderer without loss of the resource sections.
     let trace_json = inspect::render_perfetto(&run);
     assert!(trace_json.contains("\"traceEvents\""));
-    let cmp = inspect::render_comparison(&[
-        ("a".to_string(), run.clone()),
-        ("b".to_string(), run),
-    ]);
+    let cmp = inspect::render_comparison(&[("a".to_string(), run.clone()), ("b".to_string(), run)]);
     assert!(cmp.contains("<section id=\"utilization\">"));
 }

@@ -11,6 +11,7 @@ use kraftwerk::netlist::format::{read_placement, write_netlist};
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::serve::{Client, ClientError, Mode, PlaceOptions, ServeConfig, Server, ServerHandle};
 use kraftwerk::trace::json::Json;
+use kraftwerk::trace::{RunReport, Value};
 
 /// Starts an in-process daemon on a free port; the join handle yields the
 /// run summary after [`ServerHandle::shutdown`].
@@ -558,20 +559,24 @@ fn trace_id_round_trips_frames_and_run_report() {
     join.join().expect("no panic").expect("clean run");
 
     // Both successful jobs left run reports whose meta record joins the
-    // service-side trace id to the solver-level report.
+    // service-side trace id to the solver-level report. Each file has the
+    // `--trace` shape: it reads back to itself byte for byte, holds the
+    // job's transformations and renders as a dashboard.
     for (job, trace) in [("traced-1", "trace-abc.123"), ("traced-2", "trace-xyz")] {
         let path = report_dir.join(format!("{job}.jsonl"));
         let report = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-        let meta = report.lines().next().expect("meta line");
-        let parsed = kraftwerk::trace::json::parse(meta).expect("meta parses");
-        assert_eq!(parsed.get("trace_id").and_then(Json::as_str), Some(trace));
-        assert_eq!(parsed.get("job_id").and_then(Json::as_str), Some(job));
-        assert_eq!(parsed.get("status").and_then(Json::as_str), Some("ok"));
-        assert!(parsed
-            .get("hpwl")
-            .and_then(Json::as_f64)
-            .is_some_and(|v| v.is_finite() && v > 0.0));
+        let run = RunReport::from_jsonl(&report).expect("report reads");
+        assert_eq!(run.to_jsonl(), report, "{job}: no exact round trip");
+        assert!(!run.iterations.is_empty(), "{job}: no iteration record");
+        let html = kraftwerk::inspect::render_report(&report).expect("report renders");
+        assert!(html.contains("id=\"chart-hpwl\""), "{job}: no dashboard");
+        let meta = |key| run.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(meta("trace_id").and_then(Value::as_str), Some(trace));
+        assert_eq!(meta("job_id").and_then(Value::as_str), Some(job));
+        assert_eq!(meta("status").and_then(Value::as_str), Some("ok"));
+        let hpwl = meta("hpwl").and_then(Value::as_f64);
+        assert!(hpwl.is_some_and(|v| v.is_finite() && v > 0.0));
     }
     let _ = std::fs::remove_dir_all(&report_dir);
 }
