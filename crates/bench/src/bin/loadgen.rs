@@ -9,8 +9,12 @@
 //! ```text
 //! loadgen [--cells N] [--jobs N] [--clients 1,2,8] [--workers N]
 //!         [--mode fast|standard|multilevel] [--addr host:port]
-//!         [--latency-out jobs.jsonl]
+//!         [--deadline S] [--latency-out jobs.jsonl]
 //! ```
+//!
+//! `--help` prints the usage. An unknown argument, a flag without its
+//! value or a malformed value exits 2 with one `error:` line before
+//! anything starts.
 //!
 //! With `--addr` the daemon is external and `--workers` is ignored;
 //! without it each concurrency level gets a fresh in-process daemon with
@@ -42,51 +46,71 @@ struct Args {
     clients: Vec<usize>,
     workers: Option<usize>,
     mode: Mode,
-    addr: Option<String>,
+    addr: Option<std::net::SocketAddr>,
     deadline_s: f64,
     latency_out: Option<std::path::PathBuf>,
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: loadgen [--cells <n>] [--jobs <n>] [--clients <n,n,...>] [--workers <n>]
+               [--mode fast|standard|multilevel] [--addr <host:port>]
+               [--deadline <s>] [--latency-out <jsonl>]";
+
+/// A positive integer flag value.
+fn count(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} expects a positive integer, got `{value}`")),
+    }
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let cells = flag(&argv, "--cells")
-        .map(|v| v.parse().expect("--cells expects a number"))
-        .unwrap_or(500);
-    let jobs = flag(&argv, "--jobs")
-        .map(|v| v.parse().expect("--jobs expects a number"))
-        .unwrap_or(24);
-    let clients = flag(&argv, "--clients")
-        .map(|v| {
-            v.split(',')
-                .map(|c| c.trim().parse().expect("--clients expects numbers"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 8]);
-    let workers = flag(&argv, "--workers").map(|v| v.parse().expect("--workers expects a number"));
-    let mode = flag(&argv, "--mode")
-        .map(|v| Mode::parse(&v).expect("--mode expects fast|standard|multilevel"))
-        .unwrap_or(Mode::Fast);
-    let addr = flag(&argv, "--addr");
-    let deadline_s = flag(&argv, "--deadline")
-        .map(|v| v.parse().expect("--deadline expects seconds"))
-        .unwrap_or(60.0);
-    let latency_out = flag(&argv, "--latency-out").map(std::path::PathBuf::from);
-    Args {
-        cells,
-        jobs,
-        clients,
-        workers,
-        mode,
-        addr,
-        deadline_s,
-        latency_out,
+/// Parses the command line. `Ok(None)` asks for the usage (`--help`);
+/// an unknown flag, a flag without its value or a malformed value is an
+/// error, reported before anything starts.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut args = Args {
+        cells: 500,
+        jobs: 24,
+        clients: vec![1, 2, 8],
+        workers: None,
+        mode: Mode::Fast,
+        addr: None,
+        deadline_s: 60.0,
+        latency_out: None,
+    };
+    let mut rest = argv.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} requires a value"));
+        match flag.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--cells" => args.cells = count(flag, value()?)?,
+            "--jobs" => args.jobs = count(flag, value()?)?,
+            "--clients" => {
+                let list = value()?.split(',').map(|c| count(flag, c.trim()));
+                args.clients = list.collect::<Result<_, _>>()?;
+            }
+            "--workers" => args.workers = Some(count(flag, value()?)?),
+            "--mode" => {
+                let v = value()?;
+                let bad = || format!("--mode expects fast, standard or multilevel, got `{v}`");
+                args.mode = Mode::parse(v).ok_or_else(bad)?;
+            }
+            "--addr" => {
+                let v = value()?;
+                let bad = |_| format!("--addr expects host:port, got `{v}`");
+                args.addr = Some(v.parse().map_err(bad)?);
+            }
+            "--deadline" => {
+                let v = value()?;
+                args.deadline_s = match v.parse::<f64>() {
+                    Ok(s) if s.is_finite() && s > 0.0 => s,
+                    _ => return Err(format!("--deadline expects positive seconds, got `{v}`")),
+                };
+            }
+            "--latency-out" => args.latency_out = Some(std::path::PathBuf::from(value()?)),
+            _ => return Err(format!("unknown argument `{flag}` (run `loadgen --help` for usage)")),
+        }
     }
+    Ok(Some(args))
 }
 
 #[derive(Default)]
@@ -246,7 +270,18 @@ fn drive(
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    };
     let netlist_text = Arc::new(write_netlist(&generate(&SynthConfig::with_size(
         "loadgen",
         args.cells,
@@ -261,8 +296,7 @@ fn main() {
         args.clients
     );
     let mut all_records: Vec<String> = Vec::new();
-    if let Some(addr) = &args.addr {
-        let addr: std::net::SocketAddr = addr.parse().expect("--addr expects host:port");
+    if let Some(addr) = args.addr {
         for &concurrency in &args.clients {
             all_records.extend(drive(addr, &args, concurrency, Arc::clone(&netlist_text)));
         }

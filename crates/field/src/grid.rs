@@ -9,10 +9,20 @@ use crate::field::ForceField;
 use crate::map::ScalarMap;
 use kraftwerk_geom::{Point, Rect, Size};
 
-/// Row-major vertex index on an `m × m` grid.
+/// Storage slot of vertex `(i, j)` on an `m × m` grid (`m` odd): rows in
+/// order, and within row `j` its `⌈m/2⌉` even columns first, then its
+/// odd ones — `j·m + i/2` for even `i`, `j·m + ⌈m/2⌉ + i/2` for odd `i`.
+///
+/// A red-black color pass updates every second vertex of a row; in this
+/// layout those vertices are one contiguous run, and so are the other
+/// color's neighbours they read, so the V-cycle's kernels are unit-stride
+/// loops. Every kernel computes each vertex with the expression and
+/// operand order of the row-major kernels it replaced, so the fields are
+/// bitwise theirs.
 #[inline]
 pub(crate) fn idx(m: usize, i: usize, j: usize) -> usize {
-    j * m + i
+    let col = if i.is_multiple_of(2) { i / 2 } else { m.div_ceil(2) + i / 2 };
+    j * m + col
 }
 
 /// Bilinear cell lookup with the coordinate clamped into the grid

@@ -154,21 +154,39 @@ fn smooth_block(
         let (row, after) = rest.split_at_mut(m);
         let prev = if k == 0 { &halo[..m] } else { &before[(k - 1) * m..] };
         let next = if k + 1 == n { &halo[m..2 * m] } else { &after[..m] };
-        let start = 1 + (j + color) % 2;
-        smooth_row(row, prev, next, &rhs[k * m..(k + 1) * m], h2, start);
+        let odd = (j + color).is_multiple_of(2);
+        smooth_row(row, prev, next, &rhs[k * m..(k + 1) * m], h2, odd);
     }
 }
 
-/// Updates every second interior vertex of `row` from `start` on, given
-/// the rows before (`prev`) and after (`next`) it.
-fn smooth_row(row: &mut [f64], prev: &[f64], next: &[f64], rhs: &[f64], h2: f64, start: usize) {
+/// Updates the interior odd columns of `row` (`odd`) or its interior even
+/// ones, given the rows before (`prev`) and after (`next`) it — each one
+/// contiguous run of the row's [`grid::idx`] layout.
+fn smooth_row(row: &mut [f64], prev: &[f64], next: &[f64], rhs: &[f64], h2: f64, odd: bool) {
     let m = row.len();
-    let (prev, next, rhs) = (&prev[..m], &next[..m], &rhs[..m]);
-    let mut i = start;
-    while i < m - 1 {
-        let nb = row[i - 1] + row[i + 1] + prev[i] + next[i];
-        row[i] = 0.25 * (nb - h2 * rhs[i]);
-        i += 2;
+    let half = m.div_ceil(2);
+    let (evens, odds) = row.split_at_mut(half);
+    if odd {
+        // Odd column 2k + 1 lies between even columns 2k and 2k + 2.
+        let s = half..m;
+        let (w, e) = (&evens[..half - 1], &evens[1..]);
+        relax(odds, w, e, &prev[s.clone()], &next[s.clone()], &rhs[s], h2);
+    } else {
+        // Interior even column 2k lies between odd columns 2k − 1 and 2k + 1.
+        let s = 1..half - 1;
+        let (w, e) = (&odds[..half - 2], &odds[1..]);
+        relax(&mut evens[s.clone()], w, e, &prev[s.clone()], &next[s.clone()], &rhs[s], h2);
+    }
+}
+
+/// The Gauss-Seidel update `out = ¼·(((w + e) + n) + s − h²·rhs)` of one
+/// contiguous run of vertices from their four neighbours' runs.
+#[inline]
+fn relax(out: &mut [f64], w: &[f64], e: &[f64], n: &[f64], s: &[f64], rhs: &[f64], h2: f64) {
+    let len = out.len();
+    let (w, e, n, s, rhs) = (&w[..len], &e[..len], &n[..len], &s[..len], &rhs[..len]);
+    for k in 0..len {
+        out[k] = 0.25 * (((w[k] + e[k]) + n[k]) + s[k] - h2 * rhs[k]);
     }
 }
 
@@ -176,6 +194,7 @@ fn smooth_row(row: &mut [f64], prev: &[f64], next: &[f64], rhs: &[f64], h2: f64,
 /// in blocks of rows.
 fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
     let m = level.m;
+    let half = m.div_ceil(2);
     let inv_h2 = 1.0 / (level.h * level.h);
     let block = level.block_rows();
     kraftwerk_par::for_each_chunk_mut(r, block * m, |b, out| {
@@ -189,21 +208,57 @@ fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
             let row = &phi[j * m..(j + 1) * m];
             let next = &phi[(j + 1) * m..(j + 2) * m];
             let rhs = &rhs[j * m..(j + 1) * m];
-            out[0] = 0.0;
-            out[m - 1] = 0.0;
-            for i in 1..m - 1 {
-                let lap = (row[i - 1] + row[i + 1] + prev[i] + next[i] - 4.0 * row[i]) * inv_h2;
-                out[i] = rhs[i] - lap;
-            }
+            let (evens, odds) = row.split_at(half);
+            let (out_evens, out_odds) = out.split_at_mut(half);
+            out_evens[0] = 0.0;
+            out_evens[half - 1] = 0.0;
+            let s = 1..half - 1;
+            laplace_residual(
+                &mut out_evens[s.clone()],
+                [&odds[..half - 2], &odds[1..], &prev[s.clone()], &next[s.clone()]],
+                &evens[s.clone()],
+                &rhs[s],
+                inv_h2,
+            );
+            let s = half..m;
+            laplace_residual(
+                out_odds,
+                [&evens[..half - 1], &evens[1..], &prev[s.clone()], &next[s.clone()]],
+                odds,
+                &rhs[s],
+                inv_h2,
+            );
         }
     });
 }
 
+/// `out = rhs − (((w + e) + n) + s − 4·c)/h²` over one contiguous run of
+/// vertices `c`, with `[w, e, n, s]` their neighbours' runs.
+#[inline]
+fn laplace_residual(
+    out: &mut [f64],
+    [w, e, n, s]: [&[f64]; 4],
+    c: &[f64],
+    rhs: &[f64],
+    inv_h2: f64,
+) {
+    let len = out.len();
+    let (w, e, n, s) = (&w[..len], &e[..len], &n[..len], &s[..len]);
+    let (c, rhs) = (&c[..len], &rhs[..len]);
+    for k in 0..len {
+        let lap = (w[k] + e[k] + n[k] + s[k] - 4.0 * c[k]) * inv_h2;
+        out[k] = rhs[k] - lap;
+    }
+}
+
 /// Full-weighting restriction from the level's grid (m) to the coarse
-/// grid ((m+1)/2), written in blocks of coarse rows.
+/// grid ((m+1)/2), written in blocks of coarse rows. Coarse column `ic`
+/// sits on fine even column `2·ic`, so it reads fine even slot `ic` and
+/// odd slots `ic − 1` and `ic` of each of the three fine rows.
 fn restrict(level: &Level, fine: &[f64], coarse: &mut [f64]) {
     let m_fine = level.m;
-    let m_coarse = m_fine.div_ceil(2);
+    let half = m_fine.div_ceil(2);
+    let m_coarse = half;
     let block = level.block_rows();
     kraftwerk_par::for_each_chunk_mut(coarse, block * m_coarse, |b, out| {
         for (k, out) in out.chunks_exact_mut(m_coarse).enumerate() {
@@ -213,30 +268,46 @@ fn restrict(level: &Level, fine: &[f64], coarse: &mut [f64]) {
                 continue;
             }
             let j = 2 * jc;
-            let prev = &fine[(j - 1) * m_fine..j * m_fine];
-            let row = &fine[j * m_fine..(j + 1) * m_fine];
-            let next = &fine[(j + 1) * m_fine..(j + 2) * m_fine];
-            out[0] = 0.0;
-            out[m_coarse - 1] = 0.0;
-            for (k, out) in out[1..m_coarse - 1].iter_mut().enumerate() {
-                let i = 2 * (k + 1);
-                let center = row[i];
-                let edges = row[i - 1] + row[i + 1] + prev[i] + next[i];
-                let corners = prev[i - 1] + prev[i + 1] + next[i - 1] + next[i + 1];
-                *out = 0.25 * center + 0.125 * edges + 0.0625 * corners;
-            }
+            let (prev_e, prev_o) = fine[(j - 1) * m_fine..j * m_fine].split_at(half);
+            let (row_e, row_o) = fine[j * m_fine..(j + 1) * m_fine].split_at(half);
+            let (next_e, next_o) = fine[(j + 1) * m_fine..(j + 2) * m_fine].split_at(half);
+            let (out_e, out_o) = out.split_at_mut(m_coarse.div_ceil(2));
+            let last = out_e.len() - 1;
+            out_e[0] = 0.0;
+            out_e[last] = 0.0;
+            // Coarse column 2q sits on fine even slot 2q, between odd
+            // slots 2q − 1 and 2q; coarse column 2q + 1 on even slot
+            // 2q + 1, between odd slots 2q and 2q + 1.
+            let (evens, odds) = ([prev_e, row_e, next_e], [prev_o, row_o, next_o]);
+            full_weighting(&mut out_e[1..last], evens.map(|r| &r[2..]), odds.map(|r| &r[1..]));
+            full_weighting(out_o, evens.map(|r| &r[1..]), odds);
         }
     });
+}
+
+/// Full weighting onto `out[k]` of the fine vertex at even slot `2k` of
+/// `evens` (rows above, on and below it) from its neighbours at odd slots
+/// `2k` and `2k + 1` of `odds`: `¼·center + ⅛·edges + 1/16·corners`, in
+/// the row-major kernel's operand order.
+fn full_weighting(out: &mut [f64], evens: [&[f64]; 3], odds: [&[f64]; 3]) {
+    let [pe, re, ne] = evens.map(|r| r.chunks_exact(2));
+    let [po, ro, no] = odds.map(|r| r.chunks_exact(2));
+    let vertices = pe.zip(re).zip(ne).zip(po.zip(ro).zip(no));
+    for (x, (((p, r), n), ((pl, rl), nl))) in out.iter_mut().zip(vertices) {
+        let edges = rl[0] + rl[1] + p[0] + n[0];
+        let corners = pl[0] + pl[1] + nl[0] + nl[1];
+        *x = 0.25 * r[0] + 0.125 * edges + 0.0625 * corners;
+    }
 }
 
 /// Bilinear prolongation: adds the coarse correction ((m+1)/2 per side)
 /// into the level's grid (m), gathering each fine row in parallel blocks.
 ///
 /// A fine vertex takes its coarse contributions in the order a scatter
-/// over coarse rows (outer) and columns (inner) adds them, and zero
-/// coarse values are skipped as that scatter skips them (adding `+0.0`
-/// would turn a `-0.0` into `+0.0`), so every sum is bitwise the
-/// scatter's.
+/// over coarse rows (outer) and columns (inner) adds them, and a zero
+/// coarse value contributes `-0.0`, the exact identity of IEEE addition,
+/// as that scatter skips it (adding `+0.0` would turn a `-0.0` into
+/// `+0.0`), so every sum is bitwise the scatter's without a branch.
 fn prolong_add(level: &Level, coarse: &[f64], fine: &mut [f64]) {
     let m_fine = level.m;
     let m_coarse = m_fine.div_ceil(2);
@@ -255,42 +326,86 @@ fn prolong_add(level: &Level, coarse: &[f64], fine: &mut [f64]) {
     });
 }
 
-/// Adds `weight · v` to `acc` unless `v` is zero.
+/// `weight · v`, or `-0.0` (which leaves any sum unchanged) when `v` is
+/// zero.
 #[inline]
-fn add_nonzero(acc: &mut f64, weight: f64, v: f64) {
+fn term(weight: f64, v: f64) -> f64 {
     if v != 0.0 {
-        *acc += weight * v;
+        weight * v
+    } else {
+        -0.0
     }
 }
 
-/// Fine row `2·jc`, from coarse row `jc`.
+/// Fine row `2·jc`, from coarse row `jc`: even column `2·ic` takes coarse
+/// column `ic`, odd column `2·ic + 1` the mean of `ic` and `ic + 1`. Each
+/// step takes coarse columns `2q`, `2q + 1`, `2q + 2` into fine even and
+/// odd slots `2q` and `2q + 1`.
 fn prolong_even_row(row: &mut [f64], c: &[f64]) {
-    for (ic, &v) in c.iter().enumerate() {
-        if v != 0.0 {
-            row[2 * ic] += v;
-        }
+    let m_coarse = c.len();
+    let (c_even, c_odd) = c.split_at(m_coarse.div_ceil(2));
+    let (evens, odds) = row.split_at_mut(m_coarse);
+    let Some((last, evens)) = evens.split_last_mut() else {
+        return;
+    };
+    let coarse = c_even.windows(2).zip(c_odd);
+    let fine = evens.chunks_exact_mut(2).zip(odds.chunks_exact_mut(2));
+    for ((e, o), (a, &b)) in fine.zip(coarse) {
+        e[0] += term(1.0, a[0]);
+        e[1] += term(1.0, b);
+        o[0] += term(0.5, a[0]);
+        o[0] += term(0.5, b);
+        o[1] += term(0.5, b);
+        o[1] += term(0.5, a[1]);
     }
-    for (ic, pair) in c.windows(2).enumerate() {
-        let x = &mut row[2 * ic + 1];
-        add_nonzero(x, 0.5, pair[0]);
-        add_nonzero(x, 0.5, pair[1]);
-    }
+    *last += term(1.0, c_even[c_even.len() - 1]);
 }
 
-/// Fine row `2·jc + 1`, from coarse rows `jc` (`c0`) and `jc + 1` (`c1`).
+/// Fine row `2·jc + 1`, from coarse rows `jc` (`c0`) and `jc + 1` (`c1`),
+/// in the steps of [`prolong_even_row`].
 fn prolong_odd_row(row: &mut [f64], c0: &[f64], c1: &[f64]) {
-    for (ic, (&a, &b)) in c0.iter().zip(c1).enumerate() {
-        let x = &mut row[2 * ic];
-        add_nonzero(x, 0.5, a);
-        add_nonzero(x, 0.5, b);
+    let m_coarse = c0.len();
+    let half = m_coarse.div_ceil(2);
+    let ((a_even, a_odd), (b_even, b_odd)) = (c0.split_at(half), c1.split_at(half));
+    let (evens, odds) = row.split_at_mut(m_coarse);
+    let Some((last, evens)) = evens.split_last_mut() else {
+        return;
+    };
+    let coarse = a_even.windows(2).zip(a_odd).zip(b_even.windows(2).zip(b_odd));
+    let fine = evens.chunks_exact_mut(2).zip(odds.chunks_exact_mut(2));
+    for ((e, o), ((a, &a1), (b, &b1))) in fine.zip(coarse) {
+        e[0] += term(0.5, a[0]);
+        e[0] += term(0.5, b[0]);
+        e[1] += term(0.5, a1);
+        e[1] += term(0.5, b1);
+        o[0] += term(0.25, a[0]);
+        o[0] += term(0.25, a1);
+        o[0] += term(0.25, b[0]);
+        o[0] += term(0.25, b1);
+        o[1] += term(0.25, a1);
+        o[1] += term(0.25, a[1]);
+        o[1] += term(0.25, b1);
+        o[1] += term(0.25, b[1]);
     }
-    for (ic, (p0, p1)) in c0.windows(2).zip(c1.windows(2)).enumerate() {
-        let x = &mut row[2 * ic + 1];
-        add_nonzero(x, 0.25, p0[0]);
-        add_nonzero(x, 0.25, p0[1]);
-        add_nonzero(x, 0.25, p1[0]);
-        add_nonzero(x, 0.25, p1[1]);
+    *last += term(0.5, a_even[half - 1]);
+    *last += term(0.5, b_even[half - 1]);
+}
+
+/// `‖v‖₂` of an `m × m` grid, its squares summed in natural (row-major)
+/// vertex order on one thread: the sum the row-major layout took, at any
+/// thread count.
+fn natural_norm(m: usize, v: &[f64]) -> f64 {
+    let half = m.div_ceil(2);
+    let mut sum = 0.0;
+    for row in v.chunks_exact(m) {
+        let (evens, odds) = row.split_at(half);
+        for (e, o) in evens.iter().zip(odds) {
+            sum += e * e;
+            sum += o * o;
+        }
+        sum += evens[half - 1] * evens[half - 1];
     }
+    sum.sqrt()
 }
 
 /// Number of grid levels a V-cycle descends through from an `m`-vertex
@@ -357,9 +472,9 @@ fn vcycle_to_tolerance(
     for _ in 0..max_cycles {
         vcycle(&level, phi, rhs, depth, halo);
         residual(&level, phi, rhs, resid);
-        // Summed in index order on one thread, so the stopping test is
-        // the same at any thread count.
-        let rn: f64 = resid.iter().map(|v| v * v).sum::<f64>().sqrt();
+        // Summed in natural vertex order on one thread, so the stopping
+        // test is the same at any thread count.
+        let rn = natural_norm(m, resid);
         if let Some(out) = residuals.as_deref_mut() {
             out.push(rn / rhs_norm);
         }
@@ -425,7 +540,7 @@ impl MultigridSolver {
         let MultigridWorkspace { rhs, phi, resid, depth, halo, saved } = ws;
         grid::deposit_rhs(density, &solve_grid, rhs);
 
-        let rhs_norm: f64 = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let rhs_norm = natural_norm(m, rhs);
         phi.clear();
         phi.resize(m * m, 0.0);
         // Per-V-cycle residual norms for telemetry (collected only while a
@@ -512,10 +627,14 @@ mod tests {
     use kraftwerk_geom::{Point, Rect};
     use rand::{Rng, SeedableRng};
 
-    /// The scalar kernels the row-block kernels replaced, kept as the
-    /// references those are checked against bit for bit.
+    /// The scalar row-major kernels the row-block, column-parity kernels
+    /// replaced, with their own index and a V-cycle of their own, kept as
+    /// the references those are checked against bit for bit.
     mod reference {
-        use crate::grid::idx;
+        /// Row-major vertex index on an `m × m` grid.
+        pub fn idx(m: usize, i: usize, j: usize) -> usize {
+            j * m + i
+        }
 
         pub fn smooth(m: usize, h: f64, phi: &mut [f64], rhs: &[f64], sweeps: usize) {
             let h2 = h * h;
@@ -613,6 +732,43 @@ mod tests {
                 }
             }
         }
+
+        /// The V-cycle on row-major grids, `level_count(m)` levels deep.
+        fn vcycle(m: usize, h: f64, phi: &mut [f64], rhs: &[f64]) {
+            if m <= 5 {
+                smooth(m, h, phi, rhs, 50);
+                return;
+            }
+            smooth(m, h, phi, rhs, 2);
+            let mut r = vec![0.0; m * m];
+            residual(m, h, phi, rhs, &mut r);
+            let m_coarse = m.div_ceil(2);
+            let mut coarse_rhs = vec![0.0; m_coarse * m_coarse];
+            restrict(m, &r, &mut coarse_rhs);
+            let mut coarse_phi = vec![0.0; m_coarse * m_coarse];
+            vcycle(m_coarse, 2.0 * h, &mut coarse_phi, &coarse_rhs);
+            prolong_add(m_coarse, &coarse_phi, phi);
+            smooth(m, h, phi, rhs, 2);
+        }
+
+        /// V-cycles from zero until the residual norm, summed in index
+        /// order, drops below `tolerance · ‖rhs‖` or `max_cycles` is spent.
+        pub fn solve(m: usize, h: f64, rhs: &[f64], tolerance: f64, max_cycles: usize) -> Vec<f64> {
+            let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let rhs_norm = norm(rhs);
+            let mut phi = vec![0.0; m * m];
+            let mut r = vec![0.0; m * m];
+            if rhs_norm > 0.0 {
+                for _ in 0..max_cycles {
+                    vcycle(m, h, &mut phi, rhs);
+                    residual(m, h, &phi, rhs, &mut r);
+                    if norm(&r) <= tolerance * rhs_norm {
+                        break;
+                    }
+                }
+            }
+            phi
+        }
     }
 
     /// Grid sizes of the kernel tests: one-block levels (9 … 129) and
@@ -644,12 +800,44 @@ mod tests {
             .collect()
     }
 
+    /// A row-major grid laid out in [`grid::idx`] order.
+    fn to_layout(m: usize, row_major: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; m * m];
+        for j in 0..m {
+            for i in 0..m {
+                out[idx(m, i, j)] = row_major[reference::idx(m, i, j)];
+            }
+        }
+        out
+    }
+
+    /// A grid in [`grid::idx`] order back in row-major order.
+    fn to_row_major(m: usize, laid_out: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; m * m];
+        for j in 0..m {
+            for i in 0..m {
+                out[reference::idx(m, i, j)] = laid_out[idx(m, i, j)];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_layout_stores_each_row_even_columns_first() {
+        let m = 9;
+        let slots: Vec<usize> = (0..m).map(|i| idx(m, i, 2)).collect();
+        assert_eq!(slots, [18, 23, 19, 24, 20, 25, 21, 26, 22]);
+        let row_major: Vec<f64> = (0..m * m).map(|k| k as f64).collect();
+        assert_eq!(to_row_major(m, &to_layout(m, &row_major)), row_major);
+    }
+
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs `kernel` on a fresh copy of `input` at every thread count and
-    /// checks each result against `expected` bit for bit.
+    /// Lays the row-major `input` out in [`grid::idx`] order, runs `kernel`
+    /// on a fresh copy at every thread count, and checks every vertex of
+    /// the result against the row-major `expected` bit for bit.
     fn assert_kernel_matches(
         what: &str,
         m: usize,
@@ -657,12 +845,13 @@ mod tests {
         expected: &[f64],
         kernel: impl Fn(&mut Vec<f64>),
     ) {
+        let m_out = (expected.len() as f64).sqrt() as usize;
         for threads in THREAD_COUNTS {
-            let mut out = input.to_vec();
+            let mut out = to_layout(m_out, input);
             at_threads(threads, || kernel(&mut out));
             assert!(
-                bits(&out) == bits(expected),
-                "{what}: m = {m} at {threads} threads differs from the scalar reference"
+                bits(&to_row_major(m_out, &out)) == bits(expected),
+                "{what}: m = {m} at {threads} threads differs from the row-major reference"
             );
         }
     }
@@ -675,6 +864,7 @@ mod tests {
             let rhs = random_grid(m as u64 + 1, m * m);
             let mut expected = phi.clone();
             reference::smooth(m, level.h, &mut expected, &rhs, 2);
+            let rhs = to_layout(m, &rhs);
             assert_kernel_matches("smooth", m, &phi, &expected, |phi| {
                 smooth(&level, phi, &rhs, &mut Vec::new(), 2);
             });
@@ -691,6 +881,7 @@ mod tests {
             let stale = random_grid(m as u64 + 4, m * m);
             let mut expected = stale.clone();
             reference::residual(m, level.h, &phi, &rhs, &mut expected);
+            let (phi, rhs) = (to_layout(m, &phi), to_layout(m, &rhs));
             assert_kernel_matches("residual", m, &stale, &expected, |r| {
                 residual(&level, &phi, &rhs, r);
             });
@@ -706,6 +897,7 @@ mod tests {
             let stale = random_grid(m as u64 + 6, m_coarse * m_coarse);
             let mut expected = stale.clone();
             reference::restrict(m, &fine, &mut expected);
+            let fine = to_layout(m, &fine);
             assert_kernel_matches("restrict", m, &stale, &expected, |coarse| {
                 restrict(&level, &fine, coarse);
             });
@@ -721,6 +913,7 @@ mod tests {
             let fine = random_grid(m as u64 + 8, m * m);
             let mut expected = fine.clone();
             reference::prolong_add(m_coarse, &coarse, &mut expected);
+            let coarse = to_layout(m_coarse, &coarse);
             assert_kernel_matches("prolong_add", m, &fine, &expected, |fine| {
                 prolong_add(&level, &coarse, fine);
             });
@@ -1096,23 +1289,40 @@ mod tests {
     }
 
     #[test]
-    fn solve_reusing_on_a_1025_grid_is_bitwise_identical_at_any_thread_count() {
-        // 320 bins per side want 960 vertices, so the grid has 1025 and
-        // its two finest levels fan out.
-        let d = random_balanced_density(17, 320);
-        let solver = MultigridSolver { tolerance: 1e-4, max_cycles: 2, ..MultigridSolver::new() };
-        let solve = |threads| {
-            at_threads(threads, || {
-                let mut ws = MultigridWorkspace::default();
-                let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
-                solver.solve_reusing(&d, &mut ws, &mut out);
-                assert_eq!(ws.saved.map(|s| s.grid.m), Some(1025));
-                (bits(&ws.phi), bits(out.fx().values()), bits(out.fy().values()))
-            })
-        };
-        let reference = solve(1);
-        for threads in [2, 8] {
-            assert!(solve(threads) == reference, "{threads} threads changed the solve");
+    fn solve_reusing_matches_the_row_major_vcycle_bit_for_bit() {
+        // Bins per side giving each kernel-test grid size; on the two
+        // largest the finest levels fan out over the worker pool. Their
+        // cycles are capped to keep the test quick; the smaller ones run
+        // to the tolerance, so the stopping decision is compared too.
+        let sizes = [(2, 9, 30), (11, 33, 30), (43, 129, 30), (171, 513, 4), (320, 1025, 2)];
+        for (bins, m, max_cycles) in sizes {
+            let d = random_balanced_density(m as u64, bins);
+            let solver = MultigridSolver { tolerance: 1e-6, max_cycles, ..MultigridSolver::new() };
+            let grid = SolveGrid::for_density(&d, solver.padding);
+            assert_eq!(grid.m, m, "{bins} bins");
+            let mut rhs = Vec::new();
+            grid::deposit_rhs(&d, &grid, &mut rhs);
+            let rhs = to_row_major(m, &rhs);
+            let phi = reference::solve(m, grid.h, &rhs, solver.tolerance, max_cycles);
+            let phi = to_layout(m, &phi);
+            let mut expected = ForceField::zeros(d.region(), d.nx(), d.ny());
+            grid::write_forces(&phi, &grid, &d, &mut expected);
+            for threads in THREAD_COUNTS {
+                let (got_phi, got) = at_threads(threads, || {
+                    let mut ws = MultigridWorkspace::default();
+                    let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
+                    solver.solve_reusing(&d, &mut ws, &mut out);
+                    (ws.phi, out)
+                });
+                let what = format!("m = {m} at {threads} threads");
+                assert!(bits(&got_phi) == bits(&phi), "{what}: the potential differs");
+                for (got, want) in [(got.fx(), expected.fx()), (got.fy(), expected.fy())] {
+                    assert!(
+                        bits(got.values()) == bits(want.values()),
+                        "{what}: the forces differ from the row-major V-cycle's"
+                    );
+                }
+            }
         }
     }
 }

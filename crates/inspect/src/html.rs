@@ -167,7 +167,7 @@ fn fields_section(run: &RunReport) -> String {
         for grid in snapshots_of(kind) {
             out.push_str("<figure>");
             out.push_str(&heatmap(
-                &format!("heatmap-{}-{}", kind, grid.iteration),
+                &format!("heatmap-{}-{}", kind, grid.position),
                 &format!("{kind} @ iteration {}", grid.iteration),
                 grid.nx,
                 grid.ny,
@@ -188,7 +188,7 @@ fn fields_section(run: &RunReport) -> String {
         for grid in snapshots_of("cells") {
             out.push_str("<figure>");
             out.push_str(&scatter(
-                &format!("scatter-cells-{}", grid.iteration),
+                &format!("scatter-cells-{}", grid.position),
                 &format!("cells @ iteration {}", grid.iteration),
                 &grid.values,
             ));

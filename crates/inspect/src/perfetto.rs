@@ -81,15 +81,17 @@ pub fn render_perfetto(run: &RunReport) -> String {
     }
 
     // Synthesized clock: each transformation starts where the previous
-    // one ended. `starts[i]` records iteration-number → start ts so the
-    // solver instants can be pinned inside their transformation.
+    // one ended. `starts[k]` is the start of the record at position
+    // `k + 1`, so each solver instant is pinned inside the transformation
+    // its record position names — also in a multilevel stream, whose
+    // levels restart the records' iteration numbers.
     let mut clock_us = 0.0f64;
-    let mut starts: Vec<(u64, f64)> = Vec::new();
+    let mut starts: Vec<f64> = Vec::new();
     for point in &run.iterations {
         let phase_sum: f64 = point.phases.iter().map(|(_, s)| s.max(0.0)).sum();
         let wall_us = metric(point, "wall_s").unwrap_or(phase_sum).max(0.0) * US;
         let iteration = point.iteration();
-        starts.push((iteration, clock_us));
+        starts.push(clock_us);
 
         let mut span = event(&format!("iteration {iteration}"), "X", 1, clock_us);
         span.f64_field("dur", wall_us);
@@ -125,10 +127,10 @@ pub fn render_perfetto(run: &RunReport) -> String {
     }
 
     for trace in &run.convergence {
-        let ts = starts
-            .iter()
-            .find(|(n, _)| *n == trace.iteration)
-            .map_or(clock_us, |&(_, t)| t);
+        let ts = usize::try_from(trace.iteration)
+            .ok()
+            .and_then(|position| starts.get(position.checked_sub(1)?))
+            .map_or(clock_us, |&t| t);
         let mut o = event(&format!("{}.solve", trace.solver), "i", 3, ts);
         o.str_field("s", "t");
         let mut args = JsonObject::new();

@@ -10,8 +10,8 @@
 
 use kraftwerk::inspect;
 use kraftwerk::legalize::{legalize, refine};
-use kraftwerk::netlist::synth::mcnc;
-use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
+use kraftwerk::netlist::synth::{generate, mcnc, SynthConfig};
+use kraftwerk::placer::{try_place_multilevel, GlobalPlacer, KraftwerkConfig, MultilevelConfig};
 use kraftwerk::trace::json::{self, Json};
 use kraftwerk::trace::{self, RunRecorder, RunReport, Value};
 use std::collections::BTreeSet;
@@ -191,4 +191,73 @@ fn every_record_kind_round_trips_through_the_reader() {
     assert!(trace_json.contains("\"traceEvents\""));
     let cmp = inspect::render_comparison(&[("a".to_string(), run.clone()), ("b".to_string(), run)]);
     assert!(cmp.contains("<section id=\"utilization\">"));
+}
+
+/// Places a 1,200-cell netlist through a two-level multilevel V-cycle
+/// under a recorder with snapshots every 5 transformations. Each level
+/// runs its own session, so the stream's iteration numbers restart at the
+/// second level.
+fn record_two_level_run() -> String {
+    let netlist = generate(&SynthConfig::with_size("ml", 1200, 1400, 16));
+    let recorder = Arc::new(RunRecorder::new());
+    recorder.set_meta("netlist", Value::from("ml"));
+    trace::install(recorder.clone());
+    let ml = MultilevelConfig { coarsest_movable: 400, ..MultilevelConfig::default() };
+    let result =
+        try_place_multilevel(&netlist, KraftwerkConfig::fast().with_snapshot_every(5), &ml);
+    trace::uninstall();
+    result.expect("the netlist places through two levels");
+    recorder.report().to_jsonl()
+}
+
+#[test]
+fn a_multilevel_stream_names_each_panel_and_solve_after_its_own_transformation() {
+    let _guard = sink_lock();
+    let jsonl = record_two_level_run();
+    let run = inspect::read_run(&jsonl).expect("the stream reads back");
+    let numbers: Vec<u64> = run.iterations.iter().map(|r| r.iteration()).collect();
+    assert!(
+        numbers.windows(2).any(|w| w[1] <= w[0]),
+        "premise: the levels restart the iteration numbers ({numbers:?})"
+    );
+
+    // Every dashboard element id is unique, snapshot panels included.
+    let html = inspect::render(&run);
+    let ids = element_ids(&html);
+    let mut seen = BTreeSet::new();
+    let repeated: Vec<&String> = ids.iter().filter(|id| !seen.insert(id.as_str())).collect();
+    assert!(repeated.is_empty(), "repeated element ids: {repeated:?}");
+    assert!(ids.iter().filter(|id| id.starts_with("heatmap-density-")).count() >= 3);
+
+    // Every solver instant lies inside the span of the transformation its
+    // record names by position.
+    let doc = json::parse(&inspect::render_perfetto(&run)).expect("valid Perfetto JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).expect("numeric field");
+    let spans: Vec<(f64, f64)> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .filter(|e| {
+            let name = e.get("name").and_then(Json::as_str);
+            name.is_some_and(|n| n.starts_with("iteration "))
+        })
+        .map(|e| (num(e, "ts"), num(e, "ts") + num(e, "dur")))
+        .collect();
+    assert_eq!(spans.len(), run.iterations.len());
+    let instants: Vec<&Json> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+        .filter(|e| e.get("name").and_then(Json::as_str).is_some_and(|n| n.ends_with(".solve")))
+        .collect();
+    assert_eq!(instants.len(), run.convergence.len());
+    for instant in instants {
+        let args = instant.get("args").expect("instant args");
+        let position = num(args, "iteration") as usize;
+        let (start, end) = spans[position - 1];
+        let ts = num(instant, "ts");
+        assert!(
+            (start..=end).contains(&ts),
+            "solve of record {position} at {ts} µs outside its span [{start}, {end}]"
+        );
+    }
 }

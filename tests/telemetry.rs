@@ -62,8 +62,8 @@ fn one_record_per_transformation_with_increasing_iterations() {
         // The five phase guards run one after another inside the
         // transformation, so their spans add up to at most its wall time
         // (plus clock noise). Everything else nests inside them: the
-        // branch spans of the two joins, the factor refresh inside the
-        // assembly branch, and the solver spans.
+        // branch spans of the two joins, the CSR build and the factor
+        // refresh inside the assembly branch, and the solver spans.
         const SCOPES: [&str; 5] = [
             "place.density_map",
             "place.field_assembly",
@@ -71,9 +71,10 @@ fn one_record_per_transformation_with_increasing_iterations() {
             "place.solve_xy",
             "place.metrics",
         ];
-        const BRANCHES: [&str; 5] = [
+        const BRANCHES: [&str; 6] = [
             "place.field_solve",
             "place.force_assembly",
+            "place.csr_build",
             "place.precond",
             "place.solve_x",
             "place.solve_y",
