@@ -12,10 +12,13 @@
 //! irreversible, exactly the structural weakness the Kraftwerk paper
 //! argues its force-directed scheme avoids.
 
-use kraftwerk_core::{NetModel, QuadraticSystem};
+use kraftwerk_core::{Assembled, AssemblyScratch, NetModel, QuadraticSystem};
 use kraftwerk_geom::{Point, Rect};
-use kraftwerk_netlist::{CellId, Netlist, Placement};
-use kraftwerk_sparse::{solve, CgOptions, CooMatrix, DiluFactor};
+use kraftwerk_netlist::{Netlist, Placement};
+use kraftwerk_sparse::{
+    try_solve_with, CgOptions, CgWorkspace, CsrBuildScratch, CsrMatrix, DiluFactor,
+    SymmetricStaging,
+};
 
 /// GORDIAN-style placer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,12 +201,16 @@ impl GordianPlacer {
         eps: Option<f64>,
     ) {
         let n = system.num_movable();
-        let asm = system.assemble(
+        let mut asm = Assembled::default();
+        let mut scratch = AssemblyScratch::default();
+        system.assemble_into(
             netlist,
             placement,
             self.config.net_weights.as_deref(),
             NetModel::default(),
             eps,
+            &mut asm,
+            &mut scratch,
         );
         // Anchor each cell to its region center with weight proportional
         // to its own diagonal (so anchors scale with connectivity) and to
@@ -219,30 +226,36 @@ impl GordianPlacer {
                 anchor[i] = (c, w);
             }
         }
-        let solve_axis = |csr: &kraftwerk_sparse::CsrMatrix,
+        // Each axis's anchored system is the assembled one plus the
+        // anchors on its diagonal, staged into the assembly's own staging
+        // so every other entry keeps the assembled matrix's bits. A system
+        // the solver rejects keeps that axis's coordinates.
+        let (stage_x, stage_y) = scratch.stagings_mut();
+        for (i, &(_, w)) in anchor.iter().enumerate() {
+            stage_x.add_diagonal(i, 2.0 * w);
+            stage_y.add_diagonal(i, 2.0 * w);
+        }
+        let solve_axis = |staging: &SymmetricStaging,
                           d: &[f64],
                           coords: &[f64],
                           centers: &(dyn Fn(usize) -> f64 + Sync)|
          -> Vec<f64> {
-            let mut coo = CooMatrix::with_capacity(n, n);
-            let mut b = vec![0.0; n];
-            for i in 0..n {
-                for (j, v) in csr.row(i) {
-                    coo.push(i, j, v);
-                }
-                let (_, w) = anchor[i];
-                coo.push(i, i, 2.0 * w);
-                b[i] = -d[i] + 2.0 * w * centers(i);
+            let b: Vec<f64> = (0..n).map(|i| -d[i] + 2.0 * anchor[i].1 * centers(i)).collect();
+            let mut a = CsrMatrix::default();
+            a.rebuild_from_staging(staging, &mut CsrBuildScratch::default());
+            let factor = DiluFactor::from_matrix(&a);
+            let mut ws = CgWorkspace::new();
+            match try_solve_with(&a, &b, Some(coords), &factor, &self.config.cg, &mut ws) {
+                Ok(_) => ws.solution().to_vec(),
+                Err(_) => coords.to_vec(),
             }
-            let a = coo.into_csr();
-            solve(&a, &b, Some(coords), &DiluFactor::from_matrix(&a), &self.config.cg).x
         };
         let (xs0, ys0) = system.coords(placement);
         // The x and y systems are independent: solve them side by side, as
         // the placement session does (same results at any thread count).
         let (xs, ys) = kraftwerk_par::join(
-            || solve_axis(&asm.cx, &asm.dx, &xs0, &|i| anchor[i].0.x),
-            || solve_axis(&asm.cy, &asm.dy, &ys0, &|i| anchor[i].0.y),
+            || solve_axis(stage_x, &asm.dx, &xs0, &|i| anchor[i].0.x),
+            || solve_axis(stage_y, &asm.dy, &ys0, &|i| anchor[i].0.y),
         );
         system.write_back(placement, &xs, &ys);
         // GORDIAN's center-of-gravity constraint, enforced by projection:
@@ -385,11 +398,6 @@ fn refine_bipartition(
     }
     (side_a, side_b)
 }
-
-/// Convenience: a [`CellId`]-keyed view is not needed by callers, but the
-/// partitioner's determinism is — re-exported for tests.
-#[doc(hidden)]
-pub fn _cell_marker(_c: CellId) {}
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 //! sizes (supports ablation A1 and the CPU columns of Table 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kraftwerk_field::{density_map, DirectSolver, FieldSolver, MultigridSolver};
+use kraftwerk_field::{density_map, DirectSolver, MultigridSolver};
 use kraftwerk_netlist::synth::{generate, SynthConfig};
 
 fn bench_solvers(c: &mut Criterion) {

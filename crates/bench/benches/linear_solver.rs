@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kraftwerk_core::{NetModel, QuadraticSystem};
 use kraftwerk_netlist::synth::{generate, SynthConfig};
-use kraftwerk_sparse::{solve, CgOptions, DiluFactor};
+use kraftwerk_sparse::{try_solve_with, CgOptions, CgWorkspace, DiluFactor};
 
 fn bench_cg(c: &mut Criterion) {
     let mut group = c.benchmark_group("linear_solver");
@@ -20,8 +20,13 @@ fn bench_cg(c: &mut Criterion) {
             rel_tolerance: 1e-6,
             abs_tolerance: 1e-12,
         };
+        let mut ws = CgWorkspace::new();
         group.bench_with_input(BenchmarkId::new("dilu", cells), &cells, |bch, _| {
-            bch.iter(|| solve(&asm.cx, &b, None, &DiluFactor::from_matrix(&asm.cx), &opts))
+            bch.iter(|| {
+                let factor = DiluFactor::from_matrix(&asm.cx);
+                try_solve_with(&asm.cx, &b, None, &factor, &opts, &mut ws)
+                    .expect("an assembled system is finite")
+            })
         });
     }
     group.finish();

@@ -20,7 +20,7 @@
 use kraftwerk_bench::run_kraftwerk;
 use kraftwerk_congestion::{congestion_map, demand_for_session, peak, routing_demand_map, thermal_map, total_overflow};
 use kraftwerk_core::{KraftwerkConfig, NetModel, PlacementSession};
-use kraftwerk_field::{density_map, DirectSolver, FieldSolver, MultigridSolver};
+use kraftwerk_field::{density_map, DirectSolver, MultigridSolver};
 use kraftwerk_netlist::synth::{generate, SynthConfig};
 use kraftwerk_netlist::metrics;
 

@@ -56,7 +56,7 @@ pub use multilevel::{
     build_hierarchy, cluster, place_multilevel, try_place_multilevel, Clustering,
     ClusteringConfig, MultilevelConfig,
 };
-pub use quadratic::{QuadraticSystem, CLIQUE_DEGREE_CAP};
+pub use quadratic::{Assembled, AssemblyScratch, QuadraticSystem, CLIQUE_DEGREE_CAP};
 pub use session::{
     GlobalPlacer, IterationStats, PlaceResult, PlacementSession, RunHealth,
 };

@@ -69,6 +69,17 @@ pub struct AssemblyScratch {
     pins: Vec<PinInfo>,
 }
 
+impl AssemblyScratch {
+    /// The x and y stagings the most recent
+    /// [`assemble_into`](QuadraticSystem::assemble_into) built its
+    /// matrices from. Terms added here and rebuilt into a new matrix
+    /// change only the entries they touch: every other entry is summed in
+    /// the same order and keeps the assembled matrix's bits.
+    pub fn stagings_mut(&mut self) -> (&mut SymmetricStaging, &mut SymmetricStaging) {
+        (&mut self.stage_x, &mut self.stage_y)
+    }
+}
+
 /// Everything the per-net expansion needs to know about a pin.
 #[derive(Debug, Clone, Copy)]
 struct PinInfo {
@@ -656,7 +667,7 @@ mod tests {
     use kraftwerk_netlist::format::{read_netlist, write_netlist};
     use kraftwerk_netlist::synth::mcnc;
     use kraftwerk_netlist::{NetlistBuilder, PinDirection};
-    use kraftwerk_sparse::{solve, CgOptions, DiluFactor};
+    use kraftwerk_sparse::{try_solve_with, CgOptions, CgWorkspace, CsrMatrix, DiluFactor};
     use rand::{Rng, SeedableRng};
 
     /// pad(0,5) -- a -- b -- pad(10,5): the classic 1-D spring chain.
@@ -674,14 +685,17 @@ mod tests {
     }
 
     fn solve_assembled(sys: &QuadraticSystem, asm: &Assembled) -> (Vec<f64>, Vec<f64>) {
-        let bx: Vec<f64> = asm.dx.iter().map(|v| -v).collect();
-        let by: Vec<f64> = asm.dy.iter().map(|v| -v).collect();
-        let opts = CgOptions::default();
-        let x = solve(&asm.cx, &bx, None, &DiluFactor::from_matrix(&asm.cx), &opts);
-        let y = solve(&asm.cy, &by, None, &DiluFactor::from_matrix(&asm.cy), &opts);
-        assert!(x.converged && y.converged);
+        let solve_axis = |c: &CsrMatrix, d: &[f64]| {
+            let b: Vec<f64> = d.iter().map(|v| -v).collect();
+            let factor = DiluFactor::from_matrix(c);
+            let mut ws = CgWorkspace::new();
+            let stats = try_solve_with(c, &b, None, &factor, &CgOptions::default(), &mut ws)
+                .expect("an assembled system is finite");
+            assert!(stats.converged);
+            ws.solution().to_vec()
+        };
         let _ = sys;
-        (x.x, y.x)
+        (solve_axis(&asm.cx, &asm.dx), solve_axis(&asm.cy, &asm.dy))
     }
 
     #[test]

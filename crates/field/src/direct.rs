@@ -1,6 +1,6 @@
 //! Exact superposition evaluation of equation (9).
 
-use crate::field::{FieldSolver, ForceField};
+use crate::field::ForceField;
 use crate::map::ScalarMap;
 
 /// Evaluates the closed-form integral of equation (9) as a discrete
@@ -27,10 +27,11 @@ impl DirectSolver {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl FieldSolver for DirectSolver {
-    fn solve(&self, density: &ScalarMap) -> ForceField {
+    /// Computes the (unscaled, `k = 1`) force field of a density map by
+    /// the superposition sum above.
+    #[must_use]
+    pub fn solve(&self, density: &ScalarMap) -> ForceField {
         let nx = density.nx();
         let ny = density.ny();
         let region = density.region();
@@ -71,10 +72,6 @@ impl FieldSolver for DirectSolver {
             }
         }
         ForceField::new(fx, fy)
-    }
-
-    fn name(&self) -> &'static str {
-        "direct"
     }
 }
 

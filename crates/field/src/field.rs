@@ -1,4 +1,4 @@
-//! The force field abstraction and solver trait.
+//! The force field the solvers produce.
 
 use crate::map::ScalarMap;
 use kraftwerk_geom::{Point, Rect, Vector};
@@ -125,21 +125,6 @@ impl ForceField {
         let dfx_dy = (self.fx.get(ix, iy + 1) - self.fx.get(ix, iy - 1)) / (2.0 * self.fx.dy());
         dfy_dx - dfx_dy
     }
-}
-
-/// Computes the additional-force field from a density deviation map.
-///
-/// Implementations must honour the four requirements of section 3.2:
-/// locality, density sources/sinks, zero curl, decay at infinity. The two
-/// provided implementations are [`crate::DirectSolver`] (exact
-/// superposition, the reference) and [`crate::MultigridSolver`] (fast
-/// Poisson solve, the production path).
-pub trait FieldSolver {
-    /// Computes the (unscaled, `k = 1`) force field for a density map.
-    fn solve(&self, density: &ScalarMap) -> ForceField;
-
-    /// Human-readable solver name for reports and benchmarks.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

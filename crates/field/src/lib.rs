@@ -15,8 +15,8 @@
 //! * [`ScalarMap`] — a bin grid over a rectangular region;
 //! * [`density_map`] — the supply/demand density `D` of equation (4),
 //!   exact rectangle-overlap binning of cell area minus the scaled supply;
-//! * [`FieldSolver`] implementations: [`MultigridSolver`] solves the
-//!   Poisson problem with a geometric multigrid V-cycle on a padded
+//! * two solvers that turn `D` into forces: [`MultigridSolver`] solves
+//!   the Poisson problem with a geometric multigrid V-cycle on a padded
 //!   domain (the placer's only field solve), and [`DirectSolver`]
 //!   evaluates the superposition sum of equation (9) exactly
 //!   (`O(bins²)`, the reference the multigrid tests and ablation A1
@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use kraftwerk_field::{density_map, DirectSolver, FieldSolver};
+//! use kraftwerk_field::{density_map, DirectSolver};
 //! use kraftwerk_netlist::synth::{generate, SynthConfig};
 //!
 //! let nl = generate(&SynthConfig::with_size("demo", 64, 80, 4));
@@ -51,7 +51,7 @@ mod map;
 mod multigrid;
 
 pub use direct::DirectSolver;
-pub use field::{FieldSolver, ForceField};
+pub use field::ForceField;
 pub use map::{
     density_map, density_map_into, largest_empty_square, occupancy_map, svg_heatmap,
     DensityScratch, ScalarMap,

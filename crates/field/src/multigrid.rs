@@ -8,7 +8,7 @@
 //! the tests and the ablation bench). The force is the gradient
 //! `f = ∇Φ` evaluated with central differences.
 
-use crate::field::{FieldSolver, ForceField};
+use crate::field::ForceField;
 use crate::grid::{self, SavedSolve, SolveGrid};
 use crate::map::ScalarMap;
 
@@ -521,7 +521,17 @@ fn vcycle(
 }
 
 impl MultigridSolver {
-    /// In-place variant of [`FieldSolver::solve`]: the same V-cycle
+    /// Computes the (unscaled, `k = 1`) force field of a density map: an
+    /// allocating wrapper around [`solve_reusing`](Self::solve_reusing)
+    /// with a fresh workspace.
+    #[must_use]
+    pub fn solve(&self, density: &ScalarMap) -> ForceField {
+        let mut out = ForceField::zeros(density.region(), density.nx(), density.ny());
+        self.solve_reusing(density, &mut MultigridWorkspace::default(), &mut out);
+        out
+    }
+
+    /// In-place variant of [`solve`](Self::solve): the same V-cycle
     /// iteration, but every grid buffer comes from `ws` and the force
     /// field is written into `out` (re-shaped to the density grid). Bin
     /// values are bitwise identical to the allocating path.
@@ -604,18 +614,6 @@ impl MultigridSolver {
             return None;
         }
         Some(grid::sample_potential(&ws.phi, &saved.grid, density))
-    }
-}
-
-impl FieldSolver for MultigridSolver {
-    fn solve(&self, density: &ScalarMap) -> ForceField {
-        let mut out = ForceField::zeros(density.region(), density.nx(), density.ny());
-        self.solve_reusing(density, &mut MultigridWorkspace::default(), &mut out);
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "multigrid"
     }
 }
 
@@ -1193,12 +1191,6 @@ mod tests {
         assert!(f.max_magnitude() > 0.0);
         let left = f.force_at(Point::new(5.0, 2.5));
         assert!(left.x < 0.0, "expected push to the left, got {left}");
-    }
-
-    #[test]
-    fn solver_reports_its_name() {
-        assert_eq!(MultigridSolver::new().name(), "multigrid");
-        assert_eq!(DirectSolver::new().name(), "direct");
     }
 
     #[test]

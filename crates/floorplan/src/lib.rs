@@ -31,7 +31,7 @@
 //! # Ok::<(), kraftwerk_floorplan::FloorplanError>(())
 //! ```
 
-use kraftwerk_core::{GlobalPlacer, KraftwerkConfig};
+use kraftwerk_core::{GlobalPlacer, KraftwerkConfig, KraftwerkError};
 use kraftwerk_geom::{Point, Rect, Vector};
 use kraftwerk_legalize::{check_legality, legalize, refine, LegalizeError};
 use kraftwerk_netlist::{metrics, CellId, CellKind, Netlist, Placement};
@@ -42,6 +42,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FloorplanError {
+    /// The global placer rejected the netlist (it failed validation) or
+    /// its run failed before any usable placement existed.
+    Placement(KraftwerkError),
     /// Standard cells could not be legalized around the blocks.
     Legalize(LegalizeError),
     /// Block area exceeds the core area.
@@ -51,6 +54,7 @@ pub enum FloorplanError {
 impl fmt::Display for FloorplanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FloorplanError::Placement(e) => write!(f, "global placement failed: {e}"),
             FloorplanError::Legalize(e) => write!(f, "cell legalization failed: {e}"),
             FloorplanError::BlocksDoNotFit => write!(f, "blocks exceed the core area"),
         }
@@ -65,9 +69,9 @@ impl From<LegalizeError> for FloorplanError {
     }
 }
 
-impl From<FloorplanError> for kraftwerk_core::KraftwerkError {
+impl From<FloorplanError> for KraftwerkError {
     fn from(e: FloorplanError) -> Self {
-        kraftwerk_core::KraftwerkError::Floorplan(e.to_string())
+        KraftwerkError::Floorplan(e.to_string())
     }
 }
 
@@ -110,8 +114,9 @@ pub struct MixedResult {
 ///
 /// # Errors
 ///
-/// Returns [`FloorplanError`] when blocks cannot fit the core or the cell
-/// legalizer runs out of row capacity.
+/// Returns [`FloorplanError`] when blocks cannot fit the core, the global
+/// placer rejects the netlist or fails, or the cell legalizer runs out of
+/// row capacity.
 pub fn place_mixed(netlist: &Netlist, config: &MixedPlaceConfig) -> Result<MixedResult, FloorplanError> {
     let blocks: Vec<CellId> = netlist
         .cells()
@@ -124,7 +129,10 @@ pub fn place_mixed(netlist: &Netlist, config: &MixedPlaceConfig) -> Result<Mixed
     }
 
     // 1. Global placement, blocks and cells together.
-    let global = GlobalPlacer::new(config.placer.clone()).place(netlist).placement;
+    let global = GlobalPlacer::new(config.placer.clone())
+        .try_place(netlist)
+        .map_err(FloorplanError::Placement)?
+        .placement;
 
     // 2. Block legalization: cheap push-apart first (tiny displacements),
     //    greedy candidate packing as the fallback for dense mixes.
@@ -395,6 +403,32 @@ mod tests {
             place_mixed(&nl, &MixedPlaceConfig::default()).unwrap_err(),
             FloorplanError::BlocksDoNotFit
         );
+    }
+
+    #[test]
+    fn netlists_the_placer_rejects_are_errors_not_panics() {
+        let two_cells = |core: Rect, offset: Vector| {
+            let mut b = NetlistBuilder::new();
+            b.core_region(core);
+            let a = b.add_cell("a", kraftwerk_geom::Size::new(1.0, 1.0));
+            let c = b.add_cell("c", kraftwerk_geom::Size::new(1.0, 1.0));
+            b.add_weighted_net(
+                "n",
+                1.0,
+                [(a, offset, PinDirection::Output), (c, Vector::ZERO, PinDirection::Input)],
+            );
+            b.build().unwrap()
+        };
+        let nan_pin = two_cells(Rect::new(0.0, 0.0, 10.0, 10.0), Vector::new(f64::NAN, 0.0));
+        let zero_width_core = two_cells(Rect::new(0.0, 0.0, 0.0, 10.0), Vector::ZERO);
+        for nl in [nan_pin, zero_width_core] {
+            let err = place_mixed(&nl, &MixedPlaceConfig::default()).unwrap_err();
+            assert!(
+                matches!(err, FloorplanError::Placement(KraftwerkError::Validation(_))),
+                "{err}"
+            );
+            assert_eq!(KraftwerkError::from(err).exit_code(), 8);
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point in the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,
@@ -38,7 +37,6 @@ pub struct Point {
 
 /// A displacement in the plane. Also used for forces.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     /// Horizontal component.
     pub x: f64,
@@ -48,7 +46,6 @@ pub struct Vector {
 
 /// Width/height pair of an axis-aligned box.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Size {
     /// Horizontal extent.
     pub width: f64,
@@ -60,7 +57,6 @@ pub struct Size {
 /// corners. Invariant: `x_lo <= x_hi` and `y_lo <= y_hi` for rectangles
 /// built through [`Rect::new`]; degenerate (zero-area) rectangles are valid.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Left edge.
     pub x_lo: f64,

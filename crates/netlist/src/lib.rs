@@ -42,7 +42,6 @@ mod validate;
 pub mod format;
 pub mod metrics;
 pub mod stats;
-pub mod steiner;
 pub mod synth;
 
 pub use builder::{BuildError, NetlistBuilder};

@@ -3,15 +3,11 @@
 
 use crate::csr::CsrMatrix;
 use crate::dilu::{distance_squared, DiluFactor};
-use crate::vecops::norm2;
 use std::error::Error;
 use std::fmt;
 
-/// Why a linear solve could not be attempted (or trusted).
-///
-/// Produced by the checked entry point [`try_solve_with`]. The asserting
-/// wrappers ([`solve`], [`solve_with`]) keep panicking on the same
-/// conditions for callers that guarantee their invariants statically.
+/// Why a linear solve could not be attempted (or trusted), as returned
+/// by [`try_solve_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SolverError {
@@ -59,13 +55,13 @@ impl SolverError {
     }
 }
 
-/// Convergence controls for [`solve`].
+/// Convergence controls for [`try_solve_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgOptions {
     /// Iteration cap; the solver returns the best iterate when reached.
     pub max_iterations: usize,
     /// Converged when the split residual satisfies
-    /// `||r̂|| <= rel_tolerance * ||b̂||` (see [`solve`]).
+    /// `||r̂|| <= rel_tolerance * ||b̂||` (see [`try_solve_with`]).
     pub rel_tolerance: f64,
     /// Converged when `||r̂|| <= abs_tolerance` regardless of `||b̂||`.
     pub abs_tolerance: f64,
@@ -81,22 +77,8 @@ impl Default for CgOptions {
     }
 }
 
-/// Outcome of a conjugate gradient run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgResult {
-    /// The (approximate) solution.
-    pub x: Vec<f64>,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Final residual norm `||b - A x||`.
-    pub residual_norm: f64,
-    /// Whether the split residual met a tolerance before the iteration
-    /// cap.
-    pub converged: bool,
-}
-
-/// Outcome of a workspace-based solve ([`solve_with`]); the solution
-/// itself stays in the workspace.
+/// Outcome of a [`try_solve_with`] call; the solution itself stays in
+/// the workspace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgStats {
     /// Iterations performed.
@@ -108,7 +90,7 @@ pub struct CgStats {
     pub converged: bool,
 }
 
-/// Reusable storage for [`solve_with`]: the iterate plus the four
+/// Reusable storage for [`try_solve_with`]: the iterate plus the four
 /// auxiliary vectors of the split iteration. Keep one per axis in the
 /// session arena and the steady-state solve allocates nothing.
 #[derive(Debug, Clone, Default)]
@@ -131,7 +113,8 @@ impl CgWorkspace {
         Self::default()
     }
 
-    /// The solution of the most recent [`solve_with`] call.
+    /// The solution of the most recent successful [`try_solve_with`]
+    /// call.
     #[must_use]
     pub fn solution(&self) -> &[f64] {
         &self.x
@@ -191,71 +174,23 @@ fn emit_solve_event(dim: usize, stats: &CgStats, trajectory: Vec<f64>) {
 /// The iteration runs on the split system `Â x̂ = b̂` of the factor (see
 /// [`DiluFactor`]) and stops when the split residual satisfies
 /// `‖r̂‖ ≤ max(rel_tolerance · ‖b̂‖, abs_tolerance)`; the reported
-/// residual is the true `‖b − A x‖`.
-///
-/// Allocating convenience wrapper around [`solve_with`].
-///
-/// # Panics
-///
-/// Panics if `b` or `x0` lengths differ from the matrix dimension, or if
-/// `factor` was built for a matrix of another shape.
-#[must_use]
-pub fn solve(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    factor: &DiluFactor,
-    options: &CgOptions,
-) -> CgResult {
-    let mut ws = CgWorkspace::new();
-    let stats = solve_with(a, b, x0, factor, options, &mut ws);
-    CgResult {
-        x: std::mem::take(&mut ws.x),
-        iterations: stats.iterations,
-        residual_norm: stats.residual_norm,
-        converged: stats.converged,
-    }
-}
-
-/// [`solve`] on caller-owned storage: the iterate and every auxiliary
+/// residual is the true `‖b − A x‖`. The iterate and every auxiliary
 /// vector live in `ws`, so repeated solves (one per placement
-/// transformation per axis) perform no heap allocation after the first.
-/// The solution is left in [`CgWorkspace::solution`].
+/// transformation per axis) allocate nothing after the first; the
+/// solution is left in [`CgWorkspace::solution`].
 ///
-/// # Panics
-///
-/// Panics if `b` or `x0` lengths differ from the matrix dimension, or if
-/// `factor` was built for a matrix of another shape.
-pub fn solve_with(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    factor: &DiluFactor,
-    options: &CgOptions,
-    ws: &mut CgWorkspace,
-) -> CgStats {
-    let n = a.dim();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    if let Some(x0) = x0 {
-        assert_eq!(x0.len(), n, "x0 length mismatch");
-    }
-    assert_eq!(factor.mismatch(a), None, "factor shape mismatch");
-    cg_inner(a, b, x0, factor, options, ws)
-}
-
-/// Checked variant of [`solve_with`]: validates vector lengths and
-/// rejects non-finite inputs instead of panicking or silently iterating
-/// on garbage. This is the entry point the panic-free placement pipeline
-/// uses; any `Err` leaves the workspace's previous solution untouched.
+/// The inputs are checked before any arithmetic, so a bad input is
+/// returned as an error instead of panicking or silently iterating on
+/// garbage; any `Err` leaves the workspace's previous solution untouched.
 ///
 /// # Errors
 ///
 /// Returns [`SolverError::DimensionMismatch`] when `b` or `x0` lengths
 /// differ from the matrix dimension or `factor` was built for a matrix of
 /// another shape (`what: "factor"`), and [`SolverError::NonFinite`] when
-/// either vector contains NaN/infinite entries (detected via the vector
-/// norm, which also flags entries large enough to overflow it — such a
-/// system cannot be solved in `f64` either way).
+/// either vector contains NaN/infinite entries or entries so large that
+/// the sum of their squares overflows (such a system cannot be solved in
+/// `f64` either way).
 pub fn try_solve_with(
     a: &CsrMatrix,
     b: &[f64],
@@ -268,14 +203,14 @@ pub fn try_solve_with(
     if b.len() != n {
         return Err(SolverError::DimensionMismatch { what: "rhs", expected: n, got: b.len() });
     }
-    if !norm2(b).is_finite() {
+    if !squares_sum_finite(b) {
         return Err(SolverError::NonFinite { what: "rhs" });
     }
     if let Some(x0) = x0 {
         if x0.len() != n {
             return Err(SolverError::DimensionMismatch { what: "x0", expected: n, got: x0.len() });
         }
-        if !norm2(x0).is_finite() {
+        if !squares_sum_finite(x0) {
             return Err(SolverError::NonFinite { what: "x0" });
         }
     }
@@ -285,8 +220,14 @@ pub fn try_solve_with(
     Ok(cg_inner(a, b, x0, factor, options, ws))
 }
 
-/// The split-preconditioned CG iteration shared by [`solve_with`] and
-/// [`try_solve_with`]; inputs are assumed checked.
+/// Whether `Σ vᵢ²` is finite: false for NaN or infinite entries and for
+/// entries large enough that the sum overflows.
+fn squares_sum_finite(v: &[f64]) -> bool {
+    v.iter().map(|x| x * x).sum::<f64>().is_finite()
+}
+
+/// The split-preconditioned CG iteration of [`try_solve_with`]; inputs
+/// are checked.
 ///
 /// The iterate is kept in the original space: `x̂ += α p̂` is applied as
 /// `x += α t` with the backward sweep `t = (D̃+U)⁻¹ S p̂` the product
@@ -373,81 +314,98 @@ fn cg_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{CooMatrix, CsrBuildScratch, SymmetricStaging};
-    use crate::vecops::{axpy, dot, xpby};
+    use crate::csr::tests::staged;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     /// The Jacobi-preconditioned CG loop the DILU solver replaced (`M =
     /// diag(A)`, stopping on the unpreconditioned residual): the reference
-    /// the comparisons below measure against.
-    fn jacobi_reference(a: &CsrMatrix, b: &[f64], options: &CgOptions) -> CgResult {
+    /// the comparisons below measure against. Returns the solution, the
+    /// iteration count and whether it converged.
+    fn jacobi_reference(
+        a: &CsrMatrix,
+        b: &[f64],
+        options: &CgOptions,
+    ) -> (Vec<f64>, usize, bool) {
         let n = a.dim();
         let inv: Vec<f64> = a
             .diagonal()
             .iter()
             .map(|&d| if d > f64::MIN_POSITIVE { 1.0 / d } else { 1.0 })
             .collect();
+        let dot = |u: &[f64], v: &[f64]| u.iter().zip(v).map(|(x, y)| x * y).sum::<f64>();
         let mut x = vec![0.0; n];
         let mut r = b.to_vec();
         let mut z: Vec<f64> = r.iter().zip(&inv).map(|(r, d)| r * d).collect();
         let mut p = z.clone();
         let mut ap = vec![0.0; n];
         let mut rz = dot(&r, &z);
-        let threshold = (options.rel_tolerance * norm2(b)).max(options.abs_tolerance);
-        let mut residual = norm2(&r);
+        let threshold = (options.rel_tolerance * dot(b, b).sqrt()).max(options.abs_tolerance);
+        let mut residual = dot(&r, &r).sqrt();
         let mut iterations = 0;
         while residual > threshold && iterations < options.max_iterations {
             iterations += 1;
             a.spmv(&p, &mut ap);
             let alpha = rz / dot(&p, &ap);
-            axpy(alpha, &p, &mut x);
-            axpy(-alpha, &ap, &mut r);
-            residual = norm2(&r);
             for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
                 z[i] = r[i] * inv[i];
             }
+            residual = dot(&r, &r).sqrt();
             let rz_next = dot(&r, &z);
-            xpby(&z, rz_next / rz, &mut p);
+            for i in 0..n {
+                p[i] = z[i] + rz_next / rz * p[i];
+            }
             rz = rz_next;
         }
-        CgResult { x, iterations, residual_norm: residual, converged: residual <= threshold }
+        (x, iterations, residual <= threshold)
     }
 
-    fn dilu(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, options: &CgOptions) -> CgResult {
-        solve(a, b, x0, &DiluFactor::from_matrix(a), options)
+    /// Solves with a fresh workspace and the system's own factor: the
+    /// stats and the solution.
+    fn dilu(
+        a: &CsrMatrix,
+        b: &[f64],
+        x0: Option<&[f64]>,
+        options: &CgOptions,
+    ) -> (CgStats, Vec<f64>) {
+        let mut ws = CgWorkspace::new();
+        let stats = try_solve_with(a, b, x0, &DiluFactor::from_matrix(a), options, &mut ws)
+            .expect("valid inputs");
+        (stats, ws.x)
     }
 
     /// 1-D Laplacian with Dirichlet ends — the classic SPD test matrix and
     /// exactly the structure of a chain of 2-pin nets anchored at pads.
     fn laplacian(n: usize) -> CsrMatrix {
-        let mut coo = CooMatrix::new(n);
-        for i in 0..n {
-            coo.push(i, i, 2.0);
-            if i + 1 < n {
-                coo.push_sym(i, i + 1, -1.0);
+        staged(n, |st| {
+            for i in 0..n {
+                st.add_diagonal(i, 2.0);
+                if i + 1 < n {
+                    st.add_coupling(i, i + 1, -1.0);
+                }
             }
-        }
-        coo.into_csr()
+        })
     }
 
     /// 2-D 5-point Laplacian on an `m × m` mesh with Dirichlet borders —
     /// the structure of placement matrices.
     fn mesh_laplacian(m: usize) -> CsrMatrix {
-        let mut coo = CooMatrix::new(m * m);
-        for y in 0..m {
-            for x in 0..m {
-                let i = y * m + x;
-                coo.push(i, i, 4.0);
-                if x + 1 < m {
-                    coo.push_sym(i, i + 1, -1.0);
-                }
-                if y + 1 < m {
-                    coo.push_sym(i, i + m, -1.0);
+        staged(m * m, |st| {
+            for y in 0..m {
+                for x in 0..m {
+                    let i = y * m + x;
+                    st.add_diagonal(i, 4.0);
+                    if x + 1 < m {
+                        st.add_coupling(i, i + 1, -1.0);
+                    }
+                    if y + 1 < m {
+                        st.add_coupling(i, i + m, -1.0);
+                    }
                 }
             }
-        }
-        coo.into_csr()
+        })
     }
 
     /// A system staged the way quadratic placement stages one: `cells`
@@ -456,35 +414,35 @@ mod tests {
     /// placer's weak per-cell anchor.
     fn placement_system(cells: usize, seed: u64) -> CsrMatrix {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut st = SymmetricStaging::default();
-        st.reset(cells);
-        for _ in 0..cells * 6 / 5 {
-            let k = rng.gen_range(2..=5usize);
-            let w = 1.0 / (k - 1) as f64;
-            let center = rng.gen_range(0..cells);
-            let pins: Vec<Option<usize>> = (0..k)
-                .map(|_| (rng.gen_range(0..20u32) > 0).then(|| (center + rng.gen_range(0..64)) % cells))
-                .collect();
-            for (a, pa) in pins.iter().enumerate() {
-                for pb in &pins[a + 1..] {
-                    match (*pa, *pb) {
-                        (Some(i), Some(j)) if i != j => {
-                            st.add_diagonal(i, w);
-                            st.add_diagonal(j, w);
-                            st.add_coupling(i, j, -w);
+        staged(cells, |st| {
+            for _ in 0..cells * 6 / 5 {
+                let k = rng.gen_range(2..=5usize);
+                let w = 1.0 / (k - 1) as f64;
+                let center = rng.gen_range(0..cells);
+                let pins: Vec<Option<usize>> = (0..k)
+                    .map(|_| {
+                        let on_pad = rng.gen_range(0..20u32) == 0;
+                        (!on_pad).then(|| (center + rng.gen_range(0..64)) % cells)
+                    })
+                    .collect();
+                for (a, pa) in pins.iter().enumerate() {
+                    for pb in &pins[a + 1..] {
+                        match (*pa, *pb) {
+                            (Some(i), Some(j)) if i != j => {
+                                st.add_diagonal(i, w);
+                                st.add_diagonal(j, w);
+                                st.add_coupling(i, j, -w);
+                            }
+                            (Some(i), None) | (None, Some(i)) => st.add_diagonal(i, w),
+                            _ => {}
                         }
-                        (Some(i), None) | (None, Some(i)) => st.add_diagonal(i, w),
-                        _ => {}
                     }
                 }
             }
-        }
-        for i in 0..cells {
-            st.add_diagonal(i, 1e-6);
-        }
-        let mut csr = CsrMatrix::default();
-        csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
-        csr
+            for i in 0..cells {
+                st.add_diagonal(i, 1e-6);
+            }
+        })
     }
 
     fn smooth_rhs(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>) {
@@ -500,9 +458,9 @@ mod tests {
         for a in [laplacian(50), mesh_laplacian(20)] {
             let n = a.dim();
             let (x_true, b) = smooth_rhs(&a);
-            let result = dilu(&a, &b, None, &CgOptions::default());
-            assert!(result.converged, "n = {n}: {result:?}");
-            for (xi, ti) in result.x.iter().zip(&x_true) {
+            let (stats, x) = dilu(&a, &b, None, &CgOptions::default());
+            assert!(stats.converged, "n = {n}: {stats:?}");
+            for (xi, ti) in x.iter().zip(&x_true) {
                 assert!((xi - ti).abs() < 1e-6, "n = {n}: {xi} vs {ti}");
             }
         }
@@ -519,18 +477,19 @@ mod tests {
             ("placement", placement_system(2000, 7)),
         ] {
             let (_, b) = smooth_rhs(&a);
-            let reference = jacobi_reference(&a, &b, &options);
-            let result = dilu(&a, &b, None, &options);
-            assert!(reference.converged && result.converged, "{name}");
-            let scale = reference.x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            for (xi, ri) in result.x.iter().zip(&reference.x) {
+            let (reference, reference_iterations, reference_converged) =
+                jacobi_reference(&a, &b, &options);
+            let (stats, x) = dilu(&a, &b, None, &options);
+            assert!(reference_converged && stats.converged, "{name}");
+            let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (xi, ri) in x.iter().zip(&reference) {
                 assert!((xi - ri).abs() <= 1e-6 * scale, "{name}: {xi} vs {ri}");
             }
             assert!(
-                2 * result.iterations < reference.iterations,
+                2 * stats.iterations < reference_iterations,
                 "{name}: DILU {} vs Jacobi {} iterations",
-                result.iterations,
-                reference.iterations
+                stats.iterations,
+                reference_iterations
             );
         }
     }
@@ -545,7 +504,8 @@ mod tests {
         let run = |threads: usize| {
             kraftwerk_par::set_threads(threads);
             let mut ws = CgWorkspace::new();
-            let stats = solve_with(&a, &b, Some(&x0), &factor, &CgOptions::default(), &mut ws);
+            let stats =
+                try_solve_with(&a, &b, Some(&x0), &factor, &CgOptions::default(), &mut ws).unwrap();
             (stats, ws.solution().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
         let (stats, bits) = run(1);
@@ -565,29 +525,35 @@ mod tests {
         let x_true: Vec<f64> = (0..a.dim()).map(|i| i as f64).collect();
         let mut b = vec![0.0; a.dim()];
         a.spmv(&x_true, &mut b);
-        let result = dilu(&a, &b, Some(&x_true), &CgOptions::default());
-        assert!(result.converged);
-        assert_eq!(result.iterations, 0);
-        assert_eq!(result.x, x_true);
+        let (stats, x) = dilu(&a, &b, Some(&x_true), &CgOptions::default());
+        assert!(stats.converged);
+        assert_eq!(stats.iterations, 0);
+        assert_eq!(x, x_true);
     }
 
     #[test]
-    fn solve_with_matches_solve_and_reuses_the_workspace() {
+    fn a_reused_workspace_gives_a_fresh_workspaces_bits_without_growing() {
         let a = mesh_laplacian(8);
         let b: Vec<f64> = (0..a.dim()).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
         let factor = DiluFactor::from_matrix(&a);
-        let reference = solve(&a, &b, None, &factor, &CgOptions::default());
+        let opts = CgOptions::default();
+        let (fresh, x) = dilu(&a, &b, None, &opts);
+        // The workspace first solves a larger system, so every vector
+        // holds another solve's values when this one starts.
         let mut ws = CgWorkspace::new();
-        let stats = solve_with(&a, &b, None, &factor, &CgOptions::default(), &mut ws);
-        assert_eq!(stats.iterations, reference.iterations);
-        assert_eq!(stats.converged, reference.converged);
-        assert_eq!(ws.solution(), reference.x.as_slice());
-        // A second solve in the same workspace must not reallocate.
+        let big = mesh_laplacian(9);
+        let (_, big_b) = smooth_rhs(&big);
+        let big_factor = DiluFactor::from_matrix(&big);
+        try_solve_with(&big, &big_b, None, &big_factor, &opts, &mut ws).unwrap();
         let cap = ws.capacity();
-        let again = solve_with(&a, &b, None, &factor, &CgOptions::default(), &mut ws);
-        assert_eq!(ws.capacity(), cap);
-        assert_eq!(again.residual_norm.to_bits(), stats.residual_norm.to_bits());
-        assert_eq!(ws.solution(), reference.x.as_slice());
+        for _ in 0..2 {
+            let reused = try_solve_with(&a, &b, None, &factor, &opts, &mut ws).unwrap();
+            assert_eq!(ws.capacity(), cap);
+            assert_eq!(reused.iterations, fresh.iterations);
+            assert_eq!(reused.residual_norm.to_bits(), fresh.residual_norm.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ws.solution()), bits(&x));
+        }
     }
 
     #[test]
@@ -616,38 +582,28 @@ mod tests {
             try_solve_with(&a, &b, None, &stale, &opts, &mut ws),
             Err(SolverError::DimensionMismatch { what: "factor", expected: 8, got: 9 })
         );
-        let mut coo = CooMatrix::new(8);
-        for i in 0..8 {
-            coo.push(i, i, 1.0);
-        }
-        let other_pattern = DiluFactor::from_matrix(&coo.into_csr());
+        let identity = staged(8, |st| (0..8).for_each(|i| st.add_diagonal(i, 1.0)));
+        let other_pattern = DiluFactor::from_matrix(&identity);
         assert_eq!(
             try_solve_with(&a, &b, None, &other_pattern, &opts, &mut ws),
             Err(SolverError::DimensionMismatch { what: "factor", expected: 22, got: 8 })
         );
         assert!(!SolverError::DimensionMismatch { what: "x0", expected: 8, got: 9 }
             .is_recoverable());
+        // No rejected call touched the workspace.
+        assert_eq!(ws.capacity(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "factor shape mismatch")]
-    fn solve_with_a_foreign_factor_panics() {
+    fn an_rhs_whose_norm_overflows_is_non_finite() {
+        // Every entry is finite, but Σ bᵢ² = 8e400 overflows f64.
         let a = laplacian(8);
-        let _ = solve(&a, &[1.0; 8], None, &DiluFactor::from_matrix(&laplacian(9)), &CgOptions::default());
-    }
-
-    #[test]
-    fn try_solve_with_matches_solve_with_on_valid_inputs() {
-        let a = mesh_laplacian(7);
-        let b: Vec<f64> = (0..a.dim()).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
         let factor = DiluFactor::from_matrix(&a);
-        let mut ws_a = CgWorkspace::new();
-        let mut ws_b = CgWorkspace::new();
-        let opts = CgOptions::default();
-        let plain = solve_with(&a, &b, None, &factor, &opts, &mut ws_a);
-        let checked = try_solve_with(&a, &b, None, &factor, &opts, &mut ws_b).unwrap();
-        assert_eq!(plain, checked);
-        assert_eq!(ws_a.solution(), ws_b.solution());
+        let mut ws = CgWorkspace::new();
+        assert_eq!(
+            try_solve_with(&a, &[1e200; 8], None, &factor, &CgOptions::default(), &mut ws),
+            Err(SolverError::NonFinite { what: "rhs" })
+        );
     }
 
     #[test]
@@ -659,32 +615,28 @@ mod tests {
             rel_tolerance: 1e-14,
             abs_tolerance: 0.0,
         };
-        let result = dilu(&a, &b, None, &opts);
-        assert_eq!(result.iterations, 3);
-        assert!(!result.converged);
+        let (stats, _) = dilu(&a, &b, None, &opts);
+        assert_eq!(stats.iterations, 3);
+        assert!(!stats.converged);
     }
 
     #[test]
     fn indefinite_direction_breaks_gracefully() {
         // -I is negative definite; every pivot falls back to 1 and CG
         // must bail out without NaNs.
-        let mut coo = CooMatrix::new(3);
-        for i in 0..3 {
-            coo.push(i, i, -1.0);
-        }
-        let a = coo.into_csr();
-        let result = dilu(&a, &[1.0, 1.0, 1.0], None, &CgOptions::default());
-        assert!(result.x.iter().all(|v| v.is_finite()));
-        assert!(!result.converged);
+        let a = staged(3, |st| (0..3).for_each(|i| st.add_diagonal(i, -1.0)));
+        let (stats, x) = dilu(&a, &[1.0, 1.0, 1.0], None, &CgOptions::default());
+        assert!(x.iter().all(|v| v.is_finite()));
+        assert!(!stats.converged);
     }
 
     #[test]
     fn zero_rhs_returns_zero() {
         let a = mesh_laplacian(4);
-        let result = dilu(&a, &[0.0; 16], None, &CgOptions::default());
-        assert!(result.converged);
-        assert_eq!(result.iterations, 0);
-        assert!(result.x.iter().all(|&v| v == 0.0));
+        let (stats, x) = dilu(&a, &[0.0; 16], None, &CgOptions::default());
+        assert!(stats.converged);
+        assert_eq!(stats.iterations, 0);
+        assert!(x.iter().all(|&v| v == 0.0));
     }
 
     proptest! {
@@ -699,28 +651,28 @@ mod tests {
             let bmat: Vec<Vec<f64>> = (0..n)
                 .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
                 .collect();
-            let mut coo = CooMatrix::new(n);
-            for i in 0..n {
-                for j in 0..n {
-                    let mut v = 0.0;
-                    for k in 0..n {
-                        v += bmat[k][i] * bmat[k][j];
-                    }
-                    if i == j {
-                        v += 1.0;
-                    }
-                    if v != 0.0 {
-                        coo.push(i, j, v);
+            let a = staged(n, |st| {
+                for i in 0..n {
+                    for j in i..n {
+                        let mut v = 0.0;
+                        for k in 0..n {
+                            v += bmat[k][i] * bmat[k][j];
+                        }
+                        if i == j {
+                            st.add_diagonal(i, v + 1.0);
+                        } else {
+                            st.add_coupling(i, j, v);
+                        }
                     }
                 }
-            }
-            let a = coo.into_csr();
+            });
             let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
             let mut b = vec![0.0; n];
             a.spmv(&x_true, &mut b);
-            let result = dilu(&a, &b, None, &CgOptions { max_iterations: 500, ..CgOptions::default() });
-            prop_assert!(result.converged, "did not converge: {:?}", result.residual_norm);
-            for (xi, ti) in result.x.iter().zip(&x_true) {
+            let options = CgOptions { max_iterations: 500, ..CgOptions::default() };
+            let (stats, x) = dilu(&a, &b, None, &options);
+            prop_assert!(stats.converged, "did not converge: {:?}", stats.residual_norm);
+            for (xi, ti) in x.iter().zip(&x_true) {
                 prop_assert!((xi - ti).abs() < 1e-4, "{} vs {}", xi, ti);
             }
         }
@@ -731,14 +683,14 @@ mod tests {
             let a = mesh_laplacian(4);
             let n = a.dim();
             let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let result = dilu(&a, &b, None, &CgOptions::default());
+            let (stats, x) = dilu(&a, &b, None, &CgOptions::default());
             let mut ax = vec![0.0; n];
-            a.spmv(&result.x, &mut ax);
+            a.spmv(&x, &mut ax);
             let mut r = 0.0f64;
             for i in 0..n {
                 r += (b[i] - ax[i]).powi(2);
             }
-            prop_assert!((r.sqrt() - result.residual_norm).abs() < 1e-8);
+            prop_assert!((r.sqrt() - stats.residual_norm).abs() < 1e-8);
         }
     }
 }

@@ -1,116 +1,16 @@
-//! Coordinate-format and symmetric staging for assembly, and
-//! compressed-sparse-row storage built from either.
+//! Symmetric staging for assembly, and compressed-sparse-row storage
+//! built from it.
 
 use std::fmt;
-
-/// A square sparse matrix under assembly in coordinate (triplet) format.
-///
-/// Duplicate entries are *accumulated* when converting to CSR, which is
-/// exactly what clique-model assembly wants: every net contributes
-/// `-w` off-diagonals and `+w` diagonal terms that simply add up.
-#[derive(Debug, Clone, Default)]
-pub struct CooMatrix {
-    n: usize,
-    rows: Vec<u32>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-}
-
-impl CooMatrix {
-    /// Creates an empty `n x n` assembly buffer.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            rows: Vec::new(),
-            cols: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    /// Creates an assembly buffer with a capacity hint for the expected
-    /// number of triplets.
-    #[must_use]
-    pub fn with_capacity(n: usize, nnz: usize) -> Self {
-        Self {
-            n,
-            rows: Vec::with_capacity(nnz),
-            cols: Vec::with_capacity(nnz),
-            vals: Vec::with_capacity(nnz),
-        }
-    }
-
-    /// Matrix dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of triplets pushed so far (before duplicate accumulation).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Whether no triplet has been pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
-    }
-
-    /// Adds `value` at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` or `col` is out of bounds.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.n && col < self.n, "triplet ({row},{col}) out of bounds for n={}", self.n);
-        self.rows.push(row as u32);
-        self.cols.push(col as u32);
-        self.vals.push(value);
-    }
-
-    /// Adds a symmetric off-diagonal pair: `value` at `(i, j)` **and**
-    /// `(j, i)`. For `i == j` the value is added once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn push_sym(&mut self, i: usize, j: usize, value: f64) {
-        self.push(i, j, value);
-        if i != j {
-            self.push(j, i, value);
-        }
-    }
-
-    /// Drops all triplets and re-dimensions the buffer, keeping the
-    /// allocated capacity — the arena path re-assembles into the same
-    /// buffer every placement transformation.
-    pub fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.rows.clear();
-        self.cols.clear();
-        self.vals.clear();
-    }
-
-    /// Converts to CSR, accumulating duplicates and dropping exact zeros
-    /// that result from cancellation.
-    #[must_use]
-    pub fn into_csr(self) -> CsrMatrix {
-        let mut csr = CsrMatrix::default();
-        csr.rebuild_from_entries(&self, &mut CsrBuildScratch::default());
-        csr
-    }
-}
 
 /// A symmetric matrix under assembly: a dense diagonal plus one
 /// `(i, j, value)` entry per off-diagonal coupling, mirrored into both
 /// triangles only when the CSR is built.
 ///
 /// Quadratic placement adds every two-point connection as `+w` on two
-/// diagonal entries and `-w` on a symmetric pair; in COO form that is
-/// four triplets to stage and sort, here it is two dense additions and
-/// one staged coupling.
+/// diagonal entries and `-w` on a symmetric pair: two dense additions and
+/// one staged coupling, where a triplet format would stage and sort four
+/// entries.
 #[derive(Debug, Clone, Default)]
 pub struct SymmetricStaging {
     diag: Vec<f64>,
@@ -156,43 +56,11 @@ impl SymmetricStaging {
     pub fn diagonal_total(&self) -> f64 {
         self.diag_total
     }
-}
 
-/// A source of `(row, col, value)` entries for the shared CSR build.
-/// `for_each` must visit the same entries in the same order every call.
-trait Entries {
-    fn dim(&self) -> usize;
-    fn len(&self) -> usize;
-    fn for_each(&self, f: impl FnMut(usize, u32, f64));
-}
-
-impl Entries for CooMatrix {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn len(&self) -> usize {
-        self.vals.len()
-    }
-
-    fn for_each(&self, mut f: impl FnMut(usize, u32, f64)) {
-        for ((&r, &c), &v) in self.rows.iter().zip(&self.cols).zip(&self.vals) {
-            f(r as usize, c, v);
-        }
-    }
-}
-
-impl Entries for SymmetricStaging {
-    fn dim(&self) -> usize {
-        self.diag.len()
-    }
-
-    fn len(&self) -> usize {
-        self.diag.len() + 2 * self.couplings.len()
-    }
-
-    /// The diagonal first, then every coupling mirrored.
-    fn for_each(&self, mut f: impl FnMut(usize, u32, f64)) {
+    /// Every `(row, col, value)` entry of the mirrored matrix: the
+    /// diagonal first, then each coupling in both orientations. The CSR
+    /// build visits them twice and relies on the same order each time.
+    fn for_each_entry(&self, mut f: impl FnMut(usize, u32, f64)) {
         for (i, &v) in self.diag.iter().enumerate() {
             f(i, i as u32, v);
         }
@@ -269,29 +137,24 @@ impl CsrMatrix {
     }
 
     /// Rebuilds this matrix in place from a symmetric staging: the dense
-    /// diagonal plus every coupling mirrored into both triangles, with
-    /// the same duplicate accumulation and zero dropping as
-    /// [`CooMatrix::into_csr`], but reusing both this matrix's storage and
-    /// the caller's scratch buffers, so steady-state re-assembly allocates
-    /// nothing.
+    /// diagonal plus every coupling mirrored into both triangles. A
+    /// counting sort buckets the entries by row; each row is then sorted
+    /// by column, duplicates are summed and exact zeros (from
+    /// cancellation, or a diagonal nothing was added to) are dropped. The
+    /// build reuses both this matrix's storage and the caller's scratch
+    /// buffers, so steady-state re-assembly allocates nothing.
     pub fn rebuild_from_staging(&mut self, staging: &SymmetricStaging, ws: &mut CsrBuildScratch) {
-        self.rebuild_from_entries(staging, ws);
-    }
-
-    /// The shared build: counting sort by row, then per row a sort by
-    /// column that merges duplicates and drops exact zeros.
-    fn rebuild_from_entries(&mut self, src: &impl Entries, ws: &mut CsrBuildScratch) {
         let CsrBuildScratch {
             row_counts,
             cursor,
             order,
         } = ws;
-        let n = src.dim();
-        let nnz = src.len();
+        let n = staging.diag.len();
+        let nnz = n + 2 * staging.couplings.len();
         // Counting sort by row.
         row_counts.clear();
         row_counts.resize(n + 1, 0);
-        src.for_each(|r, _, _| row_counts[r + 1] += 1);
+        staging.for_each_entry(|r, _, _| row_counts[r + 1] += 1);
         for i in 0..n {
             row_counts[i + 1] += row_counts[i];
         }
@@ -299,7 +162,7 @@ impl CsrMatrix {
         order.resize(nnz, (0, 0.0));
         cursor.clear();
         cursor.extend_from_slice(row_counts);
-        src.for_each(|r, c, v| {
+        staging.for_each_entry(|r, c, v| {
             let at = cursor[r];
             cursor[r] += 1;
             order[at] = (c, v);
@@ -437,52 +300,72 @@ impl fmt::Display for CsrMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
+    /// The CSR matrix of an `n × n` staging filled by `fill`.
+    pub(crate) fn staged(n: usize, fill: impl FnOnce(&mut SymmetricStaging)) -> CsrMatrix {
+        let mut st = SymmetricStaging::default();
+        st.reset(n);
+        fill(&mut st);
+        let mut csr = CsrMatrix::default();
+        csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
+        csr
+    }
+
+    /// `[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]`.
     fn example() -> CsrMatrix {
-        // [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-        let mut coo = CooMatrix::new(3);
-        coo.push(0, 0, 2.0);
-        coo.push_sym(0, 1, -1.0);
-        coo.push(1, 1, 2.0);
-        coo.push_sym(1, 2, -1.0);
-        coo.push(2, 2, 2.0);
-        coo.into_csr()
+        staged(3, |st| {
+            for i in 0..3 {
+                st.add_diagonal(i, 2.0);
+            }
+            st.add_coupling(0, 1, -1.0);
+            st.add_coupling(2, 1, -1.0);
+        })
     }
 
     #[test]
     fn assembly_accumulates_duplicates() {
-        let mut coo = CooMatrix::new(2);
-        coo.push(0, 0, 1.0);
-        coo.push(0, 0, 2.5);
-        coo.push(1, 1, 1.0);
-        let a = coo.into_csr();
+        let a = staged(2, |st| {
+            st.add_diagonal(0, 1.0);
+            st.add_diagonal(0, 2.5);
+            st.add_diagonal(1, 1.0);
+            st.add_coupling(0, 1, -0.5);
+            st.add_coupling(1, 0, -0.25);
+        });
         assert_eq!(a.get(0, 0), 3.5);
-        assert_eq!(a.nnz(), 2);
+        assert_eq!((a.get(0, 1), a.get(1, 0)), (-0.75, -0.75));
+        assert_eq!(a.nnz(), 4);
     }
 
     #[test]
     fn assembly_drops_cancelled_entries() {
-        let mut coo = CooMatrix::new(2);
-        coo.push(0, 1, 1.0);
-        coo.push(0, 1, -1.0);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 1.0);
-        let a = coo.into_csr();
+        let a = staged(2, |st| {
+            st.add_coupling(0, 1, 1.0);
+            st.add_coupling(1, 0, -1.0);
+            st.add_diagonal(0, 1.0);
+            st.add_diagonal(1, 1.0);
+        });
         assert_eq!(a.get(0, 1), 0.0);
         assert_eq!(a.nnz(), 2);
     }
 
     #[test]
-    fn push_sym_makes_symmetric_matrices() {
+    fn staging_builds_the_mirrored_matrix() {
         let a = example();
         assert_eq!(a.asymmetry(), 0.0);
-        assert_eq!(a.get(0, 1), -1.0);
-        assert_eq!(a.get(1, 0), -1.0);
-        assert_eq!(a.get(2, 0), 0.0);
+        let dense = a.to_dense();
+        assert_eq!(
+            dense,
+            vec![vec![2.0, -1.0, 0.0], vec![-1.0, 2.0, -1.0], vec![0.0, -1.0, 2.0]]
+        );
+        for r in 0..3 {
+            for c in 0..3 {
+                assert_eq!(dense[r][c], a.get(r, c));
+            }
+        }
     }
 
     #[test]
@@ -502,37 +385,19 @@ mod tests {
 
     #[test]
     fn rows_are_column_sorted() {
-        let mut coo = CooMatrix::new(3);
-        coo.push(0, 2, 3.0);
-        coo.push(0, 0, 1.0);
-        coo.push(0, 1, 2.0);
-        coo.push(1, 1, 1.0);
-        coo.push(2, 2, 1.0);
-        let a = coo.into_csr();
+        let a = staged(3, |st| {
+            st.add_coupling(0, 2, 3.0);
+            st.add_diagonal(0, 1.0);
+            st.add_coupling(1, 0, 2.0);
+            st.add_diagonal(1, 1.0);
+            st.add_diagonal(2, 1.0);
+        });
         let row0: Vec<_> = a.row(0).collect();
         assert_eq!(row0, vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
     }
 
     #[test]
-    fn to_dense_roundtrip() {
-        let a = example();
-        let d = a.to_dense();
-        for r in 0..3 {
-            for c in 0..3 {
-                assert_eq!(d[r][c], a.get(r, c));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_push_panics() {
-        let mut coo = CooMatrix::new(2);
-        coo.push(2, 0, 1.0);
-    }
-
-    #[test]
-    fn rebuild_in_place_matches_into_csr_and_reuses_buffers() {
+    fn rebuild_in_place_reuses_buffers() {
         let mut csr = CsrMatrix::default();
         let mut ws = CsrBuildScratch::default();
         let mut st = SymmetricStaging::default();
@@ -575,20 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn staging_builds_the_mirrored_matrix() {
-        let mut st = SymmetricStaging::default();
-        st.reset(3);
-        for i in 0..3 {
-            st.add_diagonal(i, 2.0);
-        }
-        st.add_coupling(0, 1, -1.0);
-        st.add_coupling(2, 1, -1.0);
-        let mut csr = CsrMatrix::default();
-        csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
-        assert_eq!(csr, example());
-    }
-
-    #[test]
     #[should_panic(expected = "invalid")]
     fn staging_rejects_a_diagonal_coupling() {
         let mut st = SymmetricStaging::default();
@@ -596,29 +447,37 @@ mod tests {
         st.add_coupling(1, 1, 1.0);
     }
 
+    #[test]
+    #[should_panic(expected = "invalid")]
+    fn staging_rejects_an_out_of_bounds_coupling() {
+        let mut st = SymmetricStaging::default();
+        st.reset(2);
+        st.add_coupling(2, 0, 1.0);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-        /// The staging build equals `CooMatrix::into_csr` of the same
-        /// entries mirrored by hand: duplicates, exact cancellation to 0
-        /// (dropped) and untouched (empty) rows included. Values are small
-        /// dyadic rationals, so every sum is exact in any order and the
-        /// matrices must compare equal bit for bit.
+        /// The staging build equals a dense `n × n` accumulation of the
+        /// same entries: duplicates summed, exact cancellation to 0
+        /// dropped, untouched rows empty, every row sorted by column.
+        /// Values are small dyadic rationals, so every sum is exact in any
+        /// order and the values must agree bit for bit.
         #[test]
-        fn prop_staging_matches_coo(seed in 0u64..10_000) {
+        fn prop_staging_matches_a_dense_accumulation(seed in 0u64..10_000) {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let n = rng.gen_range(1..14usize);
             // Only the first `touched` rows get entries; the rest stay empty.
             let touched = rng.gen_range(1..=n);
             let mut st = SymmetricStaging::default();
             st.reset(n);
-            let mut coo = CooMatrix::new(n);
+            let mut dense = vec![vec![0.0; n]; n];
             let mut total = 0.0;
             for _ in 0..rng.gen_range(0..40usize) {
                 let i = rng.gen_range(0..touched);
                 let v = f64::from(rng.gen_range(-8i32..8)) / 4.0;
                 if touched == 1 || rng.gen_range(0..10u32) < 4 {
                     st.add_diagonal(i, v);
-                    coo.push(i, i, v);
+                    dense[i][i] += v;
                     total += v;
                     continue;
                 }
@@ -627,17 +486,26 @@ mod tests {
                     j += 1;
                 }
                 st.add_coupling(i, j, v);
-                coo.push_sym(i, j, v);
+                dense[i][j] += v;
+                dense[j][i] += v;
                 if rng.gen_range(0..10u32) < 3 {
                     // The same pair cancelled exactly, in either orientation.
                     st.add_coupling(j, i, -v);
-                    coo.push_sym(j, i, -v);
+                    dense[i][j] -= v;
+                    dense[j][i] -= v;
                 }
             }
             let mut csr = CsrMatrix::default();
             csr.rebuild_from_staging(&st, &mut CsrBuildScratch::default());
-            let reference = coo.into_csr();
-            prop_assert_eq!(&csr, &reference);
+            prop_assert_eq!(csr.dim(), n);
+            prop_assert_eq!(&csr.to_dense(), &dense);
+            let stored = dense.iter().flatten().filter(|&&v| v != 0.0).count();
+            prop_assert_eq!(csr.nnz(), stored);
+            for r in 0..n {
+                let cols: Vec<usize> = csr.row(r).map(|(c, _)| c).collect();
+                let sorted = cols.windows(2).all(|w| w[0] < w[1]);
+                prop_assert!(sorted, "row {} unsorted: {:?}", r, cols);
+            }
             prop_assert_eq!(st.diagonal_total(), total);
             for r in touched..n {
                 prop_assert_eq!(csr.row(r).count(), 0);
@@ -649,22 +517,22 @@ mod tests {
     fn spmv_is_identical_across_thread_counts() {
         // Large enough to span several SPMV_ROW_CHUNK chunks.
         let n = 3 * SPMV_ROW_CHUNK + 17;
-        let mut coo = CooMatrix::new(n);
         let mut state = 12345u64;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64 - 0.5
         };
-        for i in 0..n {
-            coo.push(i, i, 4.0 + next());
-            if i + 1 < n {
-                coo.push_sym(i, i + 1, next());
+        let a = staged(n, |st| {
+            for i in 0..n {
+                st.add_diagonal(i, 4.0 + next());
+                if i + 1 < n {
+                    st.add_coupling(i, i + 1, next());
+                }
+                if i + 97 < n {
+                    st.add_coupling(i, i + 97, next());
+                }
             }
-            if i + 97 < n {
-                coo.push_sym(i, i + 97, next());
-            }
-        }
-        let a = coo.into_csr();
+        });
         let x: Vec<f64> = (0..n).map(|_| next()).collect();
         kraftwerk_par::set_threads(1);
         let mut y1 = vec![0.0; n];
@@ -680,10 +548,10 @@ mod tests {
 
     #[test]
     fn empty_rows_are_fine() {
-        let mut coo = CooMatrix::new(4);
-        coo.push(0, 0, 1.0);
-        coo.push(3, 3, 1.0);
-        let a = coo.into_csr();
+        let a = staged(4, |st| {
+            st.add_diagonal(0, 1.0);
+            st.add_diagonal(3, 1.0);
+        });
         assert_eq!(a.row(1).count(), 0);
         assert_eq!(a.row(2).count(), 0);
         let x = [1.0; 4];

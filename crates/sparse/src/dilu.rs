@@ -272,17 +272,17 @@ pub(crate) fn distance_squared(b: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::CooMatrix;
+    use crate::csr::tests::staged;
 
     /// `[[4, -1, 0], [-1, 4, -1], [0, -1, 4]]`.
     fn tridiagonal() -> CsrMatrix {
-        let mut coo = CooMatrix::new(3);
-        for i in 0..3 {
-            coo.push(i, i, 4.0);
-        }
-        coo.push_sym(0, 1, -1.0);
-        coo.push_sym(1, 2, -1.0);
-        coo.into_csr()
+        staged(3, |st| {
+            for i in 0..3 {
+                st.add_diagonal(i, 4.0);
+            }
+            st.add_coupling(0, 1, -1.0);
+            st.add_coupling(1, 2, -1.0);
+        })
     }
 
     #[test]
@@ -368,14 +368,14 @@ mod tests {
     fn non_positive_pivots_fall_back_to_the_diagonal_or_one() {
         // Row 1's pivot 1 − 2²/1 is negative → a₁₁ = 1; row 2 stores no
         // diagonal → 1; row 3's diagonal is negative → 1.
-        let mut coo = CooMatrix::new(4);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 1.0);
-        coo.push_sym(0, 1, 2.0);
-        coo.push(2, 0, 0.5);
-        coo.push(0, 2, 0.5);
-        coo.push(3, 3, -2.0);
-        let f = DiluFactor::from_matrix(&coo.into_csr());
+        let a = staged(4, |st| {
+            st.add_diagonal(0, 1.0);
+            st.add_diagonal(1, 1.0);
+            st.add_coupling(0, 1, 2.0);
+            st.add_coupling(2, 0, 0.5);
+            st.add_diagonal(3, -2.0);
+        });
+        let f = DiluFactor::from_matrix(&a);
         assert_eq!(f.inv, vec![1.0, 1.0, 1.0, 1.0]);
         assert_eq!(f.diagonal(), &[1.0, 1.0, 0.0, -2.0]);
         assert_eq!(f.twist, vec![1.0, 1.0, 2.0, 4.0]);
@@ -385,10 +385,10 @@ mod tests {
     fn refresh_rebuilds_without_reallocating() {
         let mut f = DiluFactor::from_matrix(&tridiagonal());
         let cap = f.capacity();
-        let mut coo = CooMatrix::new(2);
-        coo.push(0, 0, 8.0);
-        coo.push(1, 1, 16.0);
-        let a = coo.into_csr();
+        let a = staged(2, |st| {
+            st.add_diagonal(0, 8.0);
+            st.add_diagonal(1, 16.0);
+        });
         f.refresh_from(&a);
         assert_eq!(f.capacity(), cap);
         assert_eq!(f.dim(), 2);

@@ -20,8 +20,9 @@ cargo test -q --workspace
 # its own too — it is the contract behind the panic audit below.
 cargo test -q --test robustness
 # Lint every workspace member, benches and unit tests included, not only
-# the root package.
-cargo clippy --workspace --all-targets -- -D warnings
+# the root package, with every feature on: a feature nothing enables
+# must still build, or it is dead code.
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 # The benchmark package (perfbench/, see BENCHMARK.json) has its own
 # [workspace], so the commands above neither build, lint nor test it; a
 # public-API change in a placer crate must not break it unnoticed, and its

@@ -8,7 +8,7 @@ use kraftwerk::netlist::format::{bookshelf, read_netlist, write_netlist};
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{metrics, NetlistBuilder, PinDirection};
 use kraftwerk::placer::{NetModel, QuadraticSystem};
-use kraftwerk::sparse::{solve, CgOptions, DiluFactor};
+use kraftwerk::sparse::{try_solve_with, CgOptions, CgWorkspace, DiluFactor};
 use kraftwerk::timing::{DelayModel, Sta};
 use kraftwerk::trace::{bucket_bounds, bucket_index};
 use proptest::prelude::*;
@@ -134,17 +134,20 @@ proptest! {
         let sys = QuadraticSystem::new(&nl);
         let asm = sys.assemble(&nl, &nl.initial_placement(), None, NetModel::default(), None);
         let b: Vec<f64> = asm.dx.iter().map(|v| -v).collect();
-        let result = solve(
+        let mut ws = CgWorkspace::new();
+        let stats = try_solve_with(
             &asm.cx,
             &b,
             None,
             &DiluFactor::from_matrix(&asm.cx),
             &CgOptions { max_iterations: 2000, ..CgOptions::default() },
-        );
-        prop_assert!(result.converged, "residual {}", result.residual_norm);
+            &mut ws,
+        )
+        .expect("an assembled system is finite");
+        prop_assert!(stats.converged, "residual {}", stats.residual_norm);
         // Verify the residual independently.
         let mut ax = vec![0.0; b.len()];
-        asm.cx.spmv(&result.x, &mut ax);
+        asm.cx.spmv(ws.solution(), &mut ax);
         let mut err = 0.0f64;
         let mut scale = 1e-12f64;
         for i in 0..b.len() {
