@@ -1,5 +1,5 @@
-//! **Ablations A1–A3** (DESIGN.md) — the design choices the paper leaves
-//! implicit, measured.
+//! **Ablations A1–A3, A6 and A8** (DESIGN.md §4) — the design choices the
+//! paper leaves implicit, measured.
 //!
 //! * A1 `--solvers` — direct superposition vs multigrid Poisson solve:
 //!   field accuracy (vs the exact reference) and runtime per grid size.
@@ -7,11 +7,11 @@
 //!   linearization on/off, measured end to end on legalized wire length.
 //! * A3 `--maps` — congestion- and heat-driven placement vs plain mode:
 //!   overflow / peak temperature / wire-length trade-off.
-//! * A4 `--detail` — the detailed-placement ladder (Abacus, refinement,
+//! * A6 `--detail` — the detailed-placement ladder (Abacus, refinement,
 //!   Hungarian window assignment).
-//! * A5 `--multilevel` — clustered placement vs flat placement.
+//! * A8 `--multilevel` — clustered placement vs flat placement.
 //!
-//! With no flag, all three run.
+//! With no flag, all five run.
 //!
 //! ```sh
 //! cargo run --release -p kraftwerk-bench --bin ablation
@@ -44,31 +44,32 @@ fn main() {
     }
 }
 
-/// A5: multilevel (clustered) placement — the paper's "larger netlists
+/// A8: multilevel (clustered) placement — the paper's "larger netlists
 /// in less time" extension.
 fn multilevel() {
-    use kraftwerk_core::{place_multilevel, GlobalPlacer, MultilevelConfig};
-    use kraftwerk_legalize::{legalize, refine};
+    use kraftwerk_core::{try_place_multilevel, GlobalPlacer, MultilevelConfig};
+    use kraftwerk_legalize::detail_place;
     let console = kraftwerk_bench::console();
-    console.info("A5: multilevel placement (cluster -> place coarse -> expand -> refine)");
+    console.info("A8: multilevel placement (cluster -> place coarse -> expand -> refine)");
     let nl = generate(&SynthConfig::with_size("ablation_ml", 6000, 7200, 40));
     let finish = |p: &kraftwerk_netlist::Placement| {
-        let mut l = legalize(&nl, p).expect("legalizable");
-        refine(&nl, &mut l, 2);
-        metrics::hpwl(&nl, &l)
+        metrics::hpwl(&nl, &detail_place(&nl, p).expect("legalizable"))
     };
     let t0 = std::time::Instant::now();
-    let flat = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+    let flat = GlobalPlacer::new(KraftwerkConfig::standard())
+        .try_place(&nl)
+        .expect("placement");
     let t_flat = t0.elapsed().as_secs_f64();
     let t0 = std::time::Instant::now();
-    let ml = place_multilevel(
+    let ml = try_place_multilevel(
         &nl,
         KraftwerkConfig::standard(),
         &MultilevelConfig {
             coarsest_movable: 1500,
             ..MultilevelConfig::default()
         },
-    );
+    )
+    .expect("multilevel placement");
     let t_ml = t0.elapsed().as_secs_f64();
     let (flat_wire, ml_wire) = (finish(&flat.placement), finish(&ml.placement));
     console.info(format!("  flat:       wire {flat_wire:>10.0}  {t_flat:>6.1} s"));
@@ -80,24 +81,19 @@ fn multilevel() {
     console.info("");
 }
 
-/// A4: the detailed-placement ladder — what each stage after global
+/// A6: the detailed-placement ladder — what each stage after global
 /// placement recovers.
 fn detail() {
-    use kraftwerk_legalize::{legalize, legalize_tetris, optimize_windows, refine};
+    use kraftwerk_legalize::{legalize, optimize_windows, refine};
     use kraftwerk_netlist::metrics;
     let console = kraftwerk_bench::console();
-    console.info("A4: detailed placement ladder (HPWL after each stage)");
+    console.info("A6: detailed placement ladder (HPWL after each stage)");
     let nl = generate(&SynthConfig::with_size("ablation_detail", 3000, 3600, 28));
     let global = kraftwerk_core::GlobalPlacer::new(KraftwerkConfig::standard())
-        .place(&nl)
+        .try_place(&nl)
+        .expect("placement")
         .placement;
     console.info(format!("  global:          {:>10.0}", metrics::hpwl(&nl, &global)));
-    let tetris = legalize_tetris(&nl, &global).expect("legalizable");
-    console.info(format!(
-        "  tetris:          {:>10.0}  (displacement {:>9.0})",
-        metrics::hpwl(&nl, &tetris),
-        global.total_displacement(&tetris)
-    ));
     let mut p = legalize(&nl, &global).expect("legalizable");
     console.info(format!(
         "  abacus:          {:>10.0}  (displacement {:>9.0})",
@@ -126,7 +122,7 @@ fn solvers() {
         // A mid-flight placement: half spread.
         let mut s = PlacementSession::new(&nl, KraftwerkConfig::standard());
         for _ in 0..6 {
-            s.transform();
+            s.try_transform().expect("transformation");
         }
         s.placement().clone()
     };
@@ -242,7 +238,7 @@ fn maps() {
             session
                 .set_demand_map(demand_for_session(&map), if heat { 0.8 } else { 2.5 })
                 .expect("map uses grid_dims");
-            session.transform();
+            session.try_transform().expect("transformation");
             if session.is_converged() {
                 break;
             }

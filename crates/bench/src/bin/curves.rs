@@ -26,7 +26,7 @@ fn main() {
         let mut session = PlacementSession::new(&netlist, KraftwerkConfig::standard());
         let mut rows = Vec::new();
         while session.iteration() < KraftwerkConfig::standard().max_transformations {
-            let stats = session.transform();
+            let stats = session.try_transform().expect("transformation");
             rows.push(vec![
                 format!("{}", stats.iteration),
                 format!("{:.1}", stats.hpwl),
@@ -45,7 +45,9 @@ fn main() {
         // Timing/area trade-off curve.
         let model = DelayModel::default();
         let sta = Sta::new(&netlist, model).expect("synthetic circuits are acyclic");
-        let base = GlobalPlacer::new(KraftwerkConfig::standard()).place(&netlist);
+        let base = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&netlist)
+            .expect("placement");
         let base_delay = sta.analyze(&base.placement).max_delay;
         let result = meet_requirements(
             &netlist,

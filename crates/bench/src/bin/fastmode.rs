@@ -1,8 +1,9 @@
 //! **Experiments E5/E6** — the fast mode claims of section 6.1.
 //!
-//! E5: fast mode (`K = 1.0` in the paper; see DESIGN.md for this
-//! reproduction's fast-mode calibration) computes a placement in about a
-//! third of the standard mode's time at ~6% average wire-length cost.
+//! E5: fast mode (`K = 1.0` in the paper; this reproduction keeps the
+//! standard `K = 0.05` and coarsens the grid instead, DESIGN.md §7)
+//! computes a placement in about a third of the standard mode's time at
+//! ~6% average wire-length cost.
 //!
 //! E6 (`--large`): a legal placement for a 210,000-cell circuit within
 //! 10 minutes using the fast mode.
@@ -30,7 +31,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let circuits = table1_circuits(if quick { 7000 } else { usize::MAX });
 
-    console.info("E5: standard (K=0.2) vs fast mode — wire length [m] and CPU [s]");
+    console.info("E5: standard vs fast mode (both K = 0.05) — wire length [m] and CPU [s]");
     console.info(format!(
         "{:<12} | {:>10} {:>8} | {:>10} {:>8} | {:>8} {:>8}",
         "circuit", "std wire", "std CPU", "fast wire", "fast CPU", "wire +%", "speedup"

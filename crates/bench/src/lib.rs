@@ -16,7 +16,7 @@
 
 use kraftwerk_baselines::{AnnealingConfig, AnnealingPlacer, GordianConfig, GordianPlacer};
 use kraftwerk_core::{try_place_multilevel, GlobalPlacer, KraftwerkConfig, MultilevelConfig};
-use kraftwerk_legalize::{check_legality, legalize, refine};
+use kraftwerk_legalize::{check_legality, detail_place};
 use kraftwerk_netlist::{metrics, Netlist, Placement};
 use kraftwerk_timing::{optimize_timing_legalized, CriticalityTracker, DelayModel, Sta};
 use kraftwerk_trace::json::JsonObject;
@@ -56,8 +56,7 @@ pub struct FlowResult {
 }
 
 fn finish(netlist: &Netlist, global: Placement, iterations: usize, started: Instant) -> FlowResult {
-    let mut legal = legalize(netlist, &global).expect("row capacity");
-    refine(netlist, &mut legal, 2);
+    let legal = detail_place(netlist, &global).expect("row capacity");
     let seconds = started.elapsed().as_secs_f64();
     FlowResult {
         wirelength_m: metrics::hpwl(netlist, &legal) * UNITS_TO_METERS,

@@ -258,7 +258,9 @@ mod tests {
         let nl = generate(&SynthConfig::with_size("heat", 300, 380, 8));
         let cfg = KraftwerkConfig::standard();
 
-        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone()).place(&nl);
+        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone())
+            .try_place(&nl)
+            .expect("placement");
         let (nx, ny) = PlacementSession::new(&nl, cfg.clone()).grid_dims();
         let plain_peak = peak(&thermal_map(&nl, &plain.placement, nx, ny));
 
@@ -268,7 +270,7 @@ mod tests {
             session
                 .set_demand_map(demand_for_session(&t), 0.5)
                 .expect("thermal map uses grid_dims");
-            session.transform();
+            session.try_transform().expect("transformation");
             if session.is_converged() {
                 break;
             }

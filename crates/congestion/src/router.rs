@@ -504,7 +504,8 @@ mod tests {
     fn routing_a_placement_produces_usage() {
         let nl = generate(&SynthConfig::with_size("rt", 200, 260, 8));
         let placement = GlobalPlacer::new(KraftwerkConfig::standard())
-            .place(&nl)
+            .try_place(&nl)
+            .expect("placement")
             .placement;
         let result = route(&nl, &placement, 20, 10, &RouterConfig::default());
         assert!(result.wirelength > 0.0);
@@ -516,7 +517,8 @@ mod tests {
     fn reroute_reduces_overflow_under_tight_capacity() {
         let nl = generate(&SynthConfig::with_size("rt2", 300, 380, 8));
         let placement = GlobalPlacer::new(KraftwerkConfig::standard())
-            .place(&nl)
+            .try_place(&nl)
+            .expect("placement")
             .placement;
         let tight = RouterConfig {
             capacity_h: 3.0,
@@ -570,7 +572,8 @@ mod tests {
         // factor of HPWL: both measure the same placement.
         let nl = generate(&SynthConfig::with_size("rt5", 200, 260, 8));
         let placement = GlobalPlacer::new(KraftwerkConfig::standard())
-            .place(&nl)
+            .try_place(&nl)
+            .expect("placement")
             .placement;
         let nx = 20;
         let result = route(&nl, &placement, nx, 10, &RouterConfig::default());

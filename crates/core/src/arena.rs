@@ -11,7 +11,7 @@ use kraftwerk_field::{DensityScratch, ForceField, MultigridWorkspace, ScalarMap}
 use kraftwerk_geom::Vector;
 use kraftwerk_sparse::{CgWorkspace, DiluFactor};
 
-/// Reusable state for [`crate::PlacementSession::transform`], grouped by
+/// Reusable state for [`crate::PlacementSession::try_transform`], grouped by
 /// pipeline phase. All fields are buffers whose *contents* are rebuilt
 /// every iteration; none carry semantic state across iterations.
 #[derive(Debug, Default)]

@@ -30,10 +30,14 @@
 //!
 //! let netlist = generate(&SynthConfig::with_size("demo", 120, 150, 6));
 //! let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-//! let result = placer.place(&netlist);
+//! let result = placer.try_place(&netlist)?;
 //! // The global placement is spread over the core with low overlap.
 //! assert!(metrics::overlap_ratio(&netlist, &result.placement) < 0.8);
+//! # Ok::<(), kraftwerk_core::KraftwerkError>(())
 //! ```
+//!
+//! Every front door ([`GlobalPlacer`], [`try_place_multilevel`])
+//! validates the netlist and returns a [`KraftwerkError`], never a panic.
 //!
 //! Finer control — timing-driven net weights, congestion/heat maps, ECO
 //! restarts — goes through [`PlacementSession`].
@@ -53,8 +57,7 @@ pub use config::{KraftwerkConfig, NetModel, WatchdogConfig};
 pub use arena::ScratchArena;
 pub use error::KraftwerkError;
 pub use multilevel::{
-    build_hierarchy, cluster, place_multilevel, try_place_multilevel, Clustering,
-    ClusteringConfig, MultilevelConfig,
+    build_hierarchy, cluster, try_place_multilevel, Clustering, ClusteringConfig, MultilevelConfig,
 };
 pub use quadratic::{Assembled, AssemblyScratch, QuadraticSystem, CLIQUE_DEGREE_CAP};
 pub use session::{

@@ -22,7 +22,7 @@
 //! level, so the zero-steady-state-allocation property holds per level
 //! instead of paying a cold-start growth at each.
 //!
-//! [`place_multilevel`] packages the whole flow; by default it also
+//! [`try_place_multilevel`] packages the whole flow; by default it also
 //! switches the net model to [`NetModel::B2B`], whose assembly is linear
 //! in net degree — the combination is the supported path for designs
 //! beyond ~25k cells.
@@ -66,7 +66,7 @@ impl Default for ClusteringConfig {
 }
 
 /// Controls for the recursive multilevel V-cycle
-/// ([`place_multilevel`]).
+/// ([`try_place_multilevel`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultilevelConfig {
     /// Per-level coarsening controls. The per-level
@@ -378,38 +378,24 @@ pub fn build_hierarchy(netlist: &Netlist, ml: &MultilevelConfig) -> Vec<Clusteri
     levels
 }
 
-/// The complete multilevel V-cycle: coarsen recursively, place the
-/// coarsest level with the full budget, then expand and refine each
+/// The complete multilevel V-cycle: validates the netlist at the
+/// boundary ([`Netlist::validate`]), coarsens recursively, places the
+/// coarsest level with the full budget, then expands and refines each
 /// finer level with a shrinking number of transformations (see the
 /// module docs). One scratch arena serves every level.
 ///
-/// # Panics
-///
-/// Panics when a level's run fails beyond recovery; use
-/// [`try_place_multilevel`] for the fallible equivalent.
-#[must_use]
-pub fn place_multilevel(
-    netlist: &Netlist,
-    config: KraftwerkConfig,
-    ml: &MultilevelConfig,
-) -> PlaceResult {
-    match try_place_multilevel(netlist, config, ml) {
-        Ok(result) => result,
-        Err(e) => panic!("multilevel placement failed: {e} (use try_place_multilevel)"),
-    }
-}
-
-/// Fallible [`place_multilevel`].
-///
 /// # Errors
 ///
-/// Propagates the first level run that fails before producing any usable
+/// Returns [`KraftwerkError::Validation`] for rejected input, like
+/// [`GlobalPlacer::try_place`](crate::GlobalPlacer::try_place), and
+/// propagates the first level run that fails before producing any usable
 /// placement (see [`PlacementSession::try_run`] for the contract).
 pub fn try_place_multilevel(
     netlist: &Netlist,
     config: KraftwerkConfig,
     ml: &MultilevelConfig,
 ) -> Result<PlaceResult, KraftwerkError> {
+    netlist.validate()?;
     let mut cfg = config;
     if let Some(model) = ml.net_model {
         cfg.net_model = model;
@@ -425,7 +411,7 @@ pub fn try_place_multilevel(
     let coarsest: &Netlist = levels.last().map_or(netlist, |c| c.coarse());
     let coarsest_movable = coarsest.num_movable().max(1);
     let mut session = PlacementSession::with_arena(coarsest, cfg.clone(), ScratchArena::default());
-    let (mut stats, mut converged) = session.run_loop()?;
+    let (mut stats, mut converged) = session.run_loop_with(|_, _| {})?;
     let mut health = session.health_snapshot();
     let (mut placement, mut arena) = session.into_parts();
 
@@ -442,7 +428,7 @@ pub fn try_place_multilevel(
         let mut level_cfg = cfg.clone();
         level_cfg.max_transformations = budget;
         let mut session = PlacementSession::resume_with_arena(fine, level_cfg, expanded, arena);
-        let (level_stats, level_converged) = session.run_loop()?;
+        let (level_stats, level_converged) = session.run_loop_with(|_, _| {})?;
         let h = session.health_snapshot();
         health.trips += h.trips;
         health.recoveries += h.recoveries;
@@ -570,14 +556,17 @@ mod tests {
     #[test]
     fn multilevel_flow_is_competitive_with_flat_placement() {
         let nl = circuit();
-        let flat = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+        let flat = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
         // Force at least one real level: the 600-cell circuit is below
         // the default coarsest threshold.
         let ml_cfg = MultilevelConfig {
             coarsest_movable: 200,
             ..MultilevelConfig::default()
         };
-        let ml = place_multilevel(&nl, KraftwerkConfig::standard(), &ml_cfg);
+        let ml = try_place_multilevel(&nl, KraftwerkConfig::standard(), &ml_cfg)
+            .expect("multilevel placement");
         let flat_hpwl = metrics::hpwl(&nl, &flat.placement);
         let ml_hpwl = metrics::hpwl(&nl, &ml.placement);
         assert!(
@@ -593,8 +582,10 @@ mod tests {
             coarsest_movable: 200,
             ..MultilevelConfig::default()
         };
-        let a = place_multilevel(&nl, KraftwerkConfig::standard(), &ml_cfg);
-        let b = place_multilevel(&nl, KraftwerkConfig::standard(), &ml_cfg);
+        let a = try_place_multilevel(&nl, KraftwerkConfig::standard(), &ml_cfg)
+            .expect("multilevel placement");
+        let b = try_place_multilevel(&nl, KraftwerkConfig::standard(), &ml_cfg)
+            .expect("multilevel placement");
         assert_eq!(a.placement, b.placement);
     }
 

@@ -1184,7 +1184,14 @@ mod tests {
     /// transformations of `netlist`.
     fn cg_iterations_per_transformation(netlist: &Netlist, transforms: usize) -> f64 {
         let mut session = PlacementSession::new(netlist, KraftwerkConfig::fast());
-        let total: usize = (0..transforms).map(|_| session.transform().cg_iterations).sum();
+        let total: usize = (0..transforms)
+            .map(|_| {
+                session
+                    .try_transform()
+                    .expect("transformation")
+                    .cg_iterations
+            })
+            .sum();
         total as f64 / transforms as f64
     }
 

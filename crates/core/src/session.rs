@@ -89,7 +89,7 @@ impl PlaceResult {
 
 /// A stateful placement run: owns the evolving placement and the
 /// accumulated additional-force vector, and exposes one
-/// [`transform`](PlacementSession::transform) step per call so callers can
+/// [`try_transform`](PlacementSession::try_transform) step per call so callers can
 /// interleave their own logic (timing-weight updates, congestion maps,
 /// trade-off recording) between transformations — exactly how the paper's
 /// timing and congestion flows are described in section 5.
@@ -376,11 +376,20 @@ impl<'a> PlacementSession<'a> {
         (self.placement, self.arena)
     }
 
-    /// Watchdog health accumulated so far (for drivers using
-    /// [`Self::run_loop`] directly).
+    /// Watchdog health accumulated so far: attached to [`PlaceResult`]
+    /// by [`Self::try_run`], and read directly by drivers using
+    /// [`Self::run_loop_with`].
     #[must_use]
     pub fn health_snapshot(&self) -> RunHealth {
-        self.health()
+        RunHealth {
+            trips: self.wd.trips,
+            recoveries: self.wd.recoveries,
+            degraded: self.wd.degraded,
+            budget_exhausted: self.wd.budget_exhausted,
+            remaining_budget_ms: self
+                .remaining_budget()
+                .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
+        }
     }
 
     /// Wall-clock time left of the optional whole-run budget; `None` when
@@ -493,38 +502,8 @@ impl<'a> PlacementSession<'a> {
         self.arena.capacity_signature()
     }
 
-    /// Executes one *placement transformation* (section 4.1):
-    /// density → force field → scale to `K(W+H)` → accumulate → re-solve.
-    ///
-    /// When a [`kraftwerk_trace`] sink is installed, each phase (density
-    /// map, Poisson solve, force assembly, right-hand side, CG x/y solves,
-    /// metrics) runs under a named span and the returned stats are also
-    /// emitted as one `iteration` event, so a
-    /// [`RunRecorder`](kraftwerk_trace::RunRecorder) yields one JSONL
-    /// record per transformation with per-phase wall times attached.
-    ///
-    /// All intermediate buffers live in the session's scratch arena: after
-    /// the first transformation the steady-state loop reuses them without
-    /// further heap allocation. The system matrices and their DILU factors
-    /// are rebuilt every transformation. The Poisson solve and the system
-    /// assembly, and then the x and y conjugate-gradient solves, run
-    /// concurrently when more than one worker thread is configured;
-    /// results are bitwise identical at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the numerics break down (non-finite forces or right-hand
-    /// sides); use [`try_transform`](PlacementSession::try_transform) for
-    /// the fallible, watchdog-guarded equivalent.
-    pub fn transform(&mut self) -> IterationStats {
-        match self.try_transform() {
-            Ok(stats) => stats,
-            Err(e) => panic!("placement transformation failed: {e} (use try_transform)"),
-        }
-    }
-
     /// The raw transformation step: all the numerics of
-    /// [`transform`](PlacementSession::transform), no guardrails except
+    /// [`try_transform`](PlacementSession::try_transform), no guardrails except
     /// the solver-input checks. Errors leave `self.iteration` advanced;
     /// the watchdog's rollback restores it.
     fn transform_inner(&mut self) -> Result<IterationStats, SolverError> {
@@ -939,11 +918,29 @@ impl<'a> PlacementSession<'a> {
         );
     }
 
-    /// Executes one transformation under the watchdog: runs the numerics,
-    /// checks the outcome for divergence (non-finite metrics, runaway
-    /// displacement, HPWL explosion, CG stall streaks), and on a trip
-    /// rolls back to the best-so-far checkpoint, damps the force step,
-    /// escalates down the recovery ladder and retries.
+    /// Executes one *placement transformation* (section 4.1):
+    /// density → force field → scale to `K(W+H)` → accumulate → re-solve.
+    ///
+    /// When a [`kraftwerk_trace`] sink is installed, each phase (density
+    /// map, Poisson solve, force assembly, right-hand side, CG x/y solves,
+    /// metrics) runs under a named span and the returned stats are also
+    /// emitted as one `iteration` event, so a
+    /// [`RunRecorder`](kraftwerk_trace::RunRecorder) yields one JSONL
+    /// record per transformation with per-phase wall times attached.
+    ///
+    /// All intermediate buffers live in the session's scratch arena: after
+    /// the first transformation the steady-state loop reuses them without
+    /// further heap allocation. The system matrices and their DILU factors
+    /// are rebuilt every transformation. The Poisson solve and the system
+    /// assembly, and then the x and y conjugate-gradient solves, run
+    /// concurrently when more than one worker thread is configured;
+    /// results are bitwise identical at any thread count.
+    ///
+    /// The transformation runs under the watchdog: it checks the outcome
+    /// for divergence (non-finite metrics, runaway displacement, HPWL
+    /// explosion, CG stall streaks), and on a trip rolls back to the
+    /// best-so-far checkpoint, damps the force step, escalates down the
+    /// recovery ladder and retries.
     ///
     /// # Errors
     ///
@@ -1110,21 +1107,6 @@ impl<'a> PlacementSession<'a> {
         }
     }
 
-    /// The watchdog's health record so far (attached to [`PlaceResult`]
-    /// by the run loops).
-    #[must_use]
-    pub fn health(&self) -> RunHealth {
-        RunHealth {
-            trips: self.wd.trips,
-            recoveries: self.wd.recoveries,
-            degraded: self.wd.degraded,
-            budget_exhausted: self.wd.budget_exhausted,
-            remaining_budget_ms: self.remaining_budget().map(|d| {
-                u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-            }),
-        }
-    }
-
     /// Fault injection for robustness tests: the *next* transformation
     /// multiplies its force scale by `boost` and bypasses the trust
     /// region; a watchdog rollback retry runs unperturbed again. See also
@@ -1191,28 +1173,12 @@ impl<'a> PlacementSession<'a> {
         now > then * 0.99
     }
 
-    /// Runs transformations until convergence, stall, or the iteration
-    /// cap; returns the result and consumes the session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run diverges beyond recovery with no checkpoint to
-    /// fall back to; use [`try_run`](PlacementSession::try_run) for the
-    /// fallible equivalent.
-    #[must_use]
-    pub fn run(self) -> PlaceResult {
-        match self.try_run() {
-            Ok(result) => result,
-            Err(e) => panic!("placement run failed: {e} (use try_run)"),
-        }
-    }
-
-    /// Fallible [`run`](PlacementSession::run): transformations until
-    /// convergence, stall, the iteration cap, or the optional wall-clock
-    /// budget. When a transformation diverges beyond the watchdog's
-    /// recovery budget but a best-so-far checkpoint exists, the run *still
-    /// succeeds* — it returns the checkpointed placement with
-    /// [`RunHealth::degraded`] set rather than discarding the usable work.
+    /// Runs transformations until convergence, stall, the iteration cap,
+    /// or the optional wall-clock budget, and consumes the session. When a
+    /// transformation diverges beyond the watchdog's recovery budget but a
+    /// best-so-far checkpoint exists, the run *still succeeds* — it
+    /// returns the checkpointed placement with [`RunHealth::degraded`] set
+    /// rather than discarding the usable work.
     ///
     /// # Errors
     ///
@@ -1220,8 +1186,8 @@ impl<'a> PlacementSession<'a> {
     /// placement exists (solver input errors or first-iteration
     /// divergence with nothing to roll back to).
     pub fn try_run(mut self) -> Result<PlaceResult, KraftwerkError> {
-        let (stats, converged) = self.run_loop()?;
-        let health = self.health();
+        let (stats, converged) = self.run_loop_with(|_, _| {})?;
+        let health = self.health_snapshot();
         Ok(PlaceResult {
             placement: self.placement,
             stats,
@@ -1233,15 +1199,10 @@ impl<'a> PlacementSession<'a> {
     /// The transformation loop behind [`try_run`](Self::try_run), usable
     /// without consuming the session: the multilevel driver runs one
     /// session per hierarchy level and needs the placement *and* the
-    /// scratch arena back afterwards ([`Self::into_parts`]).
-    pub fn run_loop(&mut self) -> Result<(Vec<IterationStats>, bool), KraftwerkError> {
-        self.run_loop_with(|_, _| {})
-    }
-
-    /// [`Self::run_loop`] with a per-transformation observer: `observe`
-    /// is called once for every *accepted* transformation, after the
+    /// scratch arena back afterwards ([`Self::into_parts`]). `observe` is
+    /// called once for every *accepted* transformation, after the
     /// watchdog has judged it, with the stats and the current placement.
-    /// The serving daemon uses this to stream progress frames and write
+    /// The serving daemon uses it to stream progress frames and write
     /// crash-safe position journals without a process-global trace sink
     /// (which could not be scoped per concurrent job).
     pub fn run_loop_with(
@@ -1326,26 +1287,7 @@ impl GlobalPlacer {
         Self { config }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &KraftwerkConfig {
-        &self.config
-    }
-
-    /// Places a netlist from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input (non-finite netlist numerics) or
-    /// unrecoverable divergence; use
-    /// [`try_place`](GlobalPlacer::try_place) for the panic-free
-    /// equivalent.
-    #[must_use]
-    pub fn place(&self, netlist: &Netlist) -> PlaceResult {
-        PlacementSession::new(netlist, self.config.clone()).run()
-    }
-
-    /// Panic-free placement: validates the netlist at the boundary
+    /// Places a netlist from scratch: validates it at the boundary
     /// ([`Netlist::validate`]) and runs the watchdog-guarded session.
     ///
     /// # Errors
@@ -1362,17 +1304,6 @@ impl GlobalPlacer {
     /// Incremental (ECO) placement: adapts an existing placement to the
     /// netlist with minimal disturbance (section 5). Cells only move where
     /// density deviations or netlist changes create new forces.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input or unrecoverable divergence; use
-    /// [`try_place_incremental`](GlobalPlacer::try_place_incremental).
-    #[must_use]
-    pub fn place_incremental(&self, netlist: &Netlist, existing: Placement) -> PlaceResult {
-        PlacementSession::resume(netlist, self.config.clone(), existing).run()
-    }
-
-    /// Panic-free incremental placement with boundary validation.
     ///
     /// # Errors
     ///
@@ -1400,7 +1331,9 @@ mod tests {
     #[test]
     fn placement_spreads_and_reduces_overlap() {
         let nl = small();
-        let result = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+        let result = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
         assert!(!result.stats.is_empty());
         let overlap = metrics::overlap_ratio(&nl, &result.placement);
         assert!(overlap < 0.7, "overlap ratio {overlap}");
@@ -1412,7 +1345,9 @@ mod tests {
     #[test]
     fn empty_square_area_shrinks_over_iterations() {
         let nl = small();
-        let result = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+        let result = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
         let first = result.stats.first().unwrap().empty_square_area;
         let last = result.stats.last().unwrap().empty_square_area;
         assert!(last < first, "no spreading: first {first} last {last}");
@@ -1422,8 +1357,8 @@ mod tests {
     fn placement_is_deterministic() {
         let nl = small();
         let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-        let a = placer.place(&nl);
-        let b = placer.place(&nl);
+        let a = placer.try_place(&nl).expect("placement");
+        let b = placer.try_place(&nl).expect("placement");
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.stats.len(), b.stats.len());
     }
@@ -1434,11 +1369,11 @@ mod tests {
         let mut session = PlacementSession::new(&nl, KraftwerkConfig::standard());
         // Warm-up: the arena grows to the design's size during the first
         // transformations (the hold path only activates on the second).
-        session.transform();
-        session.transform();
+        session.try_transform().expect("transformation");
+        session.try_transform().expect("transformation");
         let before = session.scratch_capacity_signature();
         for _ in 0..4 {
-            session.transform();
+            session.try_transform().expect("transformation");
         }
         assert_eq!(
             before,
@@ -1452,9 +1387,9 @@ mod tests {
         let nl = small();
         let placer = GlobalPlacer::new(KraftwerkConfig::standard());
         kraftwerk_par::set_threads(1);
-        let one = placer.place(&nl);
+        let one = placer.try_place(&nl).expect("placement");
         kraftwerk_par::set_threads(2);
-        let two = placer.place(&nl);
+        let two = placer.try_place(&nl).expect("placement");
         kraftwerk_par::set_threads(0);
         assert_eq!(one.placement, two.placement);
         assert_eq!(one.stats, two.stats);
@@ -1463,8 +1398,12 @@ mod tests {
     #[test]
     fn fast_mode_uses_fewer_transformations() {
         let nl = small();
-        let std_run = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
-        let fast_run = GlobalPlacer::new(KraftwerkConfig::fast()).place(&nl);
+        let std_run = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
+        let fast_run = GlobalPlacer::new(KraftwerkConfig::fast())
+            .try_place(&nl)
+            .expect("placement");
         // Fast mode never needs more transformations, and does each on a
         // coarser grid with looser solver tolerances (the speed win on
         // tiny test circuits is mostly per-iteration cost).
@@ -1480,7 +1419,9 @@ mod tests {
     fn beats_a_random_placement_on_wire_length() {
         use rand::{Rng, SeedableRng};
         let nl = small();
-        let result = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+        let result = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
         let ours = metrics::hpwl(&nl, &result.placement);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
         let core = nl.core_region();
@@ -1507,8 +1448,10 @@ mod tests {
     fn eco_restart_barely_moves_an_unchanged_design() {
         let nl = small();
         let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-        let first = placer.place(&nl);
-        let eco = placer.place_incremental(&nl, first.placement.clone());
+        let first = placer.try_place(&nl).expect("placement");
+        let eco = placer
+            .try_place_incremental(&nl, first.placement.clone())
+            .expect("incremental placement");
         let core = nl.core_region();
         let moved = first.placement.max_displacement(&eco.placement);
         assert!(
@@ -1521,14 +1464,16 @@ mod tests {
     fn extra_weights_shorten_the_weighted_net() {
         let nl = small();
         let cfg = KraftwerkConfig::standard();
-        let base = GlobalPlacer::new(cfg.clone()).place(&nl);
+        let base = GlobalPlacer::new(cfg.clone())
+            .try_place(&nl)
+            .expect("placement");
         // Heavily weight net 0.
         let target = kraftwerk_netlist::NetId::from_index(0);
         let mut weights = vec![1.0; nl.num_nets()];
         weights[target.index()] = 20.0;
         let mut session = PlacementSession::new(&nl, cfg);
         session.set_extra_weights(weights);
-        let weighted = session.run();
+        let weighted = session.try_run().expect("placement run");
         let before = metrics::net_hpwl(&nl, &base.placement, target);
         let after = metrics::net_hpwl(&nl, &weighted.placement, target);
         assert!(
@@ -1545,7 +1490,9 @@ mod tests {
         let p1 = b.add_fixed_cell("p1", kraftwerk_geom::Size::new(1.0, 1.0), kraftwerk_geom::Point::new(10.0, 5.0));
         b.add_net("n", [(p0, PinDirection::Output), (p1, PinDirection::Input)]);
         let nl = b.build().unwrap();
-        let result = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+        let result = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
         assert!(result.converged);
         assert!(result.stats.is_empty());
     }
@@ -1568,7 +1515,10 @@ mod tests {
         use kraftwerk_field::ScalarMap;
         let nl = generate(&SynthConfig::with_size("demand", 150, 190, 6));
         let cfg = KraftwerkConfig::standard();
-        let plain = GlobalPlacer::new(cfg.clone()).place(&nl).placement;
+        let plain = GlobalPlacer::new(cfg.clone())
+            .try_place(&nl)
+            .expect("placement")
+            .placement;
 
         // Synthetic demand: the left half of the core is "congested".
         let mut session = PlacementSession::new(&nl, cfg.clone());
@@ -1581,7 +1531,7 @@ mod tests {
         }
         demand.balance();
         session.set_demand_map(demand, 1.5).expect("map uses grid_dims");
-        let result = session.run();
+        let result = session.try_run().expect("placement run");
 
         // Mass shifts to the right relative to the plain run.
         let mean_x = |p: &kraftwerk_netlist::Placement| {
@@ -1613,8 +1563,8 @@ mod tests {
         demand.balance();
         with_clear.set_demand_map(demand, 1.0).expect("map uses grid_dims");
         with_clear.clear_demand_map();
-        let a = with_clear.run();
-        let b = GlobalPlacer::new(cfg).place(&nl);
+        let a = with_clear.try_run().expect("placement run");
+        let b = GlobalPlacer::new(cfg).try_place(&nl).expect("placement");
         assert_eq!(a.placement, b.placement);
     }
 
@@ -1636,7 +1586,9 @@ mod tests {
     #[test]
     fn iteration_stats_are_internally_consistent() {
         let nl = generate(&SynthConfig::with_size("stats", 150, 190, 6));
-        let result = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+        let result = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement");
         for (i, st) in result.stats.iter().enumerate() {
             assert_eq!(st.iteration, i + 1);
             assert!(st.hpwl.is_finite() && st.hpwl > 0.0);

@@ -12,8 +12,8 @@
 //! 2. [`legalize_blocks`] — remove residual block/block overlap with a
 //!    minimal-displacement push-apart pass (blocks stay near their global
 //!    positions);
-//! 3. row-legalize the standard cells around the now-fixed blocks via
-//!    `kraftwerk-legalize` (blocks become row obstacles).
+//! 3. detail-place the standard cells around the now-fixed blocks with
+//!    `kraftwerk_legalize::detail_place` (blocks become row obstacles).
 //!
 //! [`recommended_aspect`] supports soft (flexible) blocks: it suggests the
 //! aspect ratio that minimizes the block's local wire length, which a
@@ -33,7 +33,7 @@
 
 use kraftwerk_core::{GlobalPlacer, KraftwerkConfig, KraftwerkError};
 use kraftwerk_geom::{Point, Rect, Vector};
-use kraftwerk_legalize::{check_legality, legalize, refine, LegalizeError};
+use kraftwerk_legalize::{check_legality, detail_place, LegalizeError};
 use kraftwerk_netlist::{metrics, CellId, CellKind, Netlist, Placement};
 use std::error::Error;
 use std::fmt;
@@ -82,8 +82,6 @@ pub struct MixedPlaceConfig {
     pub placer: KraftwerkConfig,
     /// Push-apart iterations for block legalization.
     pub block_passes: usize,
-    /// Detailed refinement passes after cell legalization.
-    pub refine_passes: usize,
 }
 
 impl Default for MixedPlaceConfig {
@@ -91,7 +89,6 @@ impl Default for MixedPlaceConfig {
         Self {
             placer: KraftwerkConfig::standard(),
             block_passes: 120,
-            refine_passes: 2,
         }
     }
 }
@@ -143,10 +140,9 @@ pub fn place_mixed(netlist: &Netlist, config: &MixedPlaceConfig) -> Result<Mixed
     }
     let block_overlap_area = block_overlap(netlist, &legal);
 
-    // 3. Cells around blocks (blocks act as obstacles inside `legalize`).
+    // 3. Cells around blocks (blocks act as row obstacles).
     if !netlist.rows().is_empty() {
-        legal = legalize(netlist, &legal)?;
-        refine(netlist, &mut legal, config.refine_passes);
+        legal = detail_place(netlist, &legal)?;
     }
     let hpwl = metrics::hpwl(netlist, &legal);
     Ok(MixedResult {
@@ -376,7 +372,10 @@ mod tests {
     #[test]
     fn blocks_barely_move_during_block_legalization_when_disjoint() {
         let nl = generate(&SynthConfig::with_size("fp2", 120, 150, 8).blocks(2));
-        let global = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl).placement;
+        let global = GlobalPlacer::new(KraftwerkConfig::standard())
+            .try_place(&nl)
+            .expect("placement")
+            .placement;
         let mut legal = global.clone();
         legalize_blocks(&nl, &mut legal, 120);
         // Whatever the push-apart did, blocks stay within the core and

@@ -230,12 +230,6 @@ impl Rect {
         )
     }
 
-    /// Creates a rectangle from its lower-left corner and size.
-    #[must_use]
-    pub fn from_origin_size(origin: Point, size: Size) -> Self {
-        Self::new(origin.x, origin.y, origin.x + size.width, origin.y + size.height)
-    }
-
     /// Horizontal extent.
     #[must_use]
     pub fn width(&self) -> f64 {

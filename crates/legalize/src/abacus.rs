@@ -316,7 +316,8 @@ mod tests {
     fn legalizes_a_global_placement_with_small_displacement() {
         let nl = generate(&SynthConfig::with_size("gp", 200, 260, 8));
         let global = kraftwerk_core::GlobalPlacer::new(kraftwerk_core::KraftwerkConfig::standard())
-            .place(&nl)
+            .try_place(&nl)
+            .expect("placement")
             .placement;
         let legal = legalize(&nl, &global).unwrap();
         assert!(check_legality(&nl, &legal, 1e-6).is_legal());

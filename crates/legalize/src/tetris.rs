@@ -1,11 +1,11 @@
-//! Tetris legalization — the classical greedy baseline to Abacus.
+//! Tetris legalization — the classical greedy baseline to Abacus, kept
+//! only as the reference the Abacus displacement test compares against.
 //!
 //! Cells are processed left to right; each abuts the frontier (the right
 //! edge of the last placed cell) of the row segment that minimizes its
 //! displacement. One pass, no re-packing — fast and simple, but every
 //! cell is dragged to the packing frontier where Abacus would place a
-//! whole cluster optimally. Exposed for the legalizer ablation and as a
-//! cheap fallback.
+//! whole cluster optimally.
 
 use crate::abacus::LegalizeError;
 use kraftwerk_geom::{Point, Rect};
@@ -20,16 +20,7 @@ struct Frontier {
 
 /// Greedy Tetris legalization; same contract as [`crate::legalize`] but
 /// single-pass greedy instead of Abacus clustering.
-///
-/// # Errors
-///
-/// Returns [`LegalizeError::NoRows`] without rows and
-/// [`LegalizeError::NoRoom`] when every frontier is exhausted.
-pub fn legalize_tetris(
-    netlist: &Netlist,
-    placement: &Placement,
-) -> Result<Placement, LegalizeError> {
-    let _timer = kraftwerk_trace::span("legalize.tetris");
+fn legalize_tetris(netlist: &Netlist, placement: &Placement) -> Result<Placement, LegalizeError> {
     if netlist.rows().is_empty() {
         return Err(LegalizeError::NoRows);
     }
@@ -109,66 +100,26 @@ pub fn legalize_tetris(
     Ok(result)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::abacus::legalize;
-    use crate::check::check_legality;
+#[test]
+fn abacus_displaces_no_more_than_tetris() -> Result<(), Box<dyn std::error::Error>> {
+    use crate::{check_legality, legalize};
     use kraftwerk_core::{GlobalPlacer, KraftwerkConfig};
-    use kraftwerk_netlist::metrics;
     use kraftwerk_netlist::synth::{generate, SynthConfig};
 
-    #[test]
-    fn tetris_produces_legal_placements() {
-        let nl = generate(&SynthConfig::with_size("tet", 300, 380, 8));
-        let global = GlobalPlacer::new(KraftwerkConfig::standard())
-            .place(&nl)
-            .placement;
-        let legal = legalize_tetris(&nl, &global).unwrap();
-        let report = check_legality(&nl, &legal, 1e-6);
-        assert!(report.is_legal(), "{report:?}");
-    }
-
-    #[test]
-    fn abacus_displaces_no_more_than_tetris() {
-        let nl = generate(&SynthConfig::with_size("tet2", 400, 500, 10));
-        let global = GlobalPlacer::new(KraftwerkConfig::standard())
-            .place(&nl)
-            .placement;
-        let tetris = legalize_tetris(&nl, &global).unwrap();
-        let abacus = legalize(&nl, &global).unwrap();
-        let d_tetris = global.total_displacement(&tetris);
-        let d_abacus = global.total_displacement(&abacus);
-        assert!(
-            d_abacus <= 1.1 * d_tetris,
-            "abacus {d_abacus:.0} should not displace much more than tetris {d_tetris:.0}"
-        );
-        // Both are real legalizations of the same global placement.
-        assert!(metrics::hpwl(&nl, &tetris).is_finite());
-        assert!(metrics::hpwl(&nl, &abacus).is_finite());
-    }
-
-    #[test]
-    fn tetris_errors_without_rows() {
-        use kraftwerk_geom::{Rect, Size};
-        use kraftwerk_netlist::{NetlistBuilder, PinDirection};
-        let mut b = NetlistBuilder::new();
-        b.core_region(Rect::new(0.0, 0.0, 10.0, 10.0));
-        let a = b.add_cell("a", Size::new(1.0, 1.0));
-        let c = b.add_cell("c", Size::new(1.0, 1.0));
-        b.add_net("n", [(a, PinDirection::Output), (c, PinDirection::Input)]);
-        let nl = b.build().unwrap();
-        assert_eq!(
-            legalize_tetris(&nl, &nl.initial_placement()).unwrap_err(),
-            LegalizeError::NoRows
-        );
-    }
-
-    #[test]
-    fn tetris_is_deterministic() {
-        let nl = generate(&SynthConfig::with_size("tet3", 200, 260, 8));
-        let a = legalize_tetris(&nl, &nl.initial_placement()).unwrap();
-        let b = legalize_tetris(&nl, &nl.initial_placement()).unwrap();
-        assert_eq!(a, b);
-    }
+    let nl = generate(&SynthConfig::with_size("tet2", 400, 500, 10));
+    let global = GlobalPlacer::new(KraftwerkConfig::standard())
+        .try_place(&nl)?
+        .placement;
+    let tetris = legalize_tetris(&nl, &global)?;
+    let abacus = legalize(&nl, &global)?;
+    // Both are real legalizations of the same global placement.
+    assert!(check_legality(&nl, &tetris, 1e-6).is_legal());
+    assert!(check_legality(&nl, &abacus, 1e-6).is_legal());
+    let d_tetris = global.total_displacement(&tetris);
+    let d_abacus = global.total_displacement(&abacus);
+    assert!(
+        d_abacus <= 1.1 * d_tetris,
+        "abacus {d_abacus:.0} should not displace much more than tetris {d_tetris:.0}"
+    );
+    Ok(())
 }

@@ -213,16 +213,6 @@ impl NetlistBuilder {
         pin_id
     }
 
-    /// Number of pins currently on a net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` was not created by this builder.
-    #[must_use]
-    pub fn net_degree(&self, net: NetId) -> usize {
-        self.nets[net.index()].pins.len()
-    }
-
     /// Whether a cell has at least one pin.
     ///
     /// # Panics

@@ -66,13 +66,6 @@ impl Placement {
         &self.positions
     }
 
-    /// Mutable view of all positions in cell-id order; used by solvers that
-    /// write whole coordinate vectors back.
-    #[must_use]
-    pub fn positions_mut(&mut self) -> &mut [Point] {
-        &mut self.positions
-    }
-
     /// The cell's footprint rectangle given its size.
     #[must_use]
     pub fn cell_rect(&self, cell: CellId, size: kraftwerk_geom::Size) -> Rect {

@@ -130,18 +130,6 @@ pub fn run_chunks(n_chunks: usize, run: &(dyn Fn(usize) + Sync)) {
     pool::pool().run(n_chunks, threads, timed, run);
 }
 
-/// Calls `f(chunk_index, chunk_slice)` for every `chunk`-sized piece of
-/// `items` (the last piece may be shorter). Chunk boundaries depend only
-/// on `items.len()` and `chunk`.
-pub fn for_each_chunk<T: Sync>(items: &[T], chunk: usize, f: impl Fn(usize, &[T]) + Sync) {
-    let len = items.len();
-    run_chunks(chunk_count(len, chunk), &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(len);
-        f(c, &items[lo..hi]);
-    });
-}
-
 struct SendPtr<T>(*mut T);
 // SAFETY: the pointer is only used to carve disjoint sub-slices per
 // chunk; `T: Send` makes handing those slices to other threads sound.
@@ -155,8 +143,10 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Mutable variant of [`for_each_chunk`]: every chunk gets exclusive
-/// access to its own disjoint sub-slice.
+/// Calls `f(chunk_index, chunk_slice)` for every `chunk`-sized piece of
+/// `items` (the last piece may be shorter); every chunk gets exclusive
+/// access to its own disjoint sub-slice. Chunk boundaries depend only on
+/// `items.len()` and `chunk`.
 pub fn for_each_chunk_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
     let len = items.len();
     let base = SendPtr(items.as_mut_ptr());
@@ -382,7 +372,7 @@ mod tests {
     fn empty_input_runs_nothing() {
         with_threads(4, || {
             let calls = AtomicUsize::new(0);
-            for_each_chunk::<u8>(&[], 16, |_, _| {
+            for_each_chunk_mut::<u8>(&mut [], 16, |_, _| {
                 calls.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(calls.load(Ordering::SeqCst), 0);
@@ -398,8 +388,8 @@ mod tests {
     fn input_smaller_than_one_chunk_is_a_single_call() {
         with_threads(4, || {
             let seen: StdMutex<Vec<(usize, Vec<u32>)>> = StdMutex::new(Vec::new());
-            let items = [7u32, 8, 9];
-            for_each_chunk(&items, 64, |c, slice| {
+            let mut items = [7u32, 8, 9];
+            for_each_chunk_mut(&mut items, 64, |c, slice| {
                 seen.lock().unwrap().push((c, slice.to_vec()));
             });
             assert_eq!(seen.into_inner().unwrap(), vec![(0, vec![7, 8, 9])]);
@@ -410,9 +400,9 @@ mod tests {
     fn chunk_boundaries_cover_exactly_once() {
         with_threads(8, || {
             for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100] {
-                let items: Vec<usize> = (0..len).collect();
+                let mut items: Vec<usize> = (0..len).collect();
                 let seen: StdMutex<Vec<(usize, usize, usize)>> = StdMutex::new(Vec::new());
-                for_each_chunk(&items, 16, |c, slice| {
+                for_each_chunk_mut(&mut items, 16, |c, slice| {
                     let lo = slice.first().copied().unwrap_or(c * 16);
                     seen.lock().unwrap().push((c, lo, slice.len()));
                 });

@@ -388,7 +388,8 @@ pub struct JobReport {
     pub remaining_budget_ms: Option<u64>,
     /// Whether the job was retried at damped force scale.
     pub retried: bool,
-    /// Whether the session arena came from the cross-request pool.
+    /// Whether the session arena came from the cross-request pool
+    /// (always `false` for multilevel jobs, which use no pooled arena).
     pub arena_pooled: bool,
     /// Final placement text, when requested.
     pub placement: Option<String>,

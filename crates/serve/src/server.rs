@@ -13,9 +13,10 @@
 //! 4. **Isolation** — a malformed request or a panicking job produces a
 //!    structured error frame; the daemon (and the connection) keep
 //!    serving.
-//! 5. **Arena pooling** — session scratch arenas are recycled across
-//!    requests, so the steady-state-allocation-free property becomes
-//!    cross-request cache reuse.
+//! 5. **Arena pooling** — flat jobs' session scratch arenas are recycled
+//!    across requests, so the steady-state-allocation-free property
+//!    becomes cross-request cache reuse. Multilevel jobs neither take nor
+//!    return a pooled arena.
 //! 6. **Crash-safe journaling** — progress and position snapshots stream
 //!    to a per-job journal, so a killed daemon reports last-known-good
 //!    positions after restart (`recover` frame).
@@ -845,20 +846,25 @@ fn process_job(shared: &Shared, job: &Job) {
         u64::try_from(deadline.saturating_duration_since(started).as_millis()).unwrap_or(u64::MAX),
     );
 
-    // 3. First attempt (pooled arena when available).
-    let (arena, arena_pooled) = match lock(&shared.arenas).pop() {
-        Some(arena) => (arena, true),
-        None => (ScratchArena::default(), false),
-    };
-    if arena_pooled {
-        shared.metrics.arena_hits.inc();
+    // 3. First attempt. Flat modes run on a pooled arena when one is
+    //    available; the multilevel V-cycle threads its own arena through
+    //    its levels, so its jobs take none from the pool and return none.
+    let (arena, arena_pooled) = if req.mode == Mode::Multilevel {
+        (ScratchArena::default(), false)
     } else {
-        shared.metrics.arena_misses.inc();
-    }
-    shared
-        .metrics
-        .arena_pool_size
-        .set(lock(&shared.arenas).len() as f64);
+        let pooled = lock(&shared.arenas).pop();
+        let hit = pooled.is_some();
+        if hit {
+            shared.metrics.arena_hits.inc();
+        } else {
+            shared.metrics.arena_misses.inc();
+        }
+        shared
+            .metrics
+            .arena_pool_size
+            .set(lock(&shared.arenas).len() as f64);
+        (pooled.unwrap_or_default(), hit)
+    };
     let stall = std::cell::Cell::new(fault == Some(FaultKind::Stall));
     let run = run_attempt(
         shared, job, &netlist, cfg.clone(), arena, 1, &mut journal, &stall,
@@ -867,7 +873,7 @@ fn process_job(shared: &Shared, job: &Job) {
         Ok(pair) => pair,
         Err(boxed) => {
             let (err, arena) = *boxed;
-            lock(&shared.arenas).push(arena);
+            return_arena(shared, req.mode, arena);
             journal.end("error", f64::NAN, 0);
             shared.metrics.jobs_failed.inc();
             write_job_report(shared, req, recorder.as_deref(), "error", f64::NAN);
@@ -914,7 +920,7 @@ fn process_job(shared: &Shared, job: &Job) {
             }
         }
     }
-    lock_pool_push(shared, arena);
+    return_arena(shared, req.mode, arena);
 
     // 5. Report.
     let status: &'static str =
@@ -980,8 +986,12 @@ fn write_job_report(
     let _ = std::fs::write(dir.join(format!("{}.jsonl", req.id)), report.to_jsonl());
 }
 
-/// Returns an arena to the bounded cross-request pool.
-fn lock_pool_push(shared: &Shared, arena: ScratchArena) {
+/// Returns a flat job's arena to the bounded cross-request pool; a
+/// multilevel job's arena never came from the pool and is dropped.
+fn return_arena(shared: &Shared, mode: Mode, arena: ScratchArena) {
+    if mode == Mode::Multilevel {
+        return;
+    }
     let mut pool = lock(&shared.arenas);
     if pool.len() < shared.cfg.workers.max(1) * 2 {
         pool.push(arena);

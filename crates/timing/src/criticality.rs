@@ -2,6 +2,13 @@
 
 use crate::sta::TimingReport;
 
+/// Cap on the accumulated weight. Besides keeping unsatisfiable paths
+/// from running the weights to infinity, the cap balances the timing pull
+/// against the density forces: uncapped weights stack critical cells on
+/// top of each other, which no legal placement can realize (tuned in the
+/// ablation bench; ~8 maximizes post-legalization exploitation).
+const MAX_WEIGHT: f64 = 8.0;
+
 /// Tracks per-net criticality across placement transformations:
 ///
 /// ```text
@@ -19,13 +26,6 @@ pub struct CriticalityTracker {
     criticality: Vec<f64>,
     weights: Vec<f64>,
     fraction: f64,
-    /// Cap on the accumulated weight. Besides keeping unsatisfiable paths
-    /// from running the weights to infinity, the cap balances the timing
-    /// pull against the density forces: uncapped weights stack critical
-    /// cells on top of each other, which no legal placement can realize
-    /// (tuned in the ablation bench; ~8 maximizes post-legalization
-    /// exploitation).
-    max_weight: f64,
 }
 
 impl CriticalityTracker {
@@ -37,7 +37,6 @@ impl CriticalityTracker {
             criticality: vec![0.0; num_nets],
             weights: vec![1.0; num_nets],
             fraction: 0.03,
-            max_weight: 8.0,
         }
     }
 
@@ -45,16 +44,6 @@ impl CriticalityTracker {
     #[must_use]
     pub fn with_fraction(mut self, fraction: f64) -> Self {
         self.fraction = fraction;
-        self
-    }
-
-    /// Overrides the weight cap (builder style). Lower caps keep the
-    /// timing pull from overpowering the density forces (critical cells
-    /// pack tightly but stay spreadable into rows); higher caps contract
-    /// harder at the price of post-legalization realism.
-    #[must_use]
-    pub fn with_max_weight(mut self, max_weight: f64) -> Self {
-        self.max_weight = max_weight;
         self
     }
 
@@ -93,7 +82,7 @@ impl CriticalityTracker {
             } else {
                 self.criticality[i] * 0.5
             };
-            self.weights[i] = (self.weights[i] * (1.0 + self.criticality[i])).min(self.max_weight);
+            self.weights[i] = (self.weights[i] * (1.0 + self.criticality[i])).min(MAX_WEIGHT);
         }
         self.weights.clone()
     }

@@ -117,9 +117,10 @@ pub fn optimize_timing(
 }
 
 /// Timing optimization measured where it counts: on *legal* placements.
-/// Runs [`optimize_timing`], legalizes, then applies `rounds` outer
+/// Runs [`optimize_timing`], detail-places
+/// ([`kraftwerk_legalize::detail_place`]), then applies `rounds` outer
 /// iterations of analyze-on-legal → reweight → incremental re-place →
-/// re-legalize, returning the best legal placement seen. The net
+/// detail-place again, returning the best legal placement seen. The net
 /// criticalities carry over from the global flow into these rounds. This
 /// closes the gap between global-placement timing (which can stack
 /// critical cells) and realizable row placements; Tables 3 and 4 use this
@@ -136,14 +137,13 @@ pub fn optimize_timing_legalized(
     config: KraftwerkConfig,
     rounds: usize,
 ) -> Result<TimingDrivenResult, KraftwerkError> {
-    use kraftwerk_legalize::{legalize, refine};
+    use kraftwerk_legalize::detail_place;
     let sta = Sta::new(netlist, model)?;
     let config = timing_config(config);
     let mut tracker = CriticalityTracker::new(netlist.num_nets());
     let global = timing_loop(netlist, &sta, &config, &mut tracker)?;
     let mut history = global.history;
-    let mut best = legalize(netlist, &global.placement)?;
-    refine(netlist, &mut best, 2);
+    let mut best = detail_place(netlist, &global.placement)?;
     let mut best_delay = sta.analyze(&best).max_delay;
     history.push(TradeoffPoint {
         iteration: history.len() + 1,
@@ -158,8 +158,7 @@ pub fn optimize_timing_legalized(
         for _ in 0..8 {
             eco.try_transform()?;
         }
-        let mut legal = legalize(netlist, eco.placement())?;
-        refine(netlist, &mut legal, 2);
+        let legal = detail_place(netlist, eco.placement())?;
         let delay = sta.analyze(&legal).max_delay;
         history.push(TradeoffPoint {
             iteration: history.len() + 1,
@@ -264,7 +263,9 @@ mod tests {
         let cfg = KraftwerkConfig::standard();
         let sta = Sta::new(&nl, model).unwrap();
 
-        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone()).place(&nl);
+        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone())
+            .try_place(&nl)
+            .expect("placement");
         let plain_delay = sta.analyze(&plain.placement).max_delay;
 
         let optimized = optimize_timing(&nl, model, cfg).unwrap();
@@ -282,7 +283,9 @@ mod tests {
         let model = DelayModel::default();
         let sta = Sta::new(&nl, model).unwrap();
         let cfg = KraftwerkConfig::standard();
-        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone()).place(&nl);
+        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone())
+            .try_place(&nl)
+            .expect("placement");
         let optimized = optimize_timing(&nl, model, cfg).unwrap();
         let bound = sta.lower_bound();
         let plain_delay = sta.analyze(&plain.placement).max_delay;
@@ -313,7 +316,9 @@ mod tests {
         let model = DelayModel::default();
         let cfg = KraftwerkConfig::standard();
         let sta = Sta::new(&nl, model).unwrap();
-        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone()).place(&nl);
+        let plain = kraftwerk_core::GlobalPlacer::new(cfg.clone())
+            .try_place(&nl)
+            .expect("placement");
         let plain_delay = sta.analyze(&plain.placement).max_delay;
         // Ask for a modest improvement over the area-optimized result.
         let requirement = plain_delay * 0.93;

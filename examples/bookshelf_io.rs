@@ -15,7 +15,7 @@ use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = generate(&SynthConfig::with_size("bookshelf_demo", 400, 500, 10));
-    let global = GlobalPlacer::new(KraftwerkConfig::standard()).place(&netlist);
+    let global = GlobalPlacer::new(KraftwerkConfig::standard()).try_place(&netlist)?;
     let legal = legalize(&netlist, &global.placement)?;
     println!(
         "placed {}: hpwl {:.0}",

@@ -29,7 +29,9 @@ fn main() {
     let (nx, ny) = PlacementSession::new(&netlist, config.clone()).grid_dims();
 
     // Plain placement for reference.
-    let plain = GlobalPlacer::new(config.clone()).place(&netlist);
+    let plain = GlobalPlacer::new(config.clone())
+        .try_place(&netlist)
+        .expect("placement");
     // Routing capacity: 60% of the plain placement's peak demand, so the
     // reference design is (mildly) unroutable and there is something to
     // optimize.
@@ -53,7 +55,7 @@ fn main() {
         session
             .set_demand_map(demand_for_session(&map), 2.5)
             .expect("congestion map uses grid_dims");
-        session.transform();
+        session.try_transform().expect("transformation");
         if session.is_converged() {
             break;
         }
@@ -74,7 +76,7 @@ fn main() {
         session
             .set_demand_map(demand_for_session(&map), 0.8)
             .expect("thermal map uses grid_dims");
-        session.transform();
+        session.try_transform().expect("transformation");
         if session.is_converged() {
             break;
         }

@@ -36,7 +36,7 @@ fn main() -> std::io::Result<()> {
 
     let mut frame = 0;
     loop {
-        let stats = session.transform();
+        let stats = session.try_transform().expect("transformation");
         let snapshot_due = stats.iteration == 1
             || stats.iteration.is_multiple_of(8)
             || session.is_converged()

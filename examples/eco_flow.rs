@@ -17,7 +17,7 @@ use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let original = generate(&SynthConfig::with_size("eco_demo", 800, 950, 16));
     let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-    let before = placer.place(&original);
+    let before = placer.try_place(&original)?;
     println!(
         "original: {} cells, hpwl {:.0}",
         original.num_movable(),
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let eco = placer.place_incremental(&changed, warm);
+    let eco = placer.try_place_incremental(&changed, warm)?;
     // How far did the pre-existing cells move?
     let mut moved = 0.0f64;
     let mut max_moved = 0.0f64;
@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Contrast: placing the changed netlist from scratch moves everything.
-    let scratch = placer.place(&changed);
+    let scratch = placer.try_place(&changed)?;
     let mut scratch_moved = 0.0f64;
     for id in original.cell_ids() {
         scratch_moved += before.placement.position(id).distance(

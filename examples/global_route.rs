@@ -19,7 +19,10 @@ fn main() {
     let (nx, ny) = PlacementSession::new(&netlist, config.clone()).grid_dims();
 
     // Plain placement, routed.
-    let plain = GlobalPlacer::new(config.clone()).place(&netlist).placement;
+    let plain = GlobalPlacer::new(config.clone())
+        .try_place(&netlist)
+        .expect("placement")
+        .placement;
     // Capacity sized to ~80% of what the plain placement demands at its
     // worst edge, so the router has to negotiate.
     let probe = route(&netlist, &plain, nx, ny, &RouterConfig {
@@ -60,7 +63,7 @@ fn main() {
         session
             .set_demand_map(demand_for_session(&map), 2.0)
             .expect("congestion map uses grid_dims");
-        session.transform();
+        session.try_transform().expect("transformation");
         if session.is_converged() {
             break;
         }

@@ -6,7 +6,7 @@
 //! ```
 
 use kraftwerk::geom::svg::SvgCanvas;
-use kraftwerk::legalize::{check_legality, legalize, refine};
+use kraftwerk::legalize::{check_legality, detail_place};
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{metrics, CellKind, Netlist, Placement};
 use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
@@ -34,10 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = generate(&SynthConfig::with_size("quickstart", 800, 950, 16));
     println!("circuit: {}", kraftwerk::netlist::stats::NetlistStats::collect(&netlist));
 
-    // Global placement (the paper's standard mode, K = 0.2).
+    // Global placement (the paper's standard mode).
     let placer = GlobalPlacer::new(KraftwerkConfig::standard());
     let start = std::time::Instant::now();
-    let result = placer.place(&netlist);
+    let result = placer.try_place(&netlist)?;
     println!(
         "global placement: {} transformations in {:.2}s, hpwl {:.0}, converged: {}",
         result.iterations(),
@@ -48,13 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snapshot(&netlist, &result.placement, "quickstart_global.svg")?;
 
     // Legalize into rows and refine (the Domino-style final placement).
-    let mut legal = legalize(&netlist, &result.placement)?;
-    let gained = refine(&netlist, &mut legal, 2);
+    let legal = detail_place(&netlist, &result.placement)?;
     let report = check_legality(&netlist, &legal, 1e-6);
     println!(
-        "legalized: hpwl {:.0} (refinement recovered {:.0}), legal: {}",
+        "legalized: hpwl {:.0}, legal: {}",
         metrics::hpwl(&netlist, &legal),
-        gained,
         report.is_legal(),
     );
     snapshot(&netlist, &legal, "quickstart_legal.svg")?;

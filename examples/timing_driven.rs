@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = KraftwerkConfig::standard();
 
     // Baseline: plain area-driven placement.
-    let plain = GlobalPlacer::new(config.clone()).place(&netlist);
+    let plain = GlobalPlacer::new(config.clone()).try_place(&netlist)?;
     let plain_delay = sta.analyze(&plain.placement).max_delay;
     let bound = sta.lower_bound();
     println!("zero-wire lower bound: {bound:.2} ns");

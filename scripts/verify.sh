@@ -2,9 +2,10 @@
 # Tier-1 verification gate: build, test, lint. Run from the repo root.
 #
 # The workspace is zero-external-dependency apart from rand/rand_chacha
-# (dev/synthesis only) and criterion (benches), so this also doubles as
-# the offline-sandbox smoke test: nothing here should need a registry
-# once the lockfile/vendor cache is in place.
+# (dev/synthesis only) and proptest (property tests), all vendored under
+# vendor/, so this also doubles as the offline-sandbox smoke test:
+# nothing here should need a registry once the lockfile/vendor cache is
+# in place.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +20,7 @@ cargo test -q --workspace
 # The adversarial corpus and watchdog-recovery suite must stay green on
 # its own too — it is the contract behind the panic audit below.
 cargo test -q --test robustness
-# Lint every workspace member, benches and unit tests included, not only
+# Lint every workspace member, unit tests included, not only
 # the root package, with every feature on: a feature nothing enables
 # must still build, or it is dead code.
 cargo clippy --workspace --all-targets --all-features -- -D warnings

@@ -62,7 +62,7 @@
 //! watchdog — see the README "Robustness & recovery" section).
 
 use kraftwerk::geom::svg::SvgCanvas;
-use kraftwerk::legalize::{check_legality, legalize, refine};
+use kraftwerk::legalize::{check_legality, detail_place};
 use kraftwerk::netlist::format::{read_netlist, read_placement, write_netlist, write_placement};
 use kraftwerk::netlist::stats::NetlistStats;
 use kraftwerk::netlist::synth::{generate, SynthConfig};
@@ -341,16 +341,11 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     alloc::set_tracking(alloc_stats);
     let started = std::time::Instant::now();
     let place_result = if has_flag(args, "--multilevel") {
-        // The multilevel driver shares the session watchdog; validate the
-        // netlist up front so bad input fails with the same taxonomy.
-        match netlist.validate() {
-            Ok(()) => kraftwerk::placer::try_place_multilevel(
-                &netlist,
-                config,
-                &kraftwerk::placer::MultilevelConfig::default(),
-            ),
-            Err(e) => Err(KraftwerkError::from(e)),
-        }
+        kraftwerk::placer::try_place_multilevel(
+            &netlist,
+            config,
+            &kraftwerk::placer::MultilevelConfig::default(),
+        )
     } else {
         GlobalPlacer::new(config).try_place(&netlist)
     };
@@ -371,10 +366,7 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
             if global.health.budget_exhausted { ", budget exhausted" } else { "" },
         ));
     }
-    let mut legal_result = legalize(&netlist, &global.placement);
-    if let Ok(legal) = &mut legal_result {
-        refine(&netlist, legal, 2);
-    }
+    let legal_result = detail_place(&netlist, &global.placement);
     let elapsed = started.elapsed().as_secs_f64();
     alloc::set_tracking(false);
     let alloc_totals = alloc::stats();

@@ -36,15 +36,14 @@
 //! use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
 //! use kraftwerk::netlist::synth::{generate, SynthConfig};
 //! use kraftwerk::netlist::metrics;
-//! use kraftwerk::legalize::{legalize, refine};
+//! use kraftwerk::legalize::detail_place;
 //!
 //! // Generate an MCNC-shaped benchmark, place it, legalize it.
 //! let netlist = generate(&SynthConfig::with_size("demo", 200, 260, 8));
-//! let global = GlobalPlacer::new(KraftwerkConfig::standard()).place(&netlist);
-//! let mut legal = legalize(&netlist, &global.placement)?;
-//! refine(&netlist, &mut legal, 2);
+//! let global = GlobalPlacer::new(KraftwerkConfig::standard()).try_place(&netlist)?;
+//! let legal = detail_place(&netlist, &global.placement)?;
 //! println!("final wire length: {:.0}", metrics::hpwl(&netlist, &legal));
-//! # Ok::<(), kraftwerk::legalize::LegalizeError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! See `examples/` for the domain flows (timing-driven placement, mixed

@@ -50,7 +50,9 @@ fn with_largest_poisson_grid<R>(f: impl FnOnce() -> R) -> (R, u64) {
 fn run_with_threads(nl: &Netlist, threads: usize) -> (Placement, Vec<IterationStats>) {
     kraftwerk::par::set_threads(threads);
     let mut session = PlacementSession::new(nl, KraftwerkConfig::standard());
-    let stats = (0..6).map(|_| session.transform()).collect();
+    let stats = (0..6)
+        .map(|_| session.try_transform().expect("transformation"))
+        .collect();
     (session.placement().clone(), stats)
 }
 

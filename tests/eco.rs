@@ -51,7 +51,7 @@ fn with_extra_cells(original: &Netlist, extra: usize) -> Netlist {
 fn eco_disturbs_far_less_than_replacement() {
     let original = generate(&SynthConfig::with_size("eco_int", 600, 720, 12));
     let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-    let before = placer.place(&original);
+    let before = placer.try_place(&original).expect("placement");
 
     let changed = with_extra_cells(&original, original.num_movable() / 100);
     let warm: Placement = changed
@@ -65,8 +65,10 @@ fn eco_disturbs_far_less_than_replacement() {
         })
         .collect();
 
-    let eco = placer.place_incremental(&changed, warm);
-    let scratch = placer.place(&changed);
+    let eco = placer
+        .try_place_incremental(&changed, warm)
+        .expect("incremental placement");
+    let scratch = placer.try_place(&changed).expect("placement");
 
     let mut eco_moved = 0.0;
     let mut scratch_moved = 0.0;
@@ -98,7 +100,7 @@ fn gate_resizing_is_absorbed_incrementally() {
     // and re-place incrementally.
     let nl = generate(&SynthConfig::with_size("eco_resize", 500, 620, 10));
     let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-    let before = placer.place(&nl);
+    let before = placer.try_place(&nl).expect("placement");
 
     let resized = nl.with_sizes(|id, cell| {
         if id.index() % 20 == 0 && cell.is_movable() {
@@ -107,7 +109,9 @@ fn gate_resizing_is_absorbed_incrementally() {
             cell.size()
         }
     });
-    let eco = placer.place_incremental(&resized, before.placement.clone());
+    let eco = placer
+        .try_place_incremental(&resized, before.placement.clone())
+        .expect("incremental placement");
 
     // Disturbance stays modest: the resized cells' neighbourhoods adapt,
     // the rest of the placement barely moves.
@@ -125,8 +129,10 @@ fn gate_resizing_is_absorbed_incrementally() {
 fn unchanged_netlist_eco_is_nearly_a_fixed_point() {
     let nl = generate(&SynthConfig::with_size("eco_fix", 400, 500, 10));
     let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-    let first = placer.place(&nl);
-    let eco = placer.place_incremental(&nl, first.placement.clone());
+    let first = placer.try_place(&nl).expect("placement");
+    let eco = placer
+        .try_place_incremental(&nl, first.placement.clone())
+        .expect("incremental placement");
     let avg = first.placement.total_displacement(&eco.placement) / nl.num_movable() as f64;
     assert!(
         avg < 0.02 * nl.core_region().half_perimeter(),

@@ -9,7 +9,7 @@
 //! serialized through a local mutex (the harness runs tests on threads).
 
 use kraftwerk::inspect;
-use kraftwerk::legalize::{legalize, refine};
+use kraftwerk::legalize::detail_place;
 use kraftwerk::netlist::synth::{generate, mcnc, SynthConfig};
 use kraftwerk::placer::{try_place_multilevel, GlobalPlacer, KraftwerkConfig, MultilevelConfig};
 use kraftwerk::trace::json::{self, Json};
@@ -143,8 +143,7 @@ fn every_record_kind_round_trips_through_the_reader() {
         trace::alloc::set_tracking(true);
         trace::install(recorder.clone());
         let placed = GlobalPlacer::new(config).try_place(&netlist).map(|global| {
-            let mut legal = legalize(&netlist, &global.placement).expect("fract legalizes");
-            refine(&netlist, &mut legal, 2);
+            detail_place(&netlist, &global.placement).expect("fract legalizes");
             global.health
         });
         trace::uninstall();

@@ -7,9 +7,9 @@
 use kraftwerk::bench::run_kraftwerk;
 use kraftwerk::congestion::{demand_for_session, peak, thermal_map};
 use kraftwerk::floorplan::{is_legal_mixed, place_mixed, MixedPlaceConfig};
-use kraftwerk::legalize::{legalize, refine};
+use kraftwerk::legalize::detail_place;
 use kraftwerk::netlist::synth::{generate, mcnc, SynthConfig};
-use kraftwerk::netlist::{metrics, CellKind};
+use kraftwerk::netlist::{metrics, CellKind, Placement};
 use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig, PlacementSession};
 use kraftwerk::timing::{meet_requirements, DelayModel, Sta};
 
@@ -22,8 +22,11 @@ use kraftwerk::timing::{meet_requirements, DelayModel, Sta};
 fn any_placement_is_an_equilibrium_under_suitable_forces() {
     let nl = generate(&SynthConfig::with_size("claim_eq", 250, 310, 8));
     let placer = GlobalPlacer::new(KraftwerkConfig::standard());
-    let converged = placer.place(&nl).placement;
-    let resumed = placer.place_incremental(&nl, converged.clone()).placement;
+    let converged = placer.try_place(&nl).expect("placement").placement;
+    let resumed = placer
+        .try_place_incremental(&nl, converged.clone())
+        .expect("incremental placement")
+        .placement;
     let moved = converged.max_displacement(&resumed);
     assert!(
         moved < 0.1 * nl.core_region().half_perimeter(),
@@ -63,7 +66,9 @@ fn meeting_requirements_is_precise_and_costs_area() {
     let model = DelayModel::default();
     let sta = Sta::new(&nl, model).expect("acyclic");
     let cfg = KraftwerkConfig::standard();
-    let base = GlobalPlacer::new(cfg.clone()).place(&nl);
+    let base = GlobalPlacer::new(cfg.clone())
+        .try_place(&nl)
+        .expect("placement");
     let base_delay = sta.analyze(&base.placement).max_delay;
     let base_hpwl = metrics::hpwl(&nl, &base.placement);
     let requirement = base_delay * 0.9;
@@ -91,7 +96,9 @@ fn heat_map_injection_flattens_a_hot_spot() {
     });
     let cfg = KraftwerkConfig::standard();
     let (nx, ny) = PlacementSession::new(&nl, cfg.clone()).grid_dims();
-    let plain = GlobalPlacer::new(cfg.clone()).place(&nl);
+    let plain = GlobalPlacer::new(cfg.clone())
+        .try_place(&nl)
+        .expect("placement");
     let plain_peak = peak(&thermal_map(&nl, &plain.placement, nx, ny));
 
     let mut session = PlacementSession::new(&nl, cfg.clone());
@@ -100,7 +107,7 @@ fn heat_map_injection_flattens_a_hot_spot() {
         session
             .set_demand_map(demand_for_session(&t), 0.8)
             .expect("thermal map uses grid_dims");
-        session.transform();
+        session.try_transform().expect("transformation");
         if session.is_converged() {
             break;
         }
@@ -118,18 +125,16 @@ fn heat_map_injection_flattens_a_hot_spot() {
 #[test]
 fn fast_mode_quality_stays_in_a_sane_envelope() {
     let nl = generate(&SynthConfig::with_size("claim_fast", 600, 720, 12));
-    let std_run = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
-    let fast_run = GlobalPlacer::new(KraftwerkConfig::fast()).place(&nl);
-    let std_legal = {
-        let mut p = legalize(&nl, &std_run.placement).expect("legal");
-        refine(&nl, &mut p, 2);
-        metrics::hpwl(&nl, &p)
-    };
-    let fast_legal = {
-        let mut p = legalize(&nl, &fast_run.placement).expect("legal");
-        refine(&nl, &mut p, 2);
-        metrics::hpwl(&nl, &p)
-    };
+    let std_run = GlobalPlacer::new(KraftwerkConfig::standard())
+        .try_place(&nl)
+        .expect("placement");
+    let fast_run = GlobalPlacer::new(KraftwerkConfig::fast())
+        .try_place(&nl)
+        .expect("placement");
+    let legal_hpwl =
+        |global: &Placement| metrics::hpwl(&nl, &detail_place(&nl, global).expect("legal"));
+    let std_legal = legal_hpwl(&std_run.placement);
+    let fast_legal = legal_hpwl(&fast_run.placement);
     assert!(
         fast_legal < 1.45 * std_legal,
         "fast {fast_legal:.0} vs standard {std_legal:.0}"
@@ -169,10 +174,10 @@ fn transformations_flatten_the_density() {
     let nl = generate(&SynthConfig::with_size("claim_flat", 400, 500, 10));
     let cfg = KraftwerkConfig::standard();
     let mut session = PlacementSession::new(&nl, cfg.clone());
-    let first = session.transform();
+    let first = session.try_transform().expect("transformation");
     let mut last = first.clone();
     while session.iteration() < cfg.max_transformations {
-        last = session.transform();
+        last = session.try_transform().expect("transformation");
         if session.is_converged() || session.is_stalled() {
             break;
         }

@@ -11,7 +11,9 @@ use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
 #[test]
 fn save_and_resume_mid_flow() {
     let nl = generate(&SynthConfig::with_size("persist", 300, 380, 8));
-    let global = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
+    let global = GlobalPlacer::new(KraftwerkConfig::standard())
+        .try_place(&nl)
+        .expect("placement");
 
     // Serialize both artifacts.
     let nl_text = write_netlist(&nl);

@@ -1,23 +1,28 @@
-//! Cross-crate integration: the full place → legalize → refine pipeline
-//! on MCNC-shaped circuits, compared against both baseline placers.
+//! Cross-crate integration: the full global placement → detail placement
+//! pipeline on MCNC-shaped circuits, compared against both baseline
+//! placers.
 
 use kraftwerk::baselines::{AnnealingConfig, AnnealingPlacer, GordianConfig, GordianPlacer};
-use kraftwerk::legalize::{check_legality, legalize, refine};
+use kraftwerk::legalize::{check_legality, detail_place};
 use kraftwerk::netlist::synth::{generate, mcnc, SynthConfig};
 use kraftwerk::netlist::{metrics, Netlist, Placement};
 use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig, NetModel};
 
+fn place(netlist: &Netlist, config: KraftwerkConfig) -> Placement {
+    GlobalPlacer::new(config)
+        .try_place(netlist)
+        .expect("placement")
+        .placement
+}
+
 fn finish(netlist: &Netlist, global: &Placement) -> Placement {
-    let mut legal = legalize(netlist, global).expect("legalizable");
-    refine(netlist, &mut legal, 2);
-    legal
+    detail_place(netlist, global).expect("legalizable")
 }
 
 #[test]
 fn kraftwerk_pipeline_is_legal_and_beats_scatter() {
     let nl = generate(&SynthConfig::with_size("pipe", 600, 720, 12));
-    let global = GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl);
-    let legal = finish(&nl, &global.placement);
+    let legal = finish(&nl, &place(&nl, KraftwerkConfig::standard()));
     assert!(check_legality(&nl, &legal, 1e-6).is_legal());
 
     // Scatter reference: cells placed round-robin over rows.
@@ -45,10 +50,7 @@ fn all_three_placers_complete_the_pipeline_on_fract() {
     // The smallest Table 1 circuit through all three flows.
     let nl = mcnc::by_name("fract");
 
-    let kw = finish(
-        &nl,
-        &GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl).placement,
-    );
+    let kw = finish(&nl, &place(&nl, KraftwerkConfig::standard()));
     assert!(check_legality(&nl, &kw, 1e-6).is_legal());
 
     let (sa_global, _) = AnnealingPlacer::new(AnnealingConfig::default()).place(&nl);
@@ -72,8 +74,7 @@ fn all_three_placers_complete_the_pipeline_on_fract() {
 #[test]
 fn pipeline_handles_the_fast_mode() {
     let nl = generate(&SynthConfig::with_size("pipe_fast", 500, 620, 10));
-    let global = GlobalPlacer::new(KraftwerkConfig::fast()).place(&nl);
-    let legal = finish(&nl, &global.placement);
+    let legal = finish(&nl, &place(&nl, KraftwerkConfig::fast()));
     assert!(check_legality(&nl, &legal, 1e-6).is_legal());
 }
 
@@ -88,8 +89,7 @@ fn b2b_and_clique_agree_on_mcnc_wirelength() {
         let run = |model: NetModel| {
             let mut cfg = KraftwerkConfig::standard();
             cfg.net_model = model;
-            let global = GlobalPlacer::new(cfg).place(&nl);
-            metrics::hpwl(&nl, &finish(&nl, &global.placement))
+            metrics::hpwl(&nl, &finish(&nl, &place(&nl, cfg)))
         };
         let clique = run(NetModel::Clique);
         let b2b = run(NetModel::B2B);
@@ -103,13 +103,7 @@ fn b2b_and_clique_agree_on_mcnc_wirelength() {
 #[test]
 fn pipeline_is_deterministic_end_to_end() {
     let nl = generate(&SynthConfig::with_size("pipe_det", 300, 380, 8));
-    let one = finish(
-        &nl,
-        &GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl).placement,
-    );
-    let two = finish(
-        &nl,
-        &GlobalPlacer::new(KraftwerkConfig::standard()).place(&nl).placement,
-    );
+    let one = finish(&nl, &place(&nl, KraftwerkConfig::standard()));
+    let two = finish(&nl, &place(&nl, KraftwerkConfig::standard()));
     assert_eq!(one, two);
 }

@@ -12,7 +12,8 @@ use kraftwerk::netlist::{
     metrics, Netlist, NetlistBuilder, PinDirection, ValidationIssue, MAX_NET_DEGREE,
 };
 use kraftwerk::placer::{
-    GlobalPlacer, KraftwerkConfig, KraftwerkError, PlacementSession, WatchdogConfig,
+    try_place_multilevel, GlobalPlacer, KraftwerkConfig, KraftwerkError, MultilevelConfig,
+    PlaceResult, PlacementSession, WatchdogConfig,
 };
 use kraftwerk::sparse::SolverError;
 use kraftwerk::trace::{self, RunRecorder, Value};
@@ -23,9 +24,19 @@ fn placer() -> GlobalPlacer {
     GlobalPlacer::new(KraftwerkConfig::standard())
 }
 
+/// Both global-placement front doors, flat and multilevel, on the same
+/// input: each must validate before it places.
+fn both_front_doors(nl: &Netlist) -> [Result<PlaceResult, KraftwerkError>; 2] {
+    let config = KraftwerkConfig::standard();
+    [
+        GlobalPlacer::new(config.clone()).try_place(nl),
+        try_place_multilevel(nl, config, &MultilevelConfig::default()),
+    ]
+}
+
 /// Every coordinate of every movable cell is finite and inside the
 /// (slightly inflated) core.
-fn assert_placement_sane(nl: &Netlist, result: &kraftwerk::placer::PlaceResult) {
+fn assert_placement_sane(nl: &Netlist, result: &PlaceResult) {
     let core = nl.core_region().inflate(1.0);
     for (id, cell) in nl.movable_cells() {
         let p = result.placement.position(id);
@@ -77,15 +88,17 @@ fn zero_area_core_is_rejected_without_panic() {
     let c = b.add_cell("c", Size::new(4.0, 8.0));
     b.add_net("n", [(a, PinDirection::Output), (c, PinDirection::Input)]);
     let nl = b.build().expect("builder does not police core area");
-    let err = placer().try_place(&nl).expect_err("validation must reject");
-    let KraftwerkError::Validation(v) = &err else {
-        panic!("expected Validation, got {err:?}");
-    };
-    assert!(v
-        .issues
-        .iter()
-        .any(|i| matches!(i, ValidationIssue::ZeroAreaCore { .. })));
-    assert_eq!(err.exit_code(), 5);
+    for result in both_front_doors(&nl) {
+        let err = result.expect_err("validation must reject");
+        let KraftwerkError::Validation(v) = &err else {
+            panic!("expected Validation, got {err:?}");
+        };
+        assert!(v
+            .issues
+            .iter()
+            .any(|i| matches!(i, ValidationIssue::ZeroAreaCore { .. })));
+        assert_eq!(err.exit_code(), 5);
+    }
 }
 
 #[test]
@@ -103,9 +116,12 @@ fn nan_pin_offset_is_rejected_without_panic() {
         ],
     );
     let nl = b.build().expect("builder does not police pin offsets");
-    let err = placer().try_place(&nl).expect_err("validation must reject");
-    assert_eq!(err.stage(), "validation");
-    assert!(err.to_string().contains("non-finite pin offset"));
+    for result in both_front_doors(&nl) {
+        let err = result.expect_err("validation must reject");
+        assert_eq!(err.stage(), "validation");
+        assert_eq!(err.exit_code(), 5);
+        assert!(err.to_string().contains("non-finite pin offset"));
+    }
 }
 
 #[test]
@@ -148,7 +164,7 @@ fn wrong_size_demand_map_is_rejected_without_panic() {
     assert!(session.set_demand_map(short, 1.0).is_err());
     // Neither map was stored, so the next transformation runs cleanly.
     session.try_transform().expect("transformation after rejected maps");
-    assert!(session.health().is_clean());
+    assert!(session.health_snapshot().is_clean());
 }
 
 #[test]
@@ -193,12 +209,15 @@ fn watchdog_trip_rolls_back_to_best_so_far() {
         session.try_transform().expect("healthy transformations");
         seen.push((session.iteration(), session.placement().clone()));
     }
-    assert!(session.health().is_clean(), "healthy run must not trip");
+    assert!(
+        session.health_snapshot().is_clean(),
+        "healthy run must not trip"
+    );
     session.inject_force_scale_boost(500.0);
     let err = session.try_transform().expect_err("boosted step must trip");
     assert!(matches!(err, KraftwerkError::Diverged { .. }));
     assert_eq!(err.exit_code(), 6);
-    let health = session.health();
+    let health = session.health_snapshot();
     assert!(health.trips >= 1);
     assert_eq!(health.recoveries, 0);
     let restored = seen
@@ -226,7 +245,7 @@ fn watchdog_recovers_from_one_shot_divergence() {
     session.inject_force_scale_boost(500.0);
     let stats = session.try_transform().expect("retry after rollback");
     assert!(stats.hpwl.is_finite());
-    let health = session.health();
+    let health = session.health_snapshot();
     assert!(health.trips >= 1, "the boosted attempt must trip");
     assert!(health.recoveries >= 1, "the retry must be a recovery");
     assert!(!health.degraded);
@@ -275,16 +294,6 @@ fn forced_divergence_run_returns_checkpointed_best() {
     assert!(result.health.degraded);
     assert!(result.health.trips > result.health.recoveries);
     assert_placement_sane(&nl, &result);
-}
-
-#[test]
-fn try_place_matches_place_on_healthy_input() {
-    let nl = generate(&SynthConfig::with_size("wd-equiv", 120, 150, 6));
-    let infallible = placer().place(&nl);
-    let fallible = placer().try_place(&nl).expect("healthy input");
-    assert_eq!(infallible.placement, fallible.placement, "bitwise identical");
-    assert_eq!(infallible.stats, fallible.stats);
-    assert!(fallible.health.is_clean());
 }
 
 #[test]
@@ -338,7 +347,6 @@ fn budget_free_runs_report_no_remaining_budget() {
 
 #[test]
 fn budget_exhausted_survives_multilevel_health_merge() {
-    use kraftwerk::placer::{try_place_multilevel, MultilevelConfig};
     // Big enough to build a real hierarchy (>= 2 levels) with a small
     // coarsest tier, so the merged health crosses several level sessions.
     let nl = generate(&SynthConfig::with_size("wd-ml-budget", 2000, 2600, 7));

@@ -416,16 +416,31 @@ fn multilevel_mode_serves_over_the_wire() {
     let (handle, join) = start(ServeConfig::default());
     let mut c = Client::connect(handle.addr()).expect("connect");
     let text = netlist_text("srv-ml", 300, 400, 8);
-    let opts = PlaceOptions {
+    let ml = PlaceOptions {
         mode: Mode::Multilevel,
         ..PlaceOptions::default()
     };
-    let out = c.place("ml-1", &text, &opts).expect("transport");
+    let out = c.place("ml-1", &text, &ml).expect("transport");
     assert_eq!(out.status, "ok");
     assert!(out.hpwl.is_finite() && out.hpwl > 0.0);
     assert!(out.iterations > 0);
+    // The V-cycle builds its own arena: multilevel jobs neither take one
+    // from the pool nor return one, so only the second fast job reuses
+    // the arena the first fast job filled.
+    let fast = PlaceOptions::default();
+    let pooled: Vec<bool> = [("fast-1", &fast), ("ml-2", &ml), ("fast-2", &fast)]
+        .into_iter()
+        .map(|(id, opts)| {
+            let out = c.place(id, &text, opts).expect("transport");
+            assert_eq!(out.status, "ok", "{id}");
+            out.arena_pooled
+        })
+        .collect();
+    assert!(!out.arena_pooled, "ml-1 must not count as a pooled arena");
+    assert_eq!(pooled, [false, false, true]);
     handle.shutdown();
-    join.join().expect("no panic").expect("clean run");
+    let summary = join.join().expect("no panic").expect("clean run");
+    assert_eq!(summary.arena_reuses, 1);
 }
 
 #[test]

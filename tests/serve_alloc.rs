@@ -22,7 +22,7 @@ fn session_bytes(netlist: &Netlist, cfg: &KraftwerkConfig) -> (u64, u64) {
     let run = |arena| {
         let before = alloc::stats();
         let mut session = PlacementSession::with_arena(netlist, cfg.clone(), arena);
-        session.run_loop().expect("placement");
+        session.run_loop_with(|_, _| {}).expect("placement");
         let (_, arena) = session.into_parts();
         (alloc::stats().since(&before).bytes_allocated, arena)
     };

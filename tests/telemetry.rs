@@ -29,7 +29,7 @@ fn record_run(transformations: usize) -> (trace::RunReport, usize) {
     let mut session = PlacementSession::new(&netlist, KraftwerkConfig::fast());
     let mut done = 0;
     for _ in 0..transformations {
-        session.transform();
+        session.try_transform().expect("transformation");
         done += 1;
         if session.is_converged() {
             break;
@@ -174,7 +174,7 @@ fn disabled_tracing_records_nothing_and_costs_no_events() {
     trace::uninstall();
     let netlist = generate(&SynthConfig::with_size("telemetry_off", 120, 150, 5));
     let mut session = PlacementSession::new(&netlist, KraftwerkConfig::fast());
-    session.transform();
+    session.try_transform().expect("transformation");
     assert!(!trace::enabled());
     // Installing a recorder afterwards must start from a clean slate.
     let recorder = Arc::new(RunRecorder::new());

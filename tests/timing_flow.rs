@@ -1,16 +1,22 @@
 //! Cross-crate timing integration: the paper's timing flows measured on
 //! fully legalized placements (the configuration Tables 3 and 4 report).
 
-use kraftwerk::legalize::{legalize, refine};
+use kraftwerk::legalize::detail_place;
 use kraftwerk::netlist::synth::{generate, SynthConfig};
 use kraftwerk::netlist::{Netlist, Placement};
 use kraftwerk::placer::{GlobalPlacer, KraftwerkConfig};
 use kraftwerk::timing::{meet_requirements, optimize_timing, optimize_timing_legalized, DelayModel, Sta};
 
 fn finish(netlist: &Netlist, global: &Placement) -> Placement {
-    let mut legal = legalize(netlist, global).expect("legalizable");
-    refine(netlist, &mut legal, 2);
-    legal
+    detail_place(netlist, global).expect("legalizable")
+}
+
+/// The plain (not timing-driven) flow's legal placement.
+fn plain_flow(netlist: &Netlist, config: KraftwerkConfig) -> Placement {
+    let global = GlobalPlacer::new(config)
+        .try_place(netlist)
+        .expect("placement");
+    finish(netlist, &global.placement)
 }
 
 #[test]
@@ -20,7 +26,7 @@ fn legalized_timing_driven_placement_exploits_potential() {
     let sta = Sta::new(&nl, model).expect("acyclic");
     let cfg = KraftwerkConfig::standard();
 
-    let plain = finish(&nl, &GlobalPlacer::new(cfg.clone()).place(&nl).placement);
+    let plain = plain_flow(&nl, cfg.clone());
     let optimized = optimize_timing_legalized(&nl, model, cfg, 3)
         .expect("acyclic")
         .placement;
@@ -44,7 +50,9 @@ fn met_requirements_hold_after_final_placement_analysis() {
     let model = DelayModel::default();
     let sta = Sta::new(&nl, model).expect("acyclic");
     let cfg = KraftwerkConfig::standard();
-    let plain = GlobalPlacer::new(cfg.clone()).place(&nl);
+    let plain = GlobalPlacer::new(cfg.clone())
+        .try_place(&nl)
+        .expect("placement");
     let requirement = sta.analyze(&plain.placement).max_delay * 0.9;
     let result = meet_requirements(&nl, model, cfg, requirement, 60).expect("acyclic");
     assert!(result.met);
@@ -64,7 +72,7 @@ fn timing_mode_costs_bounded_wire_length() {
     let nl = generate(&SynthConfig::with_size("tcost", 500, 620, 10));
     let model = DelayModel::default();
     let cfg = KraftwerkConfig::standard();
-    let plain = finish(&nl, &GlobalPlacer::new(cfg.clone()).place(&nl).placement);
+    let plain = plain_flow(&nl, cfg.clone());
     let optimized = finish(&nl, &optimize_timing(&nl, model, cfg).expect("acyclic").placement);
     let plain_hpwl = kraftwerk::netlist::metrics::hpwl(&nl, &plain);
     let opt_hpwl = kraftwerk::netlist::metrics::hpwl(&nl, &optimized);
