@@ -153,7 +153,6 @@ fn job_record(
     o.f64_field("latency_ms", end_ms - start_ms);
     o.u64_field("server_wall_ms", out.wall_ms);
     o.f64_field("hpwl", out.hpwl);
-    o.bool_field("retried", out.retried);
     o.u64_field("busy_retries", busy_retries);
     if let Some(depth) = out.queue_depth {
         o.u64_field("queue_depth", depth);

@@ -36,38 +36,19 @@ impl Default for NetModel {
     }
 }
 
-/// Numerical-guardrail controls for the [`crate::PlacementSession`]
-/// watchdog.
+/// Wall-clock limits for the [`crate::PlacementSession`] watchdog.
 ///
-/// The watchdog inspects every placement transformation. When a check
-/// trips it rolls the session back to the best-so-far checkpoint, damps
-/// the force step (and doubles the CG iteration budget after a CG stall)
-/// and retries, up to [`max_recoveries`](Self::max_recoveries) times in
-/// the session before the run gives up with the checkpointed result.
-#[derive(Debug, Clone, PartialEq)]
+/// The watchdog itself is always on, with fixed thresholds: it inspects
+/// every placement transformation for non-finite coordinates or solver
+/// input, runaway displacement and a streak of stalled CG solves. When a
+/// check trips it rolls the session back to the best-so-far checkpoint,
+/// damps the force step (and doubles the CG iteration budget after a CG
+/// stall) and retries, up to three times in a session before the run
+/// gives up with the checkpointed result. The multilevel flow runs one
+/// session per level, so each level gets its own three. Only the run's
+/// wall-clock cut-off is configurable.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WatchdogConfig {
-    /// Master switch. Disabled, transformations run unguarded (the
-    /// pre-watchdog behaviour).
-    pub enabled: bool,
-    /// Trip when the post-transformation HPWL exceeds this multiple of
-    /// the lowest HPWL of any accepted transformation so far (whatever
-    /// its density). Guards against slow blow-ups the displacement check
-    /// cannot see.
-    pub hpwl_explosion_ratio: f64,
-    /// Trip when the realized per-cell displacement of a held
-    /// transformation exceeds this fraction of the core diagonal (a
-    /// healthy step is bounded by the trust region at a small fraction
-    /// of the die).
-    pub max_step_fraction: f64,
-    /// Trip after this many consecutive transformations in which both CG
-    /// solves hit their iteration cap without converging. `0` disables
-    /// the streak check.
-    pub cg_stall_streak: usize,
-    /// Recovery attempts (rollback + damp + ladder step) in one session,
-    /// counted across all trips, before the run gives up with the
-    /// checkpointed result. The multilevel flow runs one session per
-    /// level, so each level gets its own allowance.
-    pub max_recoveries: usize,
     /// Optional wall-clock budget in seconds for a whole run; exceeded,
     /// the run stops with the best-so-far placement and
     /// `RunHealth::budget_exhausted` set. **Off by default** because a
@@ -81,25 +62,10 @@ pub struct WatchdogConfig {
     /// Optional absolute monotonic deadline for a whole run. Takes
     /// precedence over [`wall_clock_budget`](Self::wall_clock_budget),
     /// and — unlike a relative budget — is shared verbatim by every
-    /// session built from the same config, so a multilevel V-cycle (or a
-    /// serving daemon handing one config to retries) enforces one
-    /// wall-clock cut-off across all its levels rather than restarting
-    /// the clock per level.
+    /// session built from the same config, so a multilevel V-cycle
+    /// enforces one wall-clock cut-off across all its levels rather than
+    /// restarting the clock per level.
     pub deadline: Option<std::time::Instant>,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            hpwl_explosion_ratio: 10.0,
-            max_step_fraction: 0.35,
-            cg_stall_streak: 8,
-            max_recoveries: 3,
-            wall_clock_budget: None,
-            deadline: None,
-        }
-    }
 }
 
 impl WatchdogConfig {
@@ -318,12 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_defaults_are_deterministic_and_enabled() {
+    fn watchdog_defaults_are_deterministic() {
         let c = KraftwerkConfig::standard();
-        assert!(c.watchdog.enabled);
         assert!(c.watchdog.wall_clock_budget.is_none(), "wall clock breaks determinism");
+        assert!(c.watchdog.deadline.is_none());
         assert_eq!(c.force_scale_boost, 1.0);
-        assert!(c.watchdog.max_recoveries > 0);
     }
 
     #[test]

@@ -179,7 +179,7 @@ mod tests {
         assert!(e.to_string().contains("line 7"));
         let e: KraftwerkError = SolverError::NonFinite { what: "rhs" }.into();
         assert_eq!(e.exit_code(), 6);
-        let e = KraftwerkError::Diverged { iteration: 12, reason: "hpwl explosion" };
+        let e = KraftwerkError::Diverged { iteration: 12, reason: "runaway displacement" };
         assert_eq!(e.exit_code(), 6);
         assert!(e.to_string().contains("transformation 12"));
     }

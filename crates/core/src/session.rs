@@ -247,6 +247,21 @@ impl PhaseScope {
     }
 }
 
+/// The watchdog trips when a held transformation moves a cell farther
+/// than this fraction of the core diagonal: the trust region bounds a
+/// healthy step at a small fraction of the die.
+const MAX_STEP_FRACTION: f64 = 0.35;
+
+/// The watchdog trips after this many consecutive transformations in
+/// which a CG solve hit its iteration cap before meeting its tolerance.
+const CG_STALL_STREAK: usize = 8;
+
+/// Recoveries (rollback + damp + ladder step) in one session, counted
+/// across all trips, before the run gives up with the checkpointed
+/// result. The multilevel flow runs one session per level, so each level
+/// gets its own allowance.
+const MAX_RECOVERIES: usize = 3;
+
 /// A best-so-far snapshot the watchdog can roll the session back to.
 #[derive(Debug, Clone)]
 struct Checkpoint {
@@ -263,10 +278,8 @@ struct Checkpoint {
 #[derive(Debug)]
 struct WatchdogState {
     checkpoint: Option<Checkpoint>,
-    /// Best HPWL observed at any accepted transformation (explosion
-    /// reference).
-    best_hpwl: f64,
-    /// Consecutive transformations whose CG solves both missed tolerance.
+    /// Consecutive transformations in which a CG solve missed its
+    /// tolerance.
     cg_streak: usize,
     trips: usize,
     recoveries: usize,
@@ -287,7 +300,6 @@ impl Default for WatchdogState {
     fn default() -> Self {
         Self {
             checkpoint: None,
-            best_hpwl: f64::INFINITY,
             cg_streak: 0,
             trips: 0,
             recoveries: 0,
@@ -937,8 +949,8 @@ impl<'a> PlacementSession<'a> {
     /// results are bitwise identical at any thread count.
     ///
     /// The transformation runs under the watchdog: it checks the outcome
-    /// for divergence (non-finite metrics, runaway displacement, HPWL
-    /// explosion, CG stall streaks), and on a trip rolls back to the
+    /// for divergence (non-finite metrics or solver input, runaway
+    /// displacement, CG stall streaks), and on a trip rolls back to the
     /// best-so-far checkpoint, damps the force step, escalates down the
     /// recovery ladder and retries.
     ///
@@ -950,9 +962,6 @@ impl<'a> PlacementSession<'a> {
     /// left on its last checkpoint in that case, so callers may still read
     /// [`placement`](PlacementSession::placement).
     pub fn try_transform(&mut self) -> Result<IterationStats, KraftwerkError> {
-        if !self.config.watchdog.enabled {
-            return self.transform_inner().map_err(KraftwerkError::from);
-        }
         // Sessions that already carry a meaningful placement (ECO resumes,
         // sessions with completed transformations) get a rollback point
         // even before any watchdog-accepted progress.
@@ -974,7 +983,7 @@ impl<'a> PlacementSession<'a> {
             };
             self.wd.trips += 1;
             kraftwerk_trace::counter("watchdog.trips", 1);
-            let exhausted = self.wd.recoveries >= self.config.watchdog.max_recoveries;
+            let exhausted = self.wd.recoveries >= MAX_RECOVERIES;
             // Roll back even when giving up: the session promises to sit on
             // its last checkpoint after an Err, not on the diverged state.
             let rolled = self.rollback();
@@ -1012,7 +1021,6 @@ impl<'a> PlacementSession<'a> {
     /// Checks an accepted transformation's stats against the watchdog
     /// thresholds; returns the trip reason, or `None` when healthy.
     fn judge(&mut self, stats: &IterationStats) -> Option<&'static str> {
-        let wd = &self.config.watchdog;
         if !stats.hpwl.is_finite()
             || !stats.max_force.is_finite()
             || !stats.max_displacement.is_finite()
@@ -1026,18 +1034,15 @@ impl<'a> PlacementSession<'a> {
         if used_hold {
             let core = self.netlist.core_region();
             let diag = (core.width() * core.width() + core.height() * core.height()).sqrt();
-            if stats.max_displacement > wd.max_step_fraction * diag {
+            if stats.max_displacement > MAX_STEP_FRACTION * diag {
                 return Some("runaway displacement");
             }
-        }
-        if stats.hpwl > wd.hpwl_explosion_ratio * self.wd.best_hpwl {
-            return Some("hpwl explosion");
         }
         if stats.cg_converged {
             self.wd.cg_streak = 0;
         } else {
             self.wd.cg_streak += 1;
-            if wd.cg_stall_streak > 0 && self.wd.cg_streak >= wd.cg_stall_streak {
+            if self.wd.cg_streak >= CG_STALL_STREAK {
                 return Some("cg stall streak");
             }
         }
@@ -1047,7 +1052,6 @@ impl<'a> PlacementSession<'a> {
     /// Folds an accepted transformation into the best-so-far bookkeeping
     /// and snapshots a checkpoint when it improves on the previous one.
     fn note_progress(&mut self, stats: &IterationStats) {
-        self.wd.best_hpwl = self.wd.best_hpwl.min(stats.hpwl);
         // During spreading HPWL legitimately grows while density falls, so
         // "best" is driven by peak density with HPWL as the tie-breaker.
         let improves = match &self.wd.checkpoint {
@@ -1228,12 +1232,10 @@ impl<'a> PlacementSession<'a> {
         }
         let mut failure: Option<KraftwerkError> = None;
         while self.iteration < self.config.max_transformations {
-            if let Some(deadline) = self.wd.deadline {
-                if self.config.watchdog.enabled && std::time::Instant::now() >= deadline {
-                    self.wd.budget_exhausted = true;
-                    kraftwerk_trace::counter("watchdog.budget_exhausted", 1);
-                    break;
-                }
+            if self.wd.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                self.wd.budget_exhausted = true;
+                kraftwerk_trace::counter("watchdog.budget_exhausted", 1);
+                break;
             }
             match self.try_transform() {
                 Ok(st) => {

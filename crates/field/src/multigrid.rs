@@ -433,7 +433,7 @@ struct VcycleBufs {
 /// potential and residual, per-depth V-cycle scratch and the smoother's
 /// halo rows. Holding one of these across placement iterations makes the
 /// steady-state Poisson solve allocation-free. The solved potential and
-/// its [`SavedSolve`] geometry record stay behind for
+/// its `SavedSolve` geometry record stay behind for
 /// [`MultigridSolver::potential_map`].
 #[derive(Debug, Default)]
 pub struct MultigridWorkspace {
@@ -603,7 +603,7 @@ impl MultigridSolver {
     /// of `density`. Returns `None` when the workspace has not been used
     /// yet, or when `density` (or this solver's geometry parameters) does
     /// not describe the same discrete system the workspace was solved on
-    /// — the workspace records its [`SavedSolve`] geometry precisely so a
+    /// — the workspace records its `SavedSolve` geometry precisely so a
     /// same-vertex-count density over a different region can never be
     /// silently resampled on the wrong domain. This is the export behind
     /// the `potential` field snapshots.

@@ -43,8 +43,6 @@ pub struct ServiceJob {
     pub server_wall_ms: f64,
     /// Final HPWL (NaN for error outcomes).
     pub hpwl: f64,
-    /// Whether the damped retry ran.
-    pub retried: bool,
     /// Busy rejections absorbed before the job was admitted.
     pub busy_retries: u64,
     /// Queue depth reported by the `queued` ack, when recorded.
@@ -135,7 +133,6 @@ fn parse_job(record: &Json) -> ServiceJob {
         latency_ms: num("latency_ms"),
         server_wall_ms: num("server_wall_ms"),
         hpwl: num("hpwl"),
-        retried: matches!(record.get("retried"), Some(Json::Bool(true))),
         busy_retries: num("busy_retries").max(0.0) as u64,
         queue_depth: record.get("queue_depth").and_then(Json::as_f64),
         start_ms: num("start_ms"),
@@ -387,7 +384,8 @@ fn timeline_section(data: &ServiceData) -> String {
     out
 }
 
-/// Outcome table: per status — count, share, latency p50/p99, retries.
+/// Outcome table: per status — count, share, latency p50/p99, busy
+/// retries.
 fn outcome_section(data: &ServiceData) -> String {
     if data.jobs.is_empty() {
         return "<p class=\"cn\">no job records</p>".to_string();
@@ -398,7 +396,7 @@ fn outcome_section(data: &ServiceData) -> String {
     let total = data.jobs.len();
     let mut rows = String::from(
         "<table><thead><tr><th>status</th><th>jobs</th><th>share</th>\
-         <th>p50 ms</th><th>p99 ms</th><th>retried</th><th>busy retries</th></tr></thead><tbody>",
+         <th>p50 ms</th><th>p99 ms</th><th>busy retries</th></tr></thead><tbody>",
     );
     for status in &statuses {
         let jobs: Vec<&ServiceJob> = data.jobs.iter().filter(|j| &j.status == status).collect();
@@ -408,17 +406,15 @@ fn outcome_section(data: &ServiceData) -> String {
             .filter(|v| v.is_finite())
             .collect();
         lat.sort_by(|a, b| a.total_cmp(b));
-        let retried = jobs.iter().filter(|j| j.retried).count();
         let busy: u64 = jobs.iter().map(|j| j.busy_retries).sum();
         rows.push_str(&format!(
             "<tr><th>{}</th><td>{}</td><td>{:.1}%</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td></tr>",
+             <td>{}</td></tr>",
             svg::esc(status),
             jobs.len(),
             100.0 * jobs.len() as f64 / total as f64,
             fmt_value(exact_quantile(&lat, 0.50)),
             fmt_value(exact_quantile(&lat, 0.99)),
-            retried,
             busy
         ));
     }
@@ -478,7 +474,7 @@ mod tests {
         format!(
             "{{\"type\":\"job\",\"id\":\"{id}\",\"trace_id\":\"t-{id}\",\"client\":0,\
              \"concurrency\":2,\"status\":\"{status}\",\"latency_ms\":{latency},\
-             \"server_wall_ms\":{w},\"hpwl\":10.0,\"retried\":false,\"busy_retries\":1,\
+             \"server_wall_ms\":{w},\"hpwl\":10.0,\"busy_retries\":1,\
              \"queue_depth\":3,\"start_ms\":{start},\"end_ms\":{end}}}",
             w = latency * 0.8,
             end = start + latency

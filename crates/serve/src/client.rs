@@ -53,8 +53,6 @@ pub struct PlaceOptions {
     pub return_placement: bool,
     /// Progress-frame stride (`0`: no progress frames).
     pub progress_every: usize,
-    /// Whether a degraded run may be retried at damped force scale.
-    pub retry: bool,
     /// Per-job injected fault name (`parse`/`divergence`/`deadline`/`stall`).
     pub fault: Option<&'static str>,
     /// Client-supplied trace id, echoed in every response frame and
@@ -70,7 +68,6 @@ impl Default for PlaceOptions {
             max_transformations: None,
             return_placement: false,
             progress_every: 0,
-            retry: true,
             fault: None,
             trace_id: None,
         }
@@ -88,7 +85,9 @@ pub struct JobOutcome {
     pub iterations: u64,
     /// Job wall time reported by the daemon, milliseconds.
     pub wall_ms: u64,
-    /// Whether the damped retry ran.
+    /// Always `false`: the daemon runs each job once and no longer
+    /// retries a degraded one. Kept because perfbench's
+    /// `serve.degraded_retries` metric still reads it.
     pub retried: bool,
     /// Whether the job's wall-clock budget ran out.
     pub budget_exhausted: bool,
@@ -216,7 +215,6 @@ impl Client {
         }
         o.bool_field("return_placement", opts.return_placement);
         o.u64_field("progress_every", opts.progress_every as u64);
-        o.bool_field("retry", opts.retry);
         if let Some(fault) = opts.fault {
             o.str_field("fault", fault);
         }
@@ -312,7 +310,7 @@ impl Client {
                         hpwl: frame.get("hpwl").and_then(Json::as_f64).unwrap_or(f64::NAN),
                         iterations: num("iterations").unwrap_or(0),
                         wall_ms: num("wall_ms").unwrap_or(0),
-                        retried: flag("retried"),
+                        retried: false,
                         budget_exhausted: flag("budget_exhausted"),
                         arena_pooled: flag("arena_pooled"),
                         error_stage: None,

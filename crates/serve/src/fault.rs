@@ -6,10 +6,12 @@
 //! | fault        | injection                                   | expected outcome                         |
 //! |--------------|---------------------------------------------|------------------------------------------|
 //! | `parse`      | corrupts the netlist text before parsing    | `error` frame, stage `parse`, code 4     |
-//! | `divergence` | force-scale boost (the CLI `--force-scale`) | degraded result after a damped retry     |
+//! | `divergence` | force-scale boost (the CLI `--force-scale`) | `degraded` result after the watchdog's   |
+//! |              |                                             | ladder: 4 trips, 3 recoveries            |
 //! | `deadline`   | already-expired wall-clock deadline         | degraded result, `budget_exhausted`      |
-//! | `stall`      | worker sleeps mid-job on the first accepted | degraded or ok, bounded by the deadline  |
-//! |              | transformation                              |                                          |
+//! | `stall`      | worker sleeps once: after the first         | degraded or ok, bounded by the deadline; |
+//! |              | accepted transformation (flat modes), or    | `wall_ms` at least [`STALL_MS`]          |
+//! |              | before the V-cycle (multilevel)             |                                          |
 
 /// One injectable fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +25,8 @@ pub enum FaultKind {
     /// Expire the job's wall-clock deadline immediately.
     Deadline,
     /// Sleep the worker mid-job (after the first accepted
-    /// transformation), simulating a stalled dependency.
+    /// transformation, or before a multilevel job's V-cycle), simulating
+    /// a stalled dependency.
     Stall,
 }
 

@@ -5,7 +5,7 @@
 //! each request is one JSON object on one line; responses and progress
 //! updates stream back the same way. See [`proto`] for the frame
 //! vocabulary, [`server`] for the robustness contract (backpressure,
-//! deadlines, retry-with-backoff, per-job isolation, arena pooling,
+//! deadlines, one session per job, per-job isolation, arena pooling,
 //! crash-safe journaling), [`fault`] for the injectable failure classes,
 //! [`journal`] for the crash-recovery format, and [`client`] for the
 //! blocking client used by the load generator and the tests.

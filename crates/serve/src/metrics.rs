@@ -34,8 +34,6 @@ pub(crate) struct ServiceMetrics {
     pub job_panics: Arc<Counter>,
     /// Jobs cut short by their wall-clock deadline.
     pub deadline_exhausted: Arc<Counter>,
-    /// Damped-force retry attempts.
-    pub retries: Arc<Counter>,
     /// Jobs that reused a pooled scratch arena.
     pub arena_hits: Arc<Counter>,
     /// Jobs that had to build a fresh scratch arena.
@@ -104,11 +102,6 @@ impl ServiceMetrics {
                 "kraftwerk_deadline_exhausted_total",
                 &[],
                 "Jobs cut short by their wall-clock deadline.",
-            ),
-            retries: registry.counter(
-                "kraftwerk_retries_total",
-                &[],
-                "Damped-force retry attempts after a degraded first run.",
             ),
             arena_hits: arena("hit"),
             arena_misses: arena("miss"),

@@ -7,7 +7,7 @@
 //! ```text
 //! {"type":"place","id":"j1","netlist":"<text>","mode":"fast",
 //!  "deadline_s":5.0,"return_placement":true,"progress_every":8,
-//!  "retry":true,"fault":"divergence"}
+//!  "fault":"divergence"}
 //! {"type":"ping"}
 //! {"type":"stats"}
 //! {"type":"recover","include_placement":true}
@@ -147,9 +147,6 @@ pub struct PlaceRequest {
     /// Stream a progress frame every this many accepted transformations
     /// (`0` disables progress streaming).
     pub progress_every: usize,
-    /// Whether a degraded first attempt may be retried once at damped
-    /// force scale (defaults to the server policy).
-    pub retry: bool,
     /// Per-job fault injection (overrides the daemon-wide
     /// `KRAFTWERK_FAULT` environment fault).
     pub fault: Option<FaultKind>,
@@ -290,7 +287,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 max_transformations,
                 return_placement: bool_field(&value, "return_placement", false),
                 progress_every,
-                retry: bool_field(&value, "retry", true),
                 fault,
                 trace_id,
             })))
@@ -332,12 +328,11 @@ pub fn busy_frame(id: &str, trace_id: Option<&str>, retry_after_ms: u64, queue_d
 
 /// A streamed per-transformation progress frame.
 #[must_use]
-pub fn progress_frame(id: &str, trace_id: Option<&str>, stats: &IterationStats, attempt: u32) -> String {
+pub fn progress_frame(id: &str, trace_id: Option<&str>, stats: &IterationStats) -> String {
     let mut o = JsonObject::new();
     o.str_field("type", "progress");
     o.str_field("id", id);
     trace_field(&mut o, trace_id);
-    o.u64_field("attempt", u64::from(attempt));
     o.u64_field("iteration", stats.iteration as u64);
     o.f64_field("hpwl", stats.hpwl);
     o.f64_field("peak_density", stats.peak_density);
@@ -367,27 +362,25 @@ pub struct JobReport {
     pub id: String,
     /// Echoed client trace id, when the request carried one.
     pub trace_id: Option<String>,
-    /// `"ok"` or `"degraded"` (checkpointed best after trips, retry, or
-    /// budget exhaustion).
+    /// `"ok"` or `"degraded"` (checkpointed best after the watchdog gave
+    /// up, or budget exhaustion).
     pub status: &'static str,
     /// Final half-perimeter wirelength.
     pub hpwl: f64,
-    /// Accepted transformations (across the reported attempt).
+    /// Accepted transformations.
     pub iterations: usize,
     /// Whether the paper's stopping criterion fired.
     pub converged: bool,
     /// Wall-clock job time in milliseconds (queue wait excluded).
     pub wall_ms: u64,
-    /// Watchdog trips across all attempts.
+    /// Watchdog trips.
     pub trips: usize,
-    /// Watchdog recoveries across all attempts.
+    /// Watchdog recoveries.
     pub recoveries: usize,
     /// Whether the wall-clock deadline cut the job short.
     pub budget_exhausted: bool,
     /// Milliseconds of deadline budget left when the job finished.
     pub remaining_budget_ms: Option<u64>,
-    /// Whether the job was retried at damped force scale.
-    pub retried: bool,
     /// Whether the session arena came from the cross-request pool
     /// (always `false` for multilevel jobs, which use no pooled arena).
     pub arena_pooled: bool,
@@ -413,7 +406,6 @@ pub fn result_frame(report: &JobReport) -> String {
     if let Some(ms) = report.remaining_budget_ms {
         o.u64_field("remaining_budget_ms", ms);
     }
-    o.bool_field("retried", report.retried);
     o.bool_field("arena_pooled", report.arena_pooled);
     if let Some(placement) = &report.placement {
         o.str_field("placement", placement);
@@ -427,7 +419,9 @@ mod tests {
 
     #[test]
     fn place_request_round_trips() {
-        let line = r#"{"type":"place","id":"j-1","netlist":"x","mode":"standard","deadline_s":2.5,"return_placement":true,"progress_every":4,"fault":"stall"}"#;
+        // Unknown keys are ignored, so a client that still sends the
+        // retired `retry` flag decodes unchanged.
+        let line = r#"{"type":"place","id":"j-1","netlist":"x","mode":"standard","deadline_s":2.5,"return_placement":true,"progress_every":4,"retry":true,"fault":"stall"}"#;
         let Request::Place(req) = parse_request(line).expect("parses") else {
             panic!("not a place request");
         };
@@ -437,7 +431,6 @@ mod tests {
         assert!(req.return_placement);
         assert_eq!(req.progress_every, 4);
         assert_eq!(req.fault, Some(FaultKind::Stall));
-        assert!(req.retry);
         assert_eq!(req.trace_id, None);
     }
 

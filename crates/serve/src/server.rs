@@ -8,8 +8,9 @@
 //! 2. **Deadlines** — every job gets a wall-clock deadline enforced
 //!    through the session watchdog budget; an exhausted budget returns
 //!    the best-so-far placement, marked `budget_exhausted`.
-//! 3. **Retry-with-backoff** — a degraded first attempt is retried once
-//!    at damped force scale before the checkpointed best is reported.
+//! 3. **One session per job** — a job runs once; the session watchdog's
+//!    own rollback ladder is its only recovery, and a run that exhausts
+//!    it reports the checkpointed best as `degraded`.
 //! 4. **Isolation** — a malformed request or a panicking job produces a
 //!    structured error frame; the daemon (and the connection) keep
 //!    serving.
@@ -83,10 +84,6 @@ pub struct ServeConfig {
     /// Journal a full position snapshot every this many accepted
     /// transformations (`0`: only at job end).
     pub journal_positions_every: usize,
-    /// Whether degraded jobs get one retry at damped force scale.
-    pub retry_degraded: bool,
-    /// Backoff before the retry attempt, in milliseconds.
-    pub retry_backoff_ms: u64,
     /// Daemon-wide injected fault applied to every job (tests/drills);
     /// `None` falls back to the `KRAFTWERK_FAULT` environment variable.
     pub fault: Option<FaultKind>,
@@ -110,8 +107,6 @@ impl Default for ServeConfig {
             max_frame_bytes: 8 << 20,
             journal_dir: None,
             journal_positions_every: 10,
-            retry_degraded: true,
-            retry_backoff_ms: 50,
             fault: None,
             metrics_addr: None,
             report_dir: None,
@@ -130,8 +125,6 @@ pub struct ServerSummary {
     pub jobs_failed: u64,
     /// Jobs rejected with `busy` backpressure.
     pub jobs_rejected: u64,
-    /// Damped-force retry attempts performed.
-    pub retries: u64,
     /// Jobs that reused a pooled arena.
     pub arena_reuses: u64,
     /// Connections accepted.
@@ -433,7 +426,6 @@ impl Server {
             jobs_degraded: m.jobs_degraded.get(),
             jobs_failed: m.jobs_failed.get(),
             jobs_rejected: m.jobs_rejected.get(),
-            retries: m.retries.get(),
             arena_reuses: m.arena_hits.get(),
             connections: m.connections.get(),
         })
@@ -641,7 +633,6 @@ fn stats_frame(shared: &Shared) -> String {
     o.u64_field("jobs_rejected", m.jobs_rejected.get());
     o.u64_field("jobs_panicked", m.job_panics.get());
     o.u64_field("deadline_exhausted", m.deadline_exhausted.get());
-    o.u64_field("retries", m.retries.get());
     o.u64_field("arena_reuses", m.arena_hits.get());
     o.u64_field("progress_dropped", m.progress_dropped.get());
     o.u64_field("journal_write_failures", m.journal_write_failures.get());
@@ -751,7 +742,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Outcome of one placement attempt.
+/// Outcome of a job's placement run.
 struct Attempt {
     placement: Placement,
     health: RunHealth,
@@ -761,8 +752,7 @@ struct Attempt {
 }
 
 /// Runs one job end to end: fault injection, parse, validate, place (with
-/// deadline + progress streaming + journaling), optional damped retry,
-/// result/error frame.
+/// deadline + progress streaming + journaling), result/error frame.
 fn process_job(shared: &Shared, job: &Job) {
     let req = &job.req;
     let started = Instant::now();
@@ -846,9 +836,9 @@ fn process_job(shared: &Shared, job: &Job) {
         u64::try_from(deadline.saturating_duration_since(started).as_millis()).unwrap_or(u64::MAX),
     );
 
-    // 3. First attempt. Flat modes run on a pooled arena when one is
-    //    available; the multilevel V-cycle threads its own arena through
-    //    its levels, so its jobs take none from the pool and return none.
+    // 3. Place. Flat modes run on a pooled arena when one is available;
+    //    the multilevel V-cycle threads its own arena through its levels,
+    //    so its jobs take none from the pool and return none.
     let (arena, arena_pooled) = if req.mode == Mode::Multilevel {
         (ScratchArena::default(), false)
     } else {
@@ -865,15 +855,12 @@ fn process_job(shared: &Shared, job: &Job) {
             .set(lock(&shared.arenas).len() as f64);
         (pooled.unwrap_or_default(), hit)
     };
-    let stall = std::cell::Cell::new(fault == Some(FaultKind::Stall));
-    let run = run_attempt(
-        shared, job, &netlist, cfg.clone(), arena, 1, &mut journal, &stall,
-    );
-    let (mut attempt, mut arena) = match run {
-        Ok(pair) => pair,
-        Err(boxed) => {
-            let (err, arena) = *boxed;
-            return_arena(shared, req.mode, arena);
+    let stall = fault == Some(FaultKind::Stall);
+    let (run, arena) = run_attempt(shared, job, &netlist, cfg, arena, &mut journal, stall);
+    return_arena(shared, req.mode, arena);
+    let attempt = match run {
+        Ok(attempt) => attempt,
+        Err(err) => {
             journal.end("error", f64::NAN, 0);
             shared.metrics.jobs_failed.inc();
             write_job_report(shared, req, recorder.as_deref(), "error", f64::NAN);
@@ -881,48 +868,8 @@ fn process_job(shared: &Shared, job: &Job) {
             return;
         }
     };
-    let mut retried = false;
 
-    // 4. Retry-with-backoff: one damped attempt when the first degraded
-    //    and the deadline leaves room.
-    let degraded = attempt.health.degraded;
-    let room = deadline.saturating_duration_since(Instant::now())
-        > Duration::from_millis(shared.cfg.retry_backoff_ms * 2);
-    if degraded && !attempt.health.budget_exhausted && req.retry && shared.cfg.retry_degraded && room
-    {
-        std::thread::sleep(Duration::from_millis(shared.cfg.retry_backoff_ms));
-        retried = true;
-        shared.metrics.retries.inc();
-        let mut damped = cfg.clone();
-        damped.k *= 0.5;
-        damped.force_scale_boost = 1.0 + (damped.force_scale_boost - 1.0) * 0.5;
-        match run_attempt(
-            shared, job, &netlist, damped, arena, 2, &mut journal, &stall,
-        ) {
-            Ok((second, back)) => {
-                arena = back;
-                // Report the better outcome: a clean retry wins; two
-                // degraded attempts report the checkpointed best.
-                if !second.health.degraded || second.hpwl < attempt.hpwl {
-                    let first_health = attempt.health;
-                    attempt = second;
-                    attempt.health.trips += first_health.trips;
-                    attempt.health.recoveries += first_health.recoveries;
-                } else {
-                    attempt.health.trips += second.health.trips;
-                    attempt.health.recoveries += second.health.recoveries;
-                }
-            }
-            Err(boxed) => {
-                // Retry failed outright; the first attempt's checkpoint
-                // still stands.
-                arena = boxed.1;
-            }
-        }
-    }
-    return_arena(shared, req.mode, arena);
-
-    // 5. Report.
+    // 4. Report.
     let status: &'static str =
         if attempt.health.degraded || attempt.health.budget_exhausted { "degraded" } else { "ok" };
     let placement_text = req
@@ -953,7 +900,6 @@ fn process_job(shared: &Shared, job: &Job) {
         recoveries: attempt.health.recoveries,
         budget_exhausted: attempt.health.budget_exhausted,
         remaining_budget_ms: attempt.health.remaining_budget_ms,
-        retried,
         arena_pooled,
         placement: placement_text,
     };
@@ -999,46 +945,44 @@ fn return_arena(shared: &Shared, mode: Mode, arena: ScratchArena) {
     shared.metrics.arena_pool_size.set(pool.len() as f64);
 }
 
-/// One placement attempt: flat modes drive the session loop with
+/// A job's placement run: flat modes drive the session loop with
 /// progress/journal observation; multilevel runs the V-cycle whole (its
-/// levels already share the config deadline).
-#[allow(clippy::too_many_arguments)]
+/// levels already share the config deadline). `stall` holds the worker
+/// for [`STALL_MS`] once: after the first accepted transformation in
+/// flat modes, before the V-cycle in multilevel mode, which has no
+/// per-transformation observer.
 fn run_attempt(
     shared: &Shared,
     job: &Job,
     netlist: &Netlist,
     cfg: KraftwerkConfig,
     arena: ScratchArena,
-    attempt: u32,
     journal: &mut JobJournal,
-    stall: &std::cell::Cell<bool>,
-) -> Result<(Attempt, ScratchArena), Box<(ProtoError, ScratchArena)>> {
+    mut stall: bool,
+) -> (Result<Attempt, ProtoError>, ScratchArena) {
     let req = &job.req;
     if req.mode == Mode::Multilevel {
-        let ml = MultilevelConfig::default();
-        return match try_place_multilevel(netlist, cfg, &ml) {
-            Ok(result) => {
-                let hpwl = metrics::hpwl(netlist, &result.placement);
-                journal.progress(result.iterations(), hpwl);
-                Ok((
-                    Attempt {
-                        hpwl,
-                        iterations: result.iterations(),
-                        converged: result.converged,
-                        health: result.health,
-                        placement: result.placement,
-                    },
-                    arena,
-                ))
+        if stall {
+            std::thread::sleep(Duration::from_millis(STALL_MS));
+        }
+        let run = try_place_multilevel(netlist, cfg, &MultilevelConfig::default()).map(|result| {
+            let hpwl = metrics::hpwl(netlist, &result.placement);
+            journal.progress(result.iterations(), hpwl);
+            Attempt {
+                hpwl,
+                iterations: result.iterations(),
+                converged: result.converged,
+                health: result.health,
+                placement: result.placement,
             }
-            Err(e) => Err(Box::new((ProtoError::pipeline(&e), arena))),
-        };
+        });
+        return (run.map_err(|e| ProtoError::pipeline(&e)), arena);
     }
     let mut session = PlacementSession::with_arena(netlist, cfg, arena);
     let positions_every = shared.cfg.journal_positions_every;
     let run = session.run_loop_with(|st, placement| {
-        if stall.get() {
-            stall.set(false);
+        if stall {
+            stall = false;
             std::thread::sleep(Duration::from_millis(STALL_MS));
         }
         journal.progress(st.iteration, st.hpwl);
@@ -1046,7 +990,7 @@ fn run_attempt(
             journal.positions(st.iteration, &write_placement(netlist, placement));
         }
         if req.progress_every > 0 && st.iteration % req.progress_every == 0 {
-            let frame = progress_frame(&req.id, req.trace_id.as_deref(), st, attempt);
+            let frame = progress_frame(&req.id, req.trace_id.as_deref(), st);
             if job.out.send_progress(&frame) {
                 shared.metrics.progress_sent.inc();
             } else {
@@ -1054,27 +998,16 @@ fn run_attempt(
             }
         }
     });
-    match run {
-        Ok((stats, converged)) => {
-            let health = session.health_snapshot();
-            let (placement, arena) = session.into_parts();
-            let hpwl = metrics::hpwl(netlist, &placement);
-            Ok((
-                Attempt {
-                    placement,
-                    health,
-                    hpwl,
-                    iterations: stats.len(),
-                    converged,
-                },
-                arena,
-            ))
-        }
-        Err(e) => {
-            let (_, arena) = session.into_parts();
-            Err(Box::new((ProtoError::pipeline(&e), arena)))
-        }
-    }
+    let health = session.health_snapshot();
+    let (placement, arena) = session.into_parts();
+    let run = run.map(|(stats, converged)| Attempt {
+        hpwl: metrics::hpwl(netlist, &placement),
+        placement,
+        health,
+        iterations: stats.len(),
+        converged,
+    });
+    (run.map_err(|e| ProtoError::pipeline(&e)), arena)
 }
 
 /// Termination-signal plumbing: a process-global flag set from the raw

@@ -215,7 +215,7 @@ impl CsrMatrix {
 
     /// Sparse matrix-vector product `y = A x`.
     ///
-    /// Rows are processed in fixed [`SPMV_ROW_CHUNK`]-sized chunks across
+    /// Rows are processed in fixed `SPMV_ROW_CHUNK`-sized chunks across
     /// the `kraftwerk-par` pool; each output element depends on exactly
     /// one row, so the result is identical at any thread count.
     ///

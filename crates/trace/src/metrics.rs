@@ -2,7 +2,7 @@
 //! histograms with labels, lock-free hot paths, and a deterministic
 //! snapshot that renders to Prometheus text exposition.
 //!
-//! This is the *service* half of the telemetry story. The [`TraceSink`]
+//! This is the *service* half of the telemetry story. The [`TraceSink`](crate::TraceSink)
 //! stream (spans, per-iteration records) answers "what did this run do";
 //! the metrics registry answers "what is this process doing" — job
 //! totals, queue depth, latency distributions — across the whole lifetime

@@ -1261,7 +1261,7 @@ mod tests {
         "\"place.density_map\":0.001}}\n",
         "{\"type\":\"snapshot\",\"kind\":\"density\",\"iteration\":1,\"nx\":2,\"ny\":2,",
         "\"values\":[0.5,-0.5,1.5,-1.5]}\n",
-        "{\"type\":\"watchdog\",\"iteration\":1,\"reason\":\"hpwl explosion\",",
+        "{\"type\":\"watchdog\",\"iteration\":1,\"reason\":\"runaway displacement\",",
         "\"action\":\"rollback\",\"recoveries\":1}\n",
         "{\"iteration\":2,\"hpwl\":90.0,\"peak_density\":2.0,\"cg_iterations\":30,",
         "\"max_displacement\":5.0,\"wall_s\":0.02,\"phases\":{\"place.solve_x\":0.009}}\n",
@@ -1297,7 +1297,7 @@ mod tests {
         );
         assert_eq!(
             run.timeline[0].get("reason").and_then(Value::as_str),
-            Some("hpwl explosion")
+            Some("runaway displacement")
         );
         // The two flushes of the same histogram merged.
         assert_eq!(run.histograms.len(), 1);

@@ -24,6 +24,9 @@ cargo test -q --test robustness
 # the root package, with every feature on: a feature nothing enables
 # must still build, or it is dead code.
 cargo clippy --workspace --all-targets --all-features -- -D warnings
+# The API docs must build without a warning: an unresolved or ambiguous
+# intra-doc link, or a public doc linking a private item, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # The benchmark package (perfbench/, see BENCHMARK.json) has its own
 # [workspace], so the commands above neither build, lint nor test it; a
 # public-API change in a placer crate must not break it unnoticed, and its

@@ -121,7 +121,7 @@ impl CliError {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace <jsonl>] [--profile] [--alloc-stats]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>] [--no-retry]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
+        "usage:\n  kraftwerk place     <netlist> [-o <placement>] [--fast] [--multilevel] [--svg <file>]\n                      [--threads <n>] [--trace <jsonl>] [--profile] [--alloc-stats]\n                      [--snapshot-every <n>] [--k <f>] [--force-scale <f>] [-v|--verbose] [-q|--quiet]\n  kraftwerk serve     [--addr <host:port>] [--workers <n>] [--queue-cap <n>] [--deadline <s>]\n                      [--journal-dir <dir>] [--max-bytes <n>]\n                      [--metrics-addr <host:port>] [--report-dir <dir>]\n  kraftwerk inspect   <telemetry>... [-o <html>] [--perfetto <json>] [--service]\n  kraftwerk bench     [--json] [--compare <baseline>] [-o <json>] [--max-cells <n>]\n                      [--modes <a,b>] [-v|--verbose] [-q|--quiet]\n  kraftwerk timing    <netlist> [--requirement <ns>] [-v|--verbose] [-q|--quiet]\n  kraftwerk gen       <name> <cells> <nets> <rows> [--seed <n>] [--blocks <n>] [-o <file>]\n  kraftwerk stats     <netlist>\n  kraftwerk check     <netlist> <placement>\n  kraftwerk route     <netlist> <placement>\n  kraftwerk bookshelf <netlist> [<placement>] [-o <dir>]"
     );
     ExitCode::from(2)
 }
@@ -368,11 +368,24 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
     }
     let legal_result = detail_place(&netlist, &global.placement);
     let elapsed = started.elapsed().as_secs_f64();
+    // Spread: the mean distance legalization moves a movable cell, in
+    // rows. A global placement that met the stop test scores about one
+    // row; tens of rows mean legalization did the spreading.
+    let spread_rows = legal_result.as_ref().ok().map(|legal| {
+        let row_height = netlist.rows().first().map_or(1.0, |row| row.height);
+        legal.total_displacement(&global.placement)
+            / netlist.num_movable().max(1) as f64
+            / row_height
+    });
     alloc::set_tracking(false);
     let alloc_totals = alloc::stats();
     kraftwerk::trace::uninstall();
 
     if let Some(rec) = &recorder {
+        rec.set_meta("converged", Value::from(global.converged));
+        if let Some(spread) = spread_rows {
+            rec.set_meta("spread_rows", Value::from(spread));
+        }
         rec.set_meta("health.trips", Value::from(global.health.trips));
         rec.set_meta("health.recoveries", Value::from(global.health.recoveries));
         rec.set_meta("health.degraded", Value::from(global.health.degraded));
@@ -409,12 +422,15 @@ fn cmd_place(args: &[String]) -> Result<(), CliError> {
 
     let report = check_legality(&netlist, &legal, 1e-6);
     console.info(format!(
-        "placed {} ({} cells, {} nets): hpwl {:.0}, {} transformations, {elapsed:.2}s, legal: {}",
+        "placed {} ({} cells, {} nets): hpwl {:.0}, {} transformations, converged: {}, \
+         spread {:.2} rows, {elapsed:.2}s, legal: {}",
         netlist.name(),
         netlist.num_movable(),
         netlist.num_nets(),
         metrics::hpwl(&netlist, &legal),
         global.iterations(),
+        global.converged,
+        spread_rows.unwrap_or(f64::NAN),
         report.is_legal(),
     ));
     let out = out_path.unwrap_or_else(|| format!("{input}.pl"));
@@ -845,7 +861,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         args,
         "--addr --workers --queue-cap --deadline --journal-dir --max-bytes --metrics-addr \
          --report-dir",
-        "--no-retry",
+        "",
     )?;
     let mut cfg = kraftwerk::serve::ServeConfig::default();
     if let Some(addr) = flag_value(args, "--addr")? {
@@ -881,9 +897,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             .map_err(|_| "--max-bytes expects a byte count".to_string())?
             .max(1024);
     }
-    if has_flag(args, "--no-retry") {
-        cfg.retry_degraded = false;
-    }
     if let Some(addr) = flag_value(args, "--metrics-addr")? {
         cfg.metrics_addr = Some(addr);
     }
@@ -906,12 +919,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let _ = std::io::stdout().flush();
     let summary = server.run().map_err(|e| format!("serve failed: {e}"))?;
     println!(
-        "served: ok={} degraded={} failed={} rejected={} retries={} arena_reuses={} connections={}",
+        "served: ok={} degraded={} failed={} rejected={} arena_reuses={} connections={}",
         summary.jobs_ok,
         summary.jobs_degraded,
         summary.jobs_failed,
         summary.jobs_rejected,
-        summary.retries,
         summary.arena_reuses,
         summary.connections
     );

@@ -28,7 +28,7 @@
 //! | [`congestion`] | `kraftwerk-congestion` | routing demand, congestion and thermal maps |
 //! | [`floorplan`] | `kraftwerk-floorplan` | mixed block/cell flows |
 //! | [`inspect`] | `kraftwerk-inspect` | HTML/SVG run dashboards from recorded telemetry |
-//! | [`bench`] | `kraftwerk-bench` | experiment harness and the bench regression gate |
+//! | [`bench`](mod@bench) | `kraftwerk-bench` | experiment harness and the bench regression gate |
 //!
 //! # Quick start
 //!

@@ -1,13 +1,14 @@
 //! End-to-end checks of the `kraftwerk` binary's argument handling: a
 //! mistyped or removed flag is a usage error (exit 2) that runs nothing
-//! and writes nothing, `place --trace` writes the one run artifact, and
-//! `timing` rejects bad input with the exit code and single `error:`
-//! line of `place`.
+//! and writes nothing, `place --trace` writes the one run artifact,
+//! `place` reports whether the run converged and how far legalization
+//! moved the cells, and `timing` rejects bad input with the exit code
+//! and single `error:` line of `place`.
 //!
 //! Each case runs the real binary in a fresh temporary directory.
 
 use kraftwerk::trace::json::{self, Json};
-use kraftwerk::trace::RunReport;
+use kraftwerk::trace::{RunReport, Value};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -68,7 +69,7 @@ fn dir_with_netlist(case: &str) -> PathBuf {
 
 #[test]
 fn unknown_and_removed_flags_are_usage_errors_that_write_nothing() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 9] = [
         &["place", "t.kw", "--repotr", "r.json"],
         &["place", "t.kw", "--report", "r.json"],
         &["place", "t.kw", "--perfetto", "trace.json"],
@@ -84,6 +85,7 @@ fn unknown_and_removed_flags_are_usage_errors_that_write_nothing() {
         ],
         &["gen", "g", "100", "120", "5", "--sed", "3"],
         &["serve", "--addr", "127.0.0.1:0", "--wokers", "2"],
+        &["serve", "--addr", "127.0.0.1:0", "--no-retry"],
         &["inspect", "run.jsonl", "--perfeto", "t.json"],
         &["bookshelf", "t.kw", "--out", "bs"],
     ];
@@ -159,6 +161,32 @@ fn the_trace_stream_closes_with_the_summary_and_tracing_leaves_the_heap_table_al
             "summary profile misses {phase}: {names:?}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn place_reports_convergence_and_spread_in_its_line_and_trace_meta() {
+    let dir = dir_with_netlist("spread");
+    let (code, stdout, _) = run(&dir, &["place", "t.kw", "--fast", "--trace", "run.jsonl"]);
+    assert_eq!(code, Some(0));
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("placed "))
+        .expect("placed line");
+    let stream = std::fs::read_to_string(dir.join("run.jsonl")).expect("stream written");
+    let run = RunReport::from_jsonl(&stream).expect("stream reads");
+    let meta = |key: &str| run.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+    let Some(Value::Bool(converged)) = meta("converged") else {
+        panic!("meta lacks a boolean `converged`: {:?}", run.meta);
+    };
+    let spread = meta("spread_rows")
+        .and_then(|v| v.as_f64())
+        .expect("meta carries `spread_rows`");
+    assert!(spread.is_finite() && spread >= 0.0, "spread {spread}");
+    assert!(
+        line.contains(&format!("converged: {converged}, spread {spread:.2} rows")),
+        "the placed line disagrees with the stream's meta: {line}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

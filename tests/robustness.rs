@@ -194,38 +194,27 @@ fn ten_thousand_pin_net_places_without_panic() {
 #[test]
 fn watchdog_trip_rolls_back_to_best_so_far() {
     let nl = generate(&SynthConfig::with_size("wd-trip", 150, 200, 6));
-    // Exhaust the recovery budget so the trip is fatal: the session must
-    // end up sitting on its checkpoint, not on the diverged placement.
-    let mut fatal = KraftwerkConfig::standard();
-    fatal.watchdog = WatchdogConfig {
-        max_recoveries: 0,
-        ..fatal.watchdog
-    };
-    let mut session = PlacementSession::new(&nl, fatal);
-    // Record every healthy state: the checkpoint is the density-best of
-    // these, so the rollback must land bitwise on one of them.
-    let mut seen = Vec::new();
-    for _ in 0..3 {
-        session.try_transform().expect("healthy transformations");
-        seen.push((session.iteration(), session.placement().clone()));
-    }
-    assert!(
-        session.health_snapshot().is_clean(),
-        "healthy run must not trip"
-    );
-    session.inject_force_scale_boost(500.0);
-    let err = session.try_transform().expect_err("boosted step must trip");
+    // Persistent fault injection: every held transformation diverges, so
+    // the watchdog spends its whole recovery budget and gives up. The
+    // session must end up sitting on its checkpoint, not on the diverged
+    // placement.
+    let mut config = KraftwerkConfig::standard();
+    config.force_scale_boost = 500.0;
+    let mut session = PlacementSession::new(&nl, config);
+    // The unconstrained first solve is not judged on displacement, so it
+    // is accepted and becomes the only checkpoint.
+    session.try_transform().expect("first transformation is accepted");
+    assert!(session.health_snapshot().is_clean());
+    let accepted = (session.iteration(), session.placement().clone());
+    let err = session.try_transform().expect_err("boosted steps must give up");
     assert!(matches!(err, KraftwerkError::Diverged { .. }));
     assert_eq!(err.exit_code(), 6);
     let health = session.health_snapshot();
-    assert!(health.trips >= 1);
-    assert_eq!(health.recoveries, 0);
-    let restored = seen
-        .iter()
-        .find(|(it, _)| *it == session.iteration())
-        .expect("rollback must rewind to a previously accepted iteration");
+    // The budget of 3 recoveries is spent, then one more trip gives up.
+    assert_eq!((health.trips, health.recoveries), (4, 3));
+    assert_eq!(session.iteration(), accepted.0, "rollback rewinds to the checkpoint");
     assert_eq!(
-        &restored.1,
+        &accepted.1,
         session.placement(),
         "rollback must restore the checkpointed placement bitwise"
     );
@@ -259,7 +248,6 @@ fn cg_stall_streak_doubles_the_cg_budget_and_recovers() {
     let nl = generate(&SynthConfig::with_size("wd-stall", 150, 200, 6));
     let mut config = KraftwerkConfig::standard();
     config.cg.max_iterations = 8;
-    config.watchdog.cg_stall_streak = 2;
     let recorder = Arc::new(RunRecorder::new());
     let result = {
         let _guard = trace::install_scoped(recorder.clone());
@@ -297,13 +285,21 @@ fn forced_divergence_run_returns_checkpointed_best() {
 }
 
 #[test]
-fn disabled_watchdog_still_returns_finite_placements() {
-    let nl = generate(&SynthConfig::with_size("wd-off", 100, 130, 6));
-    let mut config = KraftwerkConfig::standard();
-    config.watchdog.enabled = false;
-    let result = GlobalPlacer::new(config).try_place(&nl).expect("healthy");
-    assert!(result.health.is_clean());
-    assert_placement_sane(&nl, &result);
+fn spreading_is_not_divergence() {
+    // The loop spreads cells out of a collapsed first solve, so wire
+    // length grows many-fold on the way to the stop test. The watchdog
+    // must read that as progress, not as a fault.
+    let nl = generate(&SynthConfig {
+        pads: 8,
+        ..SynthConfig::with_size("hpwl-growth", 3000, 3600, 31)
+    });
+    let result = GlobalPlacer::new(KraftwerkConfig::fast())
+        .try_place(&nl)
+        .expect("spreading run places");
+    assert!(result.health.is_clean(), "{:?}", result.health);
+    let first = result.stats.first().expect("transformations ran").hpwl;
+    let last = result.stats.last().expect("transformations ran").hpwl;
+    assert!(last >= 10.0 * first, "HPWL grew only {:.1}x", last / first);
 }
 
 #[test]
